@@ -4,7 +4,8 @@ A backend owns everything that the paper's Sec. III-A calls "quantum circuit
 synthesis": given the matrix ``A`` and the requested inner accuracy ``ε_l`` it
 prepares (once) the block-encoding of ``A†``, the inverse polynomial and —
 for the circuit backend — the QSP phase factors, and it then answers repeated
-``apply_inverse(rhs)`` requests, which is exactly the pattern of Algorithm 2
+``apply_inverse_batch(rhs_batch)`` requests (a single right-hand side is a
+batch of one), which is exactly the pattern of Algorithm 2
 (the compiled routines are reused across refinement iterations, only the
 right-hand side changes).
 
@@ -93,8 +94,12 @@ class BackendApplication:
 class QSVTBackend(abc.ABC):
     """Interface shared by every backend.
 
-    Besides the abstract ``prepare`` / ``apply_inverse`` pair, the base class
-    provides two concrete services shared by all implementations:
+    A backend is prepared once and applied many times.  The solver
+    (:class:`repro.core.qsvt_solver.QSVTLinearSolver`) calls only
+    :meth:`apply_inverse_batch`, with a ``(B, N)`` stack: a single solve is
+    a batch of one.  Besides the abstract ``prepare`` / ``apply_inverse``
+    pair, the base class provides two concrete services shared by all
+    implementations:
 
     * **synthesis fingerprinting** — ``prepare`` implementations call
       :meth:`_record_synthesis` so that :meth:`is_stale` can later detect a
@@ -105,10 +110,13 @@ class QSVTBackend(abc.ABC):
       same fingerprint, so the two invalidation mechanisms agree by
       construction.
     * **batched application** — :meth:`apply_inverse_batch` answers ``B``
-      right-hand sides against the *same* compiled synthesis.  The default is
-      a loop; backends that can amortise the sweep (the circuit backend via
-      :func:`repro.qsp.qsvt_circuit.apply_qsvt_to_vectors`, the ideal backend
-      via one dense contraction) override it.
+      right-hand sides against the *same* compiled synthesis.  The default
+      loops over :meth:`apply_inverse`, so backends that answer one
+      right-hand side at a time (the exact-inverse surrogate, third-party
+      backends) work unchanged.  The circuit backend (one plan sweep via
+      :meth:`repro.qsp.qsvt_circuit.QSVTProgram.apply_batch`) and the ideal
+      backend (one dense contraction or one Clenshaw recurrence) implement
+      only the batch body and answer ``apply_inverse`` as a batch of one.
     """
 
     #: human-readable backend name (used in reports).
@@ -636,22 +644,7 @@ class CircuitQSVTBackend(QSVTBackend):
         self._prepared = True
 
     def apply_inverse(self, rhs) -> BackendApplication:
-        if not self._prepared:
-            raise BackendError("call prepare() before apply_inverse()")
-        vector = as_vector(rhs, name="rhs").astype(float)
-        application = self.program.apply(vector)
-        raw = np.real(application.vector)
-        norm = np.linalg.norm(raw)
-        if norm == 0.0:
-            raise BackendError("QSVT produced a zero post-selected state")
-        direction = self.sampling.read_out(raw / norm)
-        return BackendApplication(
-            direction=direction,
-            block_encoding_calls=application.block_encoding_calls,
-            polynomial_degree=self.polynomial.degree,
-            success_probability=application.success_probability,
-            shots=self.sampling.shots_used(),
-        )
+        return self.apply_inverse_batch(as_vector(rhs, name="rhs")[None])[0]
 
     def apply_inverse_batch(self, rhs_batch) -> list[BackendApplication]:
         """Batched inverse: one plan sweep for all ``B`` right-hand sides.
@@ -659,8 +652,8 @@ class CircuitQSVTBackend(QSVTBackend):
         The whole batch replays the compiled
         :class:`~repro.qsp.qsvt_circuit.QSVTProgram`, so every fused
         contraction updates all ``B`` states at once — the per-state cost
-        collapses to roughly ``1/B`` of a looped :meth:`apply_inverse` at
-        paper scale.
+        collapses to roughly ``1/B`` of ``B`` single-row sweeps at paper
+        scale.
         """
         if not self._prepared:
             raise BackendError("call prepare() before apply_inverse_batch()")
@@ -856,7 +849,7 @@ class IdealPolynomialBackend(QSVTBackend):
 
     # ------------------------------------------------------------------ #
     def _transform_matrix_free(self, normalized: np.ndarray) -> np.ndarray:
-        """``P(A/α)`` applied by Clenshaw over ``matvec``/``matmat`` calls.
+        """``P(A/α)`` applied to an ``(N, B)`` block by Clenshaw over ``matmat``.
 
         Non-symmetric operators run the same odd polynomial on the symmetric
         dilation ``H = [[0, A], [Aᵀ, 0]]``: with ``Aᵀ = V Σ Wᵀ``, an odd
@@ -868,47 +861,19 @@ class IdealPolynomialBackend(QSVTBackend):
         inv_alpha = 1.0 / self.alpha
         coefficients = self.polynomial.coefficients
         if not self._dilated:
-            if normalized.ndim == 1:
-                apply = lambda w: inv_alpha * operator.matvec(w)  # noqa: E731
-            else:
-                apply = lambda w: inv_alpha * operator.matmat(w)  # noqa: E731
-            return evaluate_chebyshev_operator(coefficients, apply, normalized)
+            return evaluate_chebyshev_operator(
+                coefficients, lambda w: inv_alpha * operator.matmat(w),
+                normalized)
         n = operator.shape[0]
-        if normalized.ndim == 1:
-            def apply(w):
-                return inv_alpha * np.concatenate(
-                    [operator.matvec(w[n:]), operator.rmatvec(w[:n])])
-            stacked = np.concatenate([normalized, np.zeros(n)])
-        else:
-            def apply(w):
-                return inv_alpha * np.vstack(
-                    [operator.matmat(w[n:]), operator.rmatmat(w[:n])])
-            stacked = np.vstack([normalized, np.zeros_like(normalized)])
+
+        def apply(w):
+            return inv_alpha * np.vstack(
+                [operator.matmat(w[n:]), operator.rmatmat(w[:n])])
+        stacked = np.vstack([normalized, np.zeros_like(normalized)])
         return evaluate_chebyshev_operator(coefficients, apply, stacked)[n:]
 
     def apply_inverse(self, rhs) -> BackendApplication:
-        if not self._prepared:
-            raise BackendError("call prepare() before apply_inverse()")
-        vector = as_vector(rhs, name="rhs").astype(float)
-        norm = np.linalg.norm(vector)
-        if norm == 0.0:
-            raise BackendError("cannot apply the inverse to a zero right-hand side")
-        if self._matrix_free:
-            raw = self._transform_matrix_free(vector / norm)
-        else:
-            transformed = evaluate_chebyshev(self.polynomial.coefficients, self._sigma / self.alpha)
-            raw = self._v @ (transformed * (self._wh @ (vector / norm)))
-        raw_norm = np.linalg.norm(raw)
-        if raw_norm == 0.0:
-            raise BackendError("polynomial transformation produced a zero vector")
-        direction = self.sampling.read_out(raw / raw_norm)
-        return BackendApplication(
-            direction=direction,
-            block_encoding_calls=self.polynomial.degree,
-            polynomial_degree=self.polynomial.degree,
-            success_probability=1.0,
-            shots=self.sampling.shots_used(),
-        )
+        return self.apply_inverse_batch(as_vector(rhs, name="rhs")[None])[0]
 
     def apply_inverse_batch(self, rhs_batch) -> list[BackendApplication]:
         """Batched inverse: one contraction sweep for all ``B`` right-hand sides.
@@ -925,11 +890,12 @@ class IdealPolynomialBackend(QSVTBackend):
         norms = np.linalg.norm(batch, axis=1)
         if np.any(norms == 0.0):
             raise BackendError("cannot apply the inverse to a zero right-hand side")
+        normalized = (batch / norms[:, None]).T
         if self._matrix_free:
-            raw = self._transform_matrix_free((batch / norms[:, None]).T).T
+            raw = self._transform_matrix_free(normalized).T
         else:
             transformed = evaluate_chebyshev(self.polynomial.coefficients, self._sigma / self.alpha)
-            raw = (self._v @ (transformed[:, None] * (self._wh @ (batch / norms[:, None]).T))).T
+            raw = (self._v @ (transformed[:, None] * (self._wh @ normalized))).T
         raw_norms = np.linalg.norm(raw, axis=1)
         if np.any(raw_norms == 0.0):
             raise BackendError("polynomial transformation produced a zero vector")

@@ -172,7 +172,6 @@ def preconditioned_refine(matrix, rhs, *, preconditioner: str | Preconditioner =
     driver = MixedPrecisionRefinement(solver, target_accuracy=target_accuracy,
                                       **refinement_options)
     result = driver.solve(preconditioned_rhs, x_true=x_true)
-    result.solver_info = dict(result.solver_info)
     result.solver_info.update({
         "preconditioner": precond.name,
         "kappa_original": condition_number(mat),

@@ -25,9 +25,10 @@ between :meth:`recompile` (refresh the synthesis for the new bytes) or a new
 solver.  :class:`repro.engine.cache.CompiledSolverCache` keys its entries on
 the same fingerprint, so a cached solver can never serve a mutated matrix.
 
-For many right-hand sides against the same matrix, :meth:`solve_batch`
-answers the whole stack through the backend's batched application (one
-circuit sweep on the circuit backend) instead of ``B`` independent solves.
+Every solve goes through :meth:`solve_batch` and the backend's
+``apply_inverse_batch``: a single right-hand side is a batch of one, and a
+stack of ``B`` is answered in one application (one circuit sweep on the
+circuit backend) instead of ``B``.
 """
 
 from __future__ import annotations
@@ -304,29 +305,21 @@ class QSVTLinearSolver:
         return info
 
     def solve(self, rhs) -> SingleSolveRecord:
-        """Solve ``A x = rhs`` once at accuracy ``ε_l``.
+        """Solve ``A x = rhs`` once at accuracy ``ε_l``: a batch of one
+        through :meth:`solve_batch`.
 
         Returns a :class:`~repro.core.results.SingleSolveRecord`; the
         de-normalised solution is ``record.x``.
         """
-        b = as_vector(rhs, name="rhs").astype(float)
-        if b.shape[0] != self.dimension:
-            raise ValueError("right-hand side length does not match the matrix")
-        self._check_fresh()
-        start = time.perf_counter()
-        with obs_span("sweep", batch=1, dimension=self.dimension,
-                      backend=type(self.backend).__name__):
-            application = self.backend.apply_inverse(b)
-        elapsed = time.perf_counter() - start
-        return self._assemble_record(application, b, elapsed)
+        return self.solve_batch(as_vector(rhs, name="rhs")[None])[0]
 
     def solve_batch(self, rhs_batch) -> list[SingleSolveRecord]:
         """Solve ``A x = b_i`` for a stack of right-hand sides at accuracy ``ε_l``.
 
-        ``rhs_batch`` is array-like of shape ``(B, N)``.  The compiled
-        synthesis is shared and the backend answers the whole batch in one
-        application (a single circuit sweep on the circuit backend, see
-        :meth:`repro.core.backends.CircuitQSVTBackend.apply_inverse_batch`);
+        ``rhs_batch`` is array-like of shape ``(B, N)`` with ``B >= 1``.  The
+        compiled synthesis is shared and the backend answers the whole batch
+        in one application (a single circuit sweep on the circuit backend,
+        see :meth:`repro.core.backends.CircuitQSVTBackend.apply_inverse_batch`);
         only the cheap classical de-normalisation runs per right-hand side.
         Returns one :class:`~repro.core.results.SingleSolveRecord` per row,
         with the shared quantum wall time split evenly across the records.
@@ -334,13 +327,15 @@ class QSVTLinearSolver:
         batch = np.atleast_2d(np.asarray(rhs_batch, dtype=float))
         if batch.shape[1] != self.dimension:
             raise ValueError("right-hand side length does not match the matrix")
+        if batch.shape[0] == 0:
+            raise ValueError("rhs_batch must hold at least one right-hand side")
         self._check_fresh()
         start = time.perf_counter()
         with obs_span("sweep", batch=int(batch.shape[0]),
                       dimension=self.dimension,
                       backend=type(self.backend).__name__):
             applications = self.backend.apply_inverse_batch(batch)
-        elapsed = (time.perf_counter() - start) / max(len(applications), 1)
+        elapsed = (time.perf_counter() - start) / batch.shape[0]
         return [self._assemble_record(application, batch[i], elapsed)
                 for i, application in enumerate(applications)]
 

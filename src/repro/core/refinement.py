@@ -16,10 +16,19 @@ CPU, while the correction ``A e_i = r_i`` is delegated to the inner solver
 budget is exhausted, or when the residual stagnates at the limiting accuracy
 of the working precision.
 
-Independent refinements against the *same* matrix batch through
-:meth:`MixedPrecisionRefinement.solve_batch`: the residual solves of the
-still-active systems are stacked and answered by one fused-plan circuit
-sweep per iteration instead of one sweep per system.
+The Algorithm 2 loop lives in :meth:`MixedPrecisionRefinement.solve_batch`;
+:meth:`MixedPrecisionRefinement.solve` is a batch of one.  Independent
+refinements against the *same* matrix share the loop: every iteration
+stacks the residuals of the still-active systems and answers them through
+the inner solver's ``solve_batch`` (one fused-plan circuit sweep instead of
+one sweep per system), or one ``solve`` at a time when the inner solver has
+no batched form.
+
+The driver reads the inner solver once, at construction: its ``describe()``
+snapshot, the ``ε_l`` and ``κ`` of the Theorem III.1 bound, and the sizes of
+the step-0 uploads of the communication trace.  Every result's
+``solver_info`` is a copy of that snapshot, so a driver belongs to the
+synthesis it was built on: build a new one after ``recompile()``.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ from ..linalg import condition_number, relative_forward_error, scaled_residual
 from ..obs.trace import span as obs_span
 from ..precision import PrecisionContext
 from ..utils import as_vector, is_linear_operator
-from .communication import CommunicationTrace
+from .communication import CommunicationTrace, TransferEvent
 from .convergence import contraction_factor, iteration_bound, limiting_accuracy
 from .results import RefinementIteration, RefinementResult
 
@@ -67,6 +76,12 @@ class MixedPrecisionRefinement:
     divergence_factor:
         Abort when the scaled residual grows by more than this factor above
         its best value (signals ``ε_l κ >= 1``).
+
+    The inner solver's ``describe()`` is read once, here, and kept for the
+    driver's lifetime together with the ``ε_l``, ``κ``, iteration bound and
+    communication upload sizes derived from it.  Every caller builds a
+    fresh driver per use, so the snapshot is frozen exactly like ``ε_l``,
+    ``κ`` and the bound already are.
     """
 
     def __init__(self, inner_solver, *, target_accuracy: float = 1e-10,
@@ -89,6 +104,8 @@ class MixedPrecisionRefinement:
         inner_matrix = inner_solver.matrix
         self.matrix = (inner_matrix if is_linear_operator(inner_matrix)
                        else np.asarray(inner_matrix, dtype=float))
+        describe = getattr(inner_solver, "describe", None)
+        self._solver_info = describe() if callable(describe) else {}
         self.kappa = float(kappa) if kappa is not None else self._infer_kappa()
         self.epsilon_l = float(epsilon_l) if epsilon_l is not None else self._infer_epsilon_l()
         self.iteration_bound = self._compute_bound()
@@ -98,6 +115,8 @@ class MixedPrecisionRefinement:
             self.max_iterations = int(2 * self.iteration_bound + 5)
         else:
             self.max_iterations = 50
+        self._setup_events = (self._communication_setup()
+                              if self.track_communication else ())
 
     # ------------------------------------------------------------------ #
     def _infer_kappa(self) -> float:
@@ -107,12 +126,9 @@ class MixedPrecisionRefinement:
         return condition_number(self.matrix)
 
     def _infer_epsilon_l(self) -> float:
-        describe = getattr(self.inner_solver, "describe", None)
-        if callable(describe):
-            info = describe()
-            achieved = info.get("achieved_epsilon_l")
-            if achieved is not None and np.isfinite(achieved) and achieved > 0:
-                return float(achieved)
+        achieved = self._solver_info.get("achieved_epsilon_l")
+        if achieved is not None and np.isfinite(achieved) and achieved > 0:
+            return float(achieved)
         nominal = getattr(self.inner_solver, "epsilon_l", None)
         if nominal is not None and np.isfinite(nominal) and nominal > 0:
             return float(nominal)
@@ -132,9 +148,12 @@ class MixedPrecisionRefinement:
         return float(rho ** (index + 1))
 
     # ------------------------------------------------------------------ #
-    def _setup_communication(self, trace: CommunicationTrace, rhs_length: int) -> None:
-        info = self.inner_solver.describe() if hasattr(self.inner_solver, "describe") else {}
-        degree = int(info.get("polynomial_degree", 0) or 0)
+    def _communication_setup(self) -> tuple[TransferEvent, ...]:
+        """The step-0 uploads every refined system's trace starts with:
+        ``BE(A†)``, the phase factors ``Φ`` and ``SP(b)``."""
+        trace = CommunicationTrace()
+        rhs_length = self.matrix.shape[0]
+        degree = int(self._solver_info.get("polynomial_degree", 0) or 0)
         block = getattr(getattr(self.inner_solver, "backend", None), "block", None)
         if block is not None:
             trace.add_circuit_upload(0, "BE(A†)", self._block_encoding_gate_count(block),
@@ -148,6 +167,7 @@ class MixedPrecisionRefinement:
             trace.add_vector_upload(0, "Φ", degree, "QSVT phase factors")
         trace.add_circuit_upload(0, "SP(b)", rhs_length,
                                  "state preparation of the right-hand side")
+        return tuple(trace.events)
 
     @staticmethod
     def _block_encoding_gate_count(block) -> int:
@@ -169,89 +189,15 @@ class MixedPrecisionRefinement:
 
     # ------------------------------------------------------------------ #
     def solve(self, rhs, *, x_true=None) -> RefinementResult:
-        """Run Algorithm 2 on ``A x = rhs`` and return the full history."""
-        b = as_vector(rhs, name="rhs").astype(float)
-        if b.shape[0] != self.matrix.shape[0]:
-            raise ValueError("right-hand side length does not match the matrix")
-        norm_b = np.linalg.norm(b)
-        if norm_b == 0.0:
-            raise ValueError("the right-hand side must be nonzero")
-        reference = None if x_true is None else as_vector(x_true, name="x_true").astype(float)
-
-        trace = CommunicationTrace() if self.track_communication else None
-        if trace is not None:
-            self._setup_communication(trace, b.shape[0])
-
-        history: list[RefinementIteration] = []
-        total_calls = 0
-
-        # ---- initial solve x_0 (step 0) --------------------------------- #
-        start = time.perf_counter()
-        with obs_span("refinement_iteration", iteration=0):
-            record = self.inner_solver.solve(b)
-        elapsed = time.perf_counter() - start
-        x = self.precision.round_working(record.x)
-        total_calls += record.block_encoding_calls
-        omega = scaled_residual(self.matrix, x, b)
-        history.append(RefinementIteration(
-            index=0, scaled_residual=float(omega), predicted_residual=self._predicted(0),
-            forward_error=self._forward_error(reference, x),
-            correction_norm=float(np.linalg.norm(record.x)),
-            cumulative_block_encoding_calls=total_calls, wall_time=elapsed))
-        if trace is not None:
-            trace.add_solution_download(0, "x_0", b.shape[0], "initial QSVT solution")
-
-        best_omega = omega
-        stagnation = 0
-        converged = omega <= self.target_accuracy
-        iteration = 0
-        floor = limiting_accuracy(self.precision.u, self.kappa)
-
-        # ---- refinement loop -------------------------------------------- #
-        while not converged and iteration < self.max_iterations:
-            iteration += 1
-            start = time.perf_counter()
-            with obs_span("refinement_iteration", iteration=iteration):
-                residual = self.precision.residual_of(self.matrix, x, b)
-                correction_record = self.inner_solver.solve(residual)
-                x = self.precision.round_working(x + correction_record.x)
-            elapsed = time.perf_counter() - start
-            total_calls += correction_record.block_encoding_calls
-            omega = scaled_residual(self.matrix, x, b)
-            history.append(RefinementIteration(
-                index=iteration, scaled_residual=float(omega),
-                predicted_residual=self._predicted(iteration),
-                forward_error=self._forward_error(reference, x),
-                correction_norm=float(np.linalg.norm(correction_record.x)),
-                cumulative_block_encoding_calls=total_calls, wall_time=elapsed))
-            if trace is not None:
-                trace.add_circuit_upload(iteration, f"SP(r_{iteration})", b.shape[0],
-                                         "state preparation of the residual")
-                trace.add_solution_download(iteration, f"x_{iteration}", b.shape[0],
-                                            "refined solution sample")
-            converged = omega <= self.target_accuracy
-            if omega < best_omega * (1.0 - 1e-3):
-                best_omega = omega
-                stagnation = 0
-            else:
-                stagnation += 1
-            if not converged and omega > self.divergence_factor * max(best_omega, floor):
-                break
-            if not converged and stagnation >= self.stagnation_iterations:
-                break
-
-        return RefinementResult(
-            x=x, converged=bool(converged), iterations=iteration,
-            target_accuracy=self.target_accuracy, history=history,
-            iteration_bound=self.iteration_bound, epsilon_l=self.epsilon_l,
-            kappa=self.kappa, total_block_encoding_calls=total_calls,
-            communication=trace,
-            solver_info=(self.inner_solver.describe()
-                         if hasattr(self.inner_solver, "describe") else {}),
-        )
+        """Run Algorithm 2 on ``A x = rhs`` and return the full history: a
+        batch of one through :meth:`solve_batch`."""
+        b = as_vector(rhs, name="rhs")
+        reference = (None if x_true is None
+                     else as_vector(x_true, name="x_true")[None])
+        return self.solve_batch(b[None], x_true=reference)[0]
 
     # ------------------------------------------------------------------ #
-    # batched refinement
+    # the Algorithm 2 loop
     # ------------------------------------------------------------------ #
     def _inner_solve_batch(self, rhs_stack: np.ndarray) -> list:
         """Batch the inner solves when the solver supports it (one fused-plan
@@ -274,13 +220,13 @@ class MixedPrecisionRefinement:
         of ``B`` sweeps.  Each system keeps its own convergence, stagnation
         and divergence bookkeeping and drops out of the batch as soon as it
         finishes; one :class:`~repro.core.results.RefinementResult` is
-        returned per row, equivalent to ``B`` independent :meth:`solve`
-        calls.
+        returned per row, and row ``i`` is what ``solve(rhs_batch[i])``
+        returns.
 
         Parameters
         ----------
         rhs_batch:
-            Array-like of shape ``(B, N)``.
+            Array-like of shape ``(B, N)`` with ``B >= 1``.
         x_true:
             Optional ``(B, N)`` stack of reference solutions for forward
             errors.
@@ -289,6 +235,8 @@ class MixedPrecisionRefinement:
         if batch.shape[1] != self.matrix.shape[0]:
             raise ValueError("right-hand side length does not match the matrix")
         size = batch.shape[0]
+        if size == 0:
+            raise ValueError("rhs_batch must hold at least one right-hand side")
         norms = np.linalg.norm(batch, axis=1)
         if np.any(norms == 0.0):
             raise ValueError("every right-hand side must be nonzero")
@@ -300,11 +248,8 @@ class MixedPrecisionRefinement:
                 raise ValueError("x_true must match the shape of rhs_batch")
             references = [refs[i] for i in range(size)]
 
-        traces = [CommunicationTrace() if self.track_communication else None
-                  for _ in range(size)]
-        for i, trace in enumerate(traces):
-            if trace is not None:
-                self._setup_communication(trace, batch.shape[1])
+        traces = [CommunicationTrace(list(self._setup_events))
+                  if self.track_communication else None for _ in range(size)]
 
         histories: list[list[RefinementIteration]] = [[] for _ in range(size)]
         total_calls = [0] * size
@@ -386,15 +331,13 @@ class MixedPrecisionRefinement:
                 elif stagnations[i] >= self.stagnation_iterations:
                     done[i] = True
 
-        solver_info = (self.inner_solver.describe()
-                       if hasattr(self.inner_solver, "describe") else {})
         return [
             RefinementResult(
                 x=xs[i], converged=bool(converged[i]), iterations=iterations[i],
                 target_accuracy=self.target_accuracy, history=histories[i],
                 iteration_bound=self.iteration_bound, epsilon_l=self.epsilon_l,
                 kappa=self.kappa, total_block_encoding_calls=total_calls[i],
-                communication=traces[i], solver_info=solver_info)
+                communication=traces[i], solver_info=dict(self._solver_info))
             for i in range(size)
         ]
 

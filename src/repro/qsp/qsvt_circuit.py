@@ -43,8 +43,8 @@ import numpy as np
 
 from ..blockencoding.base import BlockEncoding
 from ..exceptions import DimensionError
-from ..quantum import QuantumCircuit, Statevector
-from ..quantum.measurement import postselect, postselect_batched
+from ..quantum import QuantumCircuit
+from ..quantum.measurement import postselect_batched
 from ..quantum.plan import ExecutionPlan
 
 __all__ = [
@@ -270,29 +270,18 @@ class QSVTProgram:
         norms = np.linalg.norm(data, axis=-1)
         if np.any(norms == 0.0):
             raise DimensionError("cannot apply the QSVT to a zero vector")
-        return data / (norms[..., None] if data.ndim == 2 else norms)
+        return data / norms[:, None]
 
     def apply(self, data_vector) -> QSVTApplication:
-        """Replay the compiled plans on one data vector (see module docstring)."""
-        data = self._normalised(np.asarray(data_vector, dtype=complex).reshape(-1))
-        accumulated = np.zeros(self.dimension, dtype=complex)
-        probability = 0.0
-        ancilla_qubits = list(range(self.num_ancillas))
-        for plan, global_phase in zip(self.plans, self.global_phases):
-            # initial state |0^a> ⊗ data
-            full = np.zeros(2**self.num_qubits, dtype=complex)
-            full[: self.dimension] = data
-            output = Statevector(plan.apply(full))
-            projected, prob = postselect(output, ancilla_qubits, 0,
-                                         renormalize=False)
-            accumulated += np.conj(global_phase) * projected.data
-            probability += prob
-        accumulated /= self.num_runs
-        probability /= self.num_runs
-        return QSVTApplication(vector=accumulated,
-                               success_probability=float(probability),
-                               block_encoding_calls=self.block_encoding_calls,
-                               circuit_depth=self.circuit_depth)
+        """Replay the compiled plans on one data vector: a batch of one
+        through :meth:`apply_batch` (see module docstring)."""
+        batch = self.apply_batch(
+            np.asarray(data_vector, dtype=complex).reshape(1, -1))
+        return QSVTApplication(
+            vector=batch.vectors[0],
+            success_probability=float(batch.success_probabilities[0]),
+            block_encoding_calls=batch.block_encoding_calls,
+            circuit_depth=batch.circuit_depth)
 
     def apply_batch(self, data_vectors) -> QSVTBatchApplication:
         """Replay the compiled plans on a ``(B, N)`` stack in one sweep per run."""

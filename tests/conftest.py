@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from repro.applications import PoissonProblem, random_workload
-from repro.core import QSVTLinearSolver
-from repro.linalg import random_matrix_with_condition_number, random_rhs
+from repro.core import ClassicalLUSolver, QSVTLinearSolver
+from repro.linalg import BandedOperator, random_matrix_with_condition_number, random_rhs
+from repro.problems import ConvectionDiffusionFamily
 
 
 @pytest.fixture()
@@ -56,3 +57,41 @@ def prepared_ideal_solver():
     """An ideal-polynomial-backend solver prepared once for the whole session."""
     matrix = random_matrix_with_condition_number(16, 50.0, rng=43)
     return QSVTLinearSolver(matrix, epsilon_l=1e-3, backend="ideal")
+
+
+def _inner_solver(route: str):
+    """A freshly synthesised inner solver for one solve route."""
+    dense = random_workload(16, 10.0, rng=7).matrix
+    banded = BandedOperator.toeplitz(64, {0: 4.0, 1: -1.0, -1: -1.0})
+    if route == "circuit-dense":
+        return QSVTLinearSolver(dense, epsilon_l=1e-2, backend="circuit")
+    if route == "circuit-banded-plan":
+        return QSVTLinearSolver(banded, epsilon_l=1e-2, backend="circuit")
+    if route == "ideal-dense":
+        return QSVTLinearSolver(dense, epsilon_l=1e-2, backend="ideal")
+    if route == "ideal-matrix-free":
+        return QSVTLinearSolver(banded, epsilon_l=1e-2, backend="ideal")
+    if route == "ideal-dilated-matrix-free":
+        system = ConvectionDiffusionFamily().workloads(num_points=12,
+                                                       peclet=0.8)[0]
+        return QSVTLinearSolver(system.matrix, epsilon_l=1e-3, backend="ideal",
+                                kappa=system.condition_number)
+    if route == "exact-rng":
+        return QSVTLinearSolver(dense, epsilon_l=1e-2, backend="exact", rng=3)
+    if route == "classical-lu":
+        return ClassicalLUSolver(dense)
+    raise ValueError(f"unknown solve route {route!r}")
+
+
+@pytest.fixture()
+def make_inner_solver():
+    """Factory of fresh inner solvers by route name, for the tests that pin
+    ``solve(b)`` to ``solve_batch(b[None])[0]``.
+
+    Routes: ``circuit-dense``, ``circuit-banded-plan`` (N = 64),
+    ``ideal-dense``, ``ideal-matrix-free`` (symmetric ``BandedOperator``),
+    ``ideal-dilated-matrix-free`` (non-symmetric convection-diffusion),
+    ``exact-rng`` (seeded surrogate) and ``classical-lu``.  Every call
+    synthesises anew, so two solvers of a seeded route draw the same noise.
+    """
+    return _inner_solver

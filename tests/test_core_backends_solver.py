@@ -67,6 +67,39 @@ class TestIdealPolynomialBackend:
         conservative.prepare(medium_workload.matrix, epsilon_l=1e-2)
         assert calibrated.polynomial.degree <= conservative.polynomial.degree
 
+    def test_directions_match_a_per_call_filter_reference(self, medium_workload,
+                                                          tmp_path):
+        # the dense route pushes rows through V diag(P(Σ/α)) W†: directions
+        # must equal an inline per-call evaluation of the filter, after
+        # prepare() and after a SynthesisStore round-trip (import_payload)
+        from repro.engine import CompiledSolverCache, SynthesisStore
+        from repro.qsp.chebyshev import evaluate_chebyshev
+
+        store = SynthesisStore(tmp_path)
+        compiled = CompiledSolverCache(store=store).solver(
+            medium_workload.matrix, epsilon_l=1e-3, backend="ideal")
+        restoring = CompiledSolverCache(store=store)
+        restored = restoring.solver(medium_workload.matrix, epsilon_l=1e-3,
+                                    backend="ideal")
+        assert restoring.stats()["store_hits"] == 1
+        batch = np.random.default_rng(3).standard_normal((3, 16))
+
+        def per_call(backend, rows):
+            transformed = evaluate_chebyshev(backend.polynomial.coefficients,
+                                             backend._sigma / backend.alpha)
+            unit = rows / np.linalg.norm(rows, axis=1)[:, None]
+            raw = (backend._v @ (transformed[:, None]
+                                 * (backend._wh @ unit.T))).T
+            return [backend.sampling.read_out(row / np.linalg.norm(row))
+                    for row in raw]
+
+        for backend in (compiled.backend, restored.backend):
+            for application, direction in zip(
+                    backend.apply_inverse_batch(batch), per_call(backend, batch)):
+                assert np.array_equal(application.direction, direction)
+            assert np.array_equal(backend.apply_inverse(batch[0]).direction,
+                                  per_call(backend, batch[:1])[0])
+
     def test_zero_rhs_rejected(self, medium_workload):
         backend = IdealPolynomialBackend()
         backend.prepare(medium_workload.matrix, epsilon_l=1e-2)

@@ -71,6 +71,27 @@ class TestRefinementWithSurrogate:
         assert trace.total_bytes("qpu->cpu") > 0
         assert 0 < trace.setup_fraction() <= 1.0
 
+    def test_describe_is_read_once_at_construction(self, medium_workload):
+        solver = QSVTLinearSolver(medium_workload.matrix, epsilon_l=1e-3,
+                                  backend="ideal")
+        calls = []
+        describe = solver.describe
+
+        def counting_describe():
+            calls.append(1)
+            return describe()
+
+        solver.describe = counting_describe
+        driver = MixedPrecisionRefinement(solver, target_accuracy=1e-10)
+        assert len(calls) == 1
+        batch = np.random.default_rng(2).standard_normal((3, 16))
+        results = [driver.solve(batch[0])] + driver.solve_batch(batch)
+        assert len(calls) == 1
+        # every result carries its own copy of the snapshot
+        results[0].solver_info["backend"] = "edited"
+        assert all(r.solver_info["backend"] == "ideal-polynomial"
+                   for r in results[1:])
+
     def test_tracking_can_be_disabled(self, surrogate_solver, medium_workload):
         driver = MixedPrecisionRefinement(surrogate_solver, target_accuracy=1e-8,
                                           track_communication=False)

@@ -135,25 +135,54 @@ def test_apply_qsvt_to_vectors_matches_single(prepared_circuit_solver):
     assert application.block_encoding_calls == single.block_encoding_calls
 
 
-def test_solve_batch_matches_looped_solve(prepared_circuit_solver):
-    rng = np.random.default_rng(11)
-    batch = np.stack([random_rhs(prepared_circuit_solver.dimension, rng=rng)
-                      for _ in range(4)])
-    batched = prepared_circuit_solver.solve_batch(batch)
+def _assert_solve_is_batch_of_one(make_inner_solver, route, rng):
+    """``solve(b)`` equals ``solve_batch(b[None])[0]``: bit for bit on the
+    dense and circuit routes, to 1e-12 on the matrix-free ones.  The twin
+    is a fresh synthesis, so the seeded surrogate replays the same noise.
+    Returns the first solver for further checks."""
+    solver = make_inner_solver(route)
+    rhs = random_rhs(solver.dimension, rng=rng)
+    single = solver.solve(rhs)
+    twin = make_inner_solver(route).solve_batch(rhs[None])[0]
+    if "matrix-free" in route:
+        np.testing.assert_allclose(single.x, twin.x, atol=1e-12, rtol=0,
+                                   err_msg=route)
+    else:
+        assert np.array_equal(single.x, twin.x), route
+        assert single.scaled_residual == twin.scaled_residual, route
+    assert single.block_encoding_calls == twin.block_encoding_calls, route
+    return solver
+
+
+def _assert_batch_matches_loop(solver, batch):
+    batched = solver.solve_batch(batch)
     for i, record in enumerate(batched):
-        single = prepared_circuit_solver.solve(batch[i])
+        single = solver.solve(batch[i])
         np.testing.assert_allclose(record.x, single.x, atol=1e-12, rtol=0)
         assert record.block_encoding_calls == single.block_encoding_calls
 
 
-def test_solve_batch_ideal_backend_matches(prepared_ideal_solver):
+def test_solve_batch_matches_looped_solve(prepared_circuit_solver,
+                                          make_inner_solver):
+    rng = np.random.default_rng(11)
+    batch = np.stack([random_rhs(prepared_circuit_solver.dimension, rng=rng)
+                      for _ in range(4)])
+    _assert_batch_matches_loop(prepared_circuit_solver, batch)
+    for route in ("circuit-dense", "circuit-banded-plan", "exact-rng"):
+        _assert_solve_is_batch_of_one(make_inner_solver, route, rng)
+
+
+def test_solve_batch_ideal_backend_matches(prepared_ideal_solver,
+                                           make_inner_solver):
     rng = np.random.default_rng(12)
     batch = np.stack([random_rhs(prepared_ideal_solver.dimension, rng=rng)
                       for _ in range(3)])
-    batched = prepared_ideal_solver.solve_batch(batch)
-    for i, record in enumerate(batched):
-        single = prepared_ideal_solver.solve(batch[i])
-        np.testing.assert_allclose(record.x, single.x, atol=1e-12, rtol=0)
+    _assert_batch_matches_loop(prepared_ideal_solver, batch)
+    for route in ("ideal-dense", "ideal-matrix-free",
+                  "ideal-dilated-matrix-free"):
+        solver = _assert_solve_is_batch_of_one(make_inner_solver, route, rng)
+        _assert_batch_matches_loop(solver, np.stack(
+            [random_rhs(solver.dimension, rng=rng) for _ in range(3)]))
 
 
 # ---------------------------------------------------------------------- #

@@ -307,21 +307,65 @@ class TestByteAccountedCache:
         assert cache.total_bytes == 0
 
 
+#: every inner-solver route the batch-of-one oracle covers (see the
+#: ``make_inner_solver`` fixture).
+REFINEMENT_ROUTES = ("circuit-dense", "circuit-banded-plan", "ideal-dense",
+                     "ideal-matrix-free", "ideal-dilated-matrix-free",
+                     "exact-rng", "classical-lu")
+
+
+def _assert_same_refinement(a, b, route: str) -> None:
+    """Two refinements of one system took the same path: bit for bit on the
+    dense and circuit routes, to 1e-12 on the matrix-free (Clenshaw over
+    ``matmat``) routes, and always with identical iteration counts,
+    block-encoding calls and communication events."""
+    if "matrix-free" in route:
+        np.testing.assert_allclose(a.x, b.x, atol=1e-12, rtol=0, err_msg=route)
+        np.testing.assert_allclose(a.scaled_residuals, b.scaled_residuals,
+                                   atol=1e-12, rtol=0, err_msg=route)
+    else:
+        assert np.array_equal(a.x, b.x), route
+        assert np.array_equal(a.scaled_residuals, b.scaled_residuals), route
+    assert a.iterations == b.iterations, route
+    assert ([it.cumulative_block_encoding_calls for it in a.history]
+            == [it.cumulative_block_encoding_calls for it in b.history]), route
+    assert a.communication.events == b.communication.events, route
+
+
 class TestBatchedRefinement:
-    def test_solve_batch_matches_sequential(self, medium_workload):
+    def test_solve_batch_matches_sequential(self, make_inner_solver):
+        for route in REFINEMENT_ROUTES:
+            driver = MixedPrecisionRefinement(make_inner_solver(route),
+                                              target_accuracy=1e-10)
+            rng = np.random.default_rng(5)
+            batch = rng.standard_normal((3, driver.matrix.shape[0]))
+            # solve(b) is solve_batch(b[None])[0]; the twin is a fresh
+            # synthesis, so the seeded surrogate replays the same noise
+            twin = MixedPrecisionRefinement(make_inner_solver(route),
+                                            target_accuracy=1e-10)
+            _assert_same_refinement(driver.solve(batch[0]),
+                                    twin.solve_batch(batch[:1])[0], route)
+            if route == "exact-rng":
+                continue  # B systems draw the surrogate noise in another order
+            batched = driver.solve_batch(batch)
+            for i, result in enumerate(batched):
+                sequential = driver.solve(batch[i])
+                assert result.converged and sequential.converged, route
+                assert result.iterations == sequential.iterations, route
+                assert np.max(np.abs(result.x - sequential.x)) < 1e-9, route
+                assert (result.total_block_encoding_calls
+                        == sequential.total_block_encoding_calls), route
+
+    @pytest.mark.parametrize("backend", ["circuit", "ideal"])
+    def test_empty_batch_is_rejected(self, medium_workload, backend):
         solver = QSVTLinearSolver(medium_workload.matrix, epsilon_l=1e-2,
-                                  backend="circuit")
-        driver = MixedPrecisionRefinement(solver, target_accuracy=1e-10)
-        rng = np.random.default_rng(5)
-        batch = rng.standard_normal((3, 16))
-        batched = driver.solve_batch(batch)
-        for i, result in enumerate(batched):
-            sequential = driver.solve(batch[i])
-            assert result.converged and sequential.converged
-            assert result.iterations == sequential.iterations
-            assert np.max(np.abs(result.x - sequential.x)) < 1e-9
-            assert (result.total_block_encoding_calls
-                    == sequential.total_block_encoding_calls)
+                                  backend=backend)
+        empty = np.empty((0, 16))
+        for solve_batch in (solver.solve_batch,
+                            MixedPrecisionRefinement(solver).solve_batch):
+            with pytest.raises(ValueError,
+                               match="at least one right-hand side"):
+                solve_batch(empty)
 
     def test_solve_batch_histories_and_forward_errors(self, medium_workload):
         solver = QSVTLinearSolver(medium_workload.matrix, epsilon_l=1e-2,
