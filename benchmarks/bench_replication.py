@@ -11,9 +11,10 @@ serving tier (:mod:`repro.serving`) against its single-owner baseline:
   R=1 on the fault-free path (full mode; smoke boxes are too noisy to hold
   a throughput ratio).
 * **Slow-fault p99** — one worker is chaos-scripted to stall every request
-  (an async ``slow_seconds`` sleep, the classic gray failure: alive,
-  heartbeating, slow).  At ``R=1`` the stall is unavoidable — affected
-  requests pay the full sleep, and p99 shows it.  At ``R=2`` with a
+  (a ``slow_seconds`` sleep of the worker's whole batch loop, the classic
+  gray failure: alive and answering, but late on everything, and short of
+  the hang timeout, so it is never killed).  At ``R=1`` the stall is
+  unavoidable — affected requests pay the full sleep, and p99 shows it.  At ``R=2`` with a
   ``hedge_after`` deadline the front end speculatively doubles the request
   onto the warm replica and takes the first answer: p99 collapses to about
   the hedge deadline.  The gate requires R=2 p99 to be at least 2x better.

@@ -1,29 +1,30 @@
-"""Coalescing asyncio front end: ``await engine.solve(A, b)``.
+"""Same-key request coalescing: one group of requests, one fused sweep.
 
-A service exposing the solver over a network handles *concurrent* requests,
-and the paper's workload shape — many requests against few matrices — makes
-naive concurrency wasteful twice over: every request pays its own circuit
-sweep, and the sweeps serialise on the CPU anyway.  The batched kernels
-already collapse ``K`` same-matrix solves into one fused-plan sweep
-(:meth:`repro.core.qsvt_solver.QSVTLinearSolver.solve_batch`); what is
-missing is the piece that *finds* the batch inside an async request stream.
+A service exposing the solver handles *concurrent* requests, and the paper's
+workload shape — many requests against few matrices — makes naive
+concurrency wasteful twice over: every request pays its own circuit sweep,
+and the sweeps serialise on the CPU anyway.  The batched kernels already
+collapse ``K`` same-matrix solves into one fused-plan sweep
+(:meth:`repro.core.qsvt_solver.QSVTLinearSolver.solve_batch`); this module
+is the piece that *finds* the batch inside a request stream.
 
-:class:`AsyncSolveEngine` is that piece.  Each ``solve`` call computes the
-same canonical key the compiled-solver cache uses (matrix fingerprint +
-``ε_l`` + backend + options) and joins the **pending group** for that key;
-the first request of a group schedules a flush, and when it fires — after
-``coalesce_window`` seconds, immediately on the next event-loop turn by
-default, or as soon as ``max_batch_size`` requests piled up — the whole
-group is answered by a single ``solve_batch`` sweep on a worker thread.
-``K`` concurrent same-matrix requests therefore cost one circuit replay
-(plus ``K`` cheap de-normalisations) instead of ``K`` replays, and requests
-against *different* matrices flush as independent groups that overlap on the
-executor (numpy releases the GIL inside the contractions).
+Two front ends share one synchronous core:
 
-The engine composes with the rest of the serving layer: its cache can carry
-a persistent :class:`~repro.engine.store.SynthesisStore`, so the first
-request for a known matrix restores the synthesis from disk instead of
-compiling, and every request after that joins in-memory cache hits.
+* :class:`GroupSweeper` answers a :class:`SolveGroup` — requests whose
+  canonical cache key (matrix fingerprint + ``ε_l`` + backend + options)
+  agrees — with one cache lookup and one ``solve_batch``, so ``K``
+  same-matrix requests cost one circuit replay (plus ``K`` cheap
+  de-normalisations).  The serving worker's batch loop
+  (:mod:`repro.serving.worker`) calls it directly.
+* :class:`AsyncSolveEngine` is the in-process asyncio API over the same
+  sweep: ``await engine.solve(A, b)`` joins the pending group for its key,
+  and the group's flush — after ``coalesce_window`` seconds, on the next
+  event-loop turn by default, or as soon as ``max_batch_size`` requests
+  piled up — runs the sweep on a worker thread.
+
+The cache can carry a persistent :class:`~repro.engine.store.SynthesisStore`,
+so the first request for a known matrix restores the synthesis from disk
+instead of compiling, and every request after that is an in-memory hit.
 
 >>> engine = AsyncSolveEngine(store=SynthesisStore())
 >>> records = await asyncio.gather(*[engine.solve(A, b) for b in rhs_stack])
@@ -35,40 +36,191 @@ from __future__ import annotations
 
 import asyncio
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..core.results import SingleSolveRecord
-from ..exceptions import SolveTimeoutError
+from ..exceptions import BackendError, DimensionError, SolveTimeoutError
+from ..obs.metrics import MetricsRegistry
 from ..obs.trace import TraceContext, activated, current_trace
-from ..utils import LatencyHistogram
 from .cache import CompiledSolverCache
 
-__all__ = ["AsyncSolveEngine"]
+__all__ = ["AsyncSolveEngine", "GroupSweeper", "SolveGroup"]
 
 
 @dataclass
-class _PendingGroup:
-    """In-flight requests sharing one solver key, awaiting one fused sweep."""
+class SolveGroup:
+    """Requests sharing one compiled-solver key, answered by one sweep.
 
-    matrix: np.ndarray
+    Per member, in parallel lists: the right-hand side, an absolute
+    ``time.monotonic()`` deadline (or ``None``), its trace (or ``None``),
+    the ``time.monotonic()`` stamp it joined at and the caller's token (a
+    future, a request id).
+    """
+
+    matrix: object
     epsilon_l: float
     backend: str
     kappa: float | None
     fingerprint: str | None
     backend_options: dict
-    sealed: asyncio.Event
     rhs: list = field(default_factory=list)
-    futures: list = field(default_factory=list)
-    #: absolute ``loop.time()`` deadlines per request (``None`` = no deadline).
     deadlines: list = field(default_factory=list)
-    #: ambient :class:`~repro.obs.trace.TraceContext` per member (or ``None``);
-    #: the shared sweep's spans are adopted into every sampled one.
     traces: list = field(default_factory=list)
-    #: ``loop.time()`` stamp when each member joined (coalesce-wait spans).
     joined: list = field(default_factory=list)
+    tokens: list = field(default_factory=list)
+
+    def add(self, rhs, token, *, deadline_at=None, trace=None) -> None:
+        self.rhs.append(rhs)
+        self.tokens.append(token)
+        self.deadlines.append(deadline_at)
+        self.traces.append(trace)
+        self.joined.append(time.monotonic())
+
+    def __len__(self) -> int:
+        return len(self.rhs)
+
+
+def _rhs_error(rhs, dimension: int) -> Exception | None:
+    """Why ``rhs`` cannot join a sweep against an ``N = dimension`` matrix."""
+    rhs = np.asarray(rhs)
+    if rhs.shape != (dimension,):
+        return DimensionError(f"right-hand side has shape {rhs.shape}, "
+                              f"expected ({dimension},)")
+    if not np.isfinite(rhs).all():
+        return ValueError("right-hand side has non-finite entries")
+    if not rhs.any():
+        return BackendError("cannot apply the inverse to a zero right-hand side")
+    return None
+
+
+class GroupSweeper:
+    """A compiled-solver cache plus the coalescing counters (lock-guarded:
+    the asyncio engine sweeps concurrently on an executor).  Without a
+    ``metrics`` registry the ``engine_*`` series go to a disabled one, which
+    still keeps the latency histogram."""
+
+    def __init__(self, cache: CompiledSolverCache, *, metrics=None) -> None:
+        metrics = MetricsRegistry(enabled=False) if metrics is None else metrics
+        self.cache = cache
+        self._lock = threading.Lock()
+        self._requests = self._batches = self._largest_batch = 0
+        self._timeouts = 0
+        self._m_requests = metrics.counter(
+            "engine_requests_total", "Solve requests entering coalescing")
+        self._m_batches = metrics.counter(
+            "engine_batches_total", "Fused sweeps executed")
+        self._m_timeouts = metrics.counter(
+            "engine_timeouts_total",
+            "Requests expired before their sweep started")
+        self._m_batch_width = metrics.histogram(
+            "engine_batch_width", "Coalesced requests per fused sweep")
+        # the registry series *is* the stats()["latency"] histogram.
+        self._latency = metrics.histogram(
+            "engine_latency_seconds",
+            "End-to-end coalesced solve latency").labelled()
+
+    def sweep(self, group: SolveGroup) -> list:
+        """Answer every member of ``group``: its record or its exception.
+
+        At sweep start, members past their deadline fail with
+        :class:`~repro.exceptions.SolveTimeoutError`; after the one cache
+        lookup, members whose right-hand side is not a finite, nonzero
+        ``(N,)`` vector fail with their own error.  Neither costs solve work
+        or poisons the rest: the survivors share one ``solve_batch``.  A
+        failure of the shared work (singular matrix, failed synthesis) is
+        every survivor's answer.
+        """
+        now = time.monotonic()
+        results: list = [None] * len(group)
+        pending, sampled = [], []
+        for index, (expires, trace, joined) in enumerate(zip(
+                group.deadlines, group.traces, group.joined)):
+            if expires is not None and now > expires:
+                results[index] = SolveTimeoutError(
+                    f"deadline expired {now - expires:.4f}s before the "
+                    "coalesced sweep started", late_by=now - expires)
+                continue
+            pending.append(index)
+            if trace is not None and trace.sampled:
+                sampled.append(trace)
+                trace.add_span("coalesce", start=joined, duration=now - joined,
+                               batch=len(group))
+        timeouts = len(group) - len(pending)
+        with self._lock:
+            self._requests += len(group)
+            self._timeouts += timeouts
+        self._m_requests.inc(len(group))
+        if timeouts:
+            self._m_timeouts.inc(timeouts)
+        if not pending:
+            return results
+        # one sweep answers N member requests: record its spans once into a
+        # collector context, then adopt them (by reference — shared span_ids)
+        # into every sampled member trace.
+        collector = (TraceContext(sampled[0].trace_id, sampled=True,
+                                  origin="sweep") if sampled else None)
+        try:
+            with activated(collector):
+                solver = self.cache.solver(
+                    group.matrix, epsilon_l=group.epsilon_l,
+                    backend=group.backend, kappa=group.kappa,
+                    fingerprint=group.fingerprint, **group.backend_options)
+                for index in pending:
+                    results[index] = _rhs_error(group.rhs[index],
+                                                solver.dimension)
+                live = [index for index in pending if results[index] is None]
+                if not live:
+                    return results
+                records = solver.solve_batch(
+                    np.stack([group.rhs[index] for index in live]))
+        except Exception as exc:  # noqa: BLE001 - every survivor's answer
+            for index in pending:
+                if results[index] is None:
+                    results[index] = exc
+            return results
+        with self._lock:
+            self._batches += 1
+            self._largest_batch = max(self._largest_batch, len(records))
+        self._m_batches.inc()
+        self._m_batch_width.observe(float(len(records)))
+        if collector is not None:
+            shared = collector.spans
+            for trace in sampled:
+                trace.adopt(shared)
+        done = time.monotonic()
+        for index, record in zip(live, records):
+            results[index] = record
+            self._latency.record(done - group.joined[index])
+        return results
+
+    def stats(self) -> dict:
+        """Coalescing counters, the completed-solve latency histogram
+        (p50/p90/p99 — the single source worker telemetry and the cluster
+        benchmark read percentiles from) and the cache's snapshot."""
+        with self._lock:
+            total, batches = self._requests, self._batches
+            largest, timeouts = self._largest_batch, self._timeouts
+        return {
+            "requests": total,
+            "batches": batches,
+            "coalesced_requests": total - batches,
+            "largest_batch": largest,
+            "mean_batch_size": (total / batches) if batches else 0.0,
+            "timeouts": timeouts,
+            "latency": self._latency.summary(),
+            "cache": self.cache.stats(),
+        }
+
+
+@dataclass
+class _PendingGroup(SolveGroup):
+    """A group still open for joiners; ``sealed`` fires its flush early."""
+
+    sealed: asyncio.Event = field(default_factory=asyncio.Event)
 
 
 class AsyncSolveEngine:
@@ -114,33 +266,10 @@ class AsyncSolveEngine:
         self.max_batch_size = int(max_batch_size)
         self.coalesce_window = float(coalesce_window)
         self.max_concurrency = int(max_concurrency)
+        self._sweeper = GroupSweeper(self.cache, metrics=metrics)
         self._pending: dict[tuple, _PendingGroup] = {}
         self._executor: ThreadPoolExecutor | None = None
         self._executor_lock = threading.Lock()
-        self._requests = 0
-        self._batches = 0
-        self._largest_batch = 0
-        self._timeouts = 0
-        # optional obs.metrics.MetricsRegistry mirror; the latency histogram
-        # *is* the registry series when one is attached (single recording,
-        # both views — stats()["latency"] and the metrics snapshot).
-        self._m_requests = self._m_batches = None
-        self._m_timeouts = self._m_batch_width = None
-        if metrics is not None:
-            self._m_requests = metrics.counter(
-                "engine_requests_total", "Solve requests entering coalescing")
-            self._m_batches = metrics.counter(
-                "engine_batches_total", "Fused sweeps executed")
-            self._m_timeouts = metrics.counter(
-                "engine_timeouts_total",
-                "Requests expired before their sweep started")
-            self._m_batch_width = metrics.histogram(
-                "engine_batch_width", "Coalesced requests per fused sweep")
-            self._latency = metrics.histogram(
-                "engine_latency_seconds",
-                "End-to-end coalesced solve latency").labelled()
-        else:
-            self._latency = LatencyHistogram()
 
     # ------------------------------------------------------------------ #
     async def solve(self, matrix, rhs, *, epsilon_l: float = 1e-2,
@@ -154,23 +283,22 @@ class AsyncSolveEngine:
         agree are answered by one batched application of the compiled
         synthesis; the returned record is identical to
         :meth:`repro.core.qsvt_solver.QSVTLinearSolver.solve` for the same
-        inputs.  Failures of the shared sweep (singular matrix, bad
-        dimensions) propagate to every member of the group.
+        inputs.  A malformed right-hand side fails only its own call; a
+        failure of the shared sweep (singular matrix) fails every member of
+        the group.
 
         ``deadline`` (seconds from now) bounds how long the request may wait
         for its sweep: if the coalesced sweep would *start* past the
         deadline, the request fails with
         :class:`~repro.exceptions.SolveTimeoutError` instead of joining it —
-        without delaying or poisoning the rest of its group.  A sweep that
-        has already started always runs to completion (the work is shared,
-        and abandoning it would penalise the on-time members).
+        without delaying or poisoning the rest of its group.
         """
         if deadline is not None and deadline < 0.0:
             raise ValueError("deadline must be >= 0 seconds (or None)")
         key = CompiledSolverCache._key(matrix, epsilon_l, backend, kappa,
                                        backend_options, fingerprint=fingerprint)
+        rhs = np.array(rhs, dtype=float, copy=True)
         loop = asyncio.get_running_loop()
-        start = loop.time()
         future = loop.create_future()
         group = self._pending.get(key)
         if group is None:
@@ -184,33 +312,23 @@ class AsyncSolveEngine:
                         else np.array(matrix, dtype=float, copy=True)),
                 epsilon_l=float(epsilon_l), backend=backend,
                 kappa=kappa, fingerprint=key[0],
-                backend_options=dict(backend_options),
-                sealed=asyncio.Event())
+                backend_options=dict(backend_options))
             self._pending[key] = group
             loop.create_task(self._flush(key, group))
-        group.rhs.append(np.array(rhs, dtype=float, copy=True))
-        group.futures.append(future)
-        group.deadlines.append(None if deadline is None
-                               else start + float(deadline))
-        group.traces.append(current_trace())
-        group.joined.append(start)
-        self._requests += 1
-        if self._m_requests is not None:
-            self._m_requests.inc()
-        if (len(group.rhs) >= self.max_batch_size
-                and self._pending.get(key) is group):
+        group.add(rhs, future, trace=current_trace(),
+                  deadline_at=None if deadline is None
+                  else time.monotonic() + float(deadline))
+        if len(group) >= self.max_batch_size and self._pending.get(key) is group:
             # seal the group: its flush task still owns it (and fires
             # immediately instead of waiting out the window), but newcomers
             # open a fresh group (and a fresh sweep) behind it.
             del self._pending[key]
             group.sealed.set()
-        record = await future
-        self._latency.record(loop.time() - start)
-        return record
+        return await future
 
-    # ------------------------------------------------------------------ #
     async def _flush(self, key: tuple, group: _PendingGroup) -> None:
-        """Answer one sealed group with a single fused ``solve_batch`` sweep."""
+        """Run the group's sweep on the executor and settle its futures."""
+        results: list = []
         try:
             if self.coalesce_window > 0.0:
                 # wait for stragglers, but fire immediately once the group
@@ -224,76 +342,20 @@ class AsyncSolveEngine:
                 await asyncio.sleep(0)  # one loop turn: drain the burst
             if self._pending.get(key) is group:
                 del self._pending[key]
-            loop = asyncio.get_running_loop()
-            # the sweep is about to start: requests whose deadline already
-            # passed are failed now, before any solve work is spent on them,
-            # and the survivors run as a (smaller) batch.
-            now = loop.time()
-            live_rhs, live_futures, sampled_traces = [], [], []
-            for rhs, future, expires, trace, joined in zip(
-                    group.rhs, group.futures, group.deadlines,
-                    group.traces, group.joined):
-                if expires is not None and now > expires:
-                    self._timeouts += 1
-                    if self._m_timeouts is not None:
-                        self._m_timeouts.inc()
-                    if not future.done():
-                        future.set_exception(SolveTimeoutError(
-                            f"deadline expired {now - expires:.4f}s before "
-                            "the coalesced sweep started",
-                            late_by=now - expires))
-                else:
-                    live_rhs.append(rhs)
-                    live_futures.append(future)
-                    if trace is not None and trace.sampled:
-                        sampled_traces.append(trace)
-                        trace.add_span("coalesce", start=joined,
-                                       duration=now - joined,
-                                       batch=len(group.rhs))
-            if not live_rhs:
-                return
-            # one sweep answers N member requests: record its spans once into
-            # a collector context, then adopt them (by reference — shared
-            # span_ids) into every sampled member trace.
-            collector = (TraceContext(sampled_traces[0].trace_id,
-                                      sampled=True, origin="sweep")
-                         if sampled_traces else None)
-
-            def run_group():
-                if collector is None:
-                    return self._solve_group(group, live_rhs)
-                with activated(collector):
-                    return self._solve_group(group, live_rhs)
-
-            records = await loop.run_in_executor(self._ensure_executor(),
-                                                 run_group)
+            results = await asyncio.get_running_loop().run_in_executor(
+                self._ensure_executor(), self._sweeper.sweep, group)
         except BaseException as exc:  # noqa: BLE001 - fan the failure out
-            for future in group.futures:
-                if not future.done():
-                    future.set_exception(exc)
-            return
-        self._batches += 1
-        self._largest_batch = max(self._largest_batch, len(records))
-        if self._m_batches is not None:
-            self._m_batches.inc()
-        if self._m_batch_width is not None:
-            self._m_batch_width.observe(float(len(records)))
-        if collector is not None:
-            shared = collector.spans
-            for trace in sampled_traces:
-                trace.adopt(shared)
-        for future, record in zip(live_futures, records):
-            if not future.done():
-                future.set_result(record)
-
-    def _solve_group(self, group: _PendingGroup,
-                     rhs_list: list) -> list[SingleSolveRecord]:
-        """Runs on the executor: one cache lookup, one batched sweep."""
-        solver = self.cache.solver(
-            group.matrix, epsilon_l=group.epsilon_l, backend=group.backend,
-            kappa=group.kappa, fingerprint=group.fingerprint,
-            **group.backend_options)
-        return solver.solve_batch(np.stack(rhs_list))
+            results = [exc] * len(group)
+            if not isinstance(exc, Exception):
+                raise  # cancellation or exit: settled below, then propagated
+        finally:
+            for future, result in zip(group.tokens, results):
+                if future.done():
+                    continue
+                if isinstance(result, BaseException):
+                    future.set_exception(result)
+                else:
+                    future.set_result(result)
 
     def _ensure_executor(self) -> ThreadPoolExecutor:
         with self._executor_lock:
@@ -305,21 +367,8 @@ class AsyncSolveEngine:
 
     # ------------------------------------------------------------------ #
     def stats(self) -> dict:
-        """Coalescing counters, the completed-solve latency histogram
-        (p50/p90/p99 — the single source worker telemetry and the cluster
-        benchmark read percentiles from) and the cache's snapshot."""
-        total = self._requests
-        return {
-            "requests": total,
-            "batches": self._batches,
-            "coalesced_requests": total - self._batches,
-            "largest_batch": self._largest_batch,
-            "pending_groups": len(self._pending),
-            "mean_batch_size": (total / self._batches) if self._batches else 0.0,
-            "timeouts": self._timeouts,
-            "latency": self._latency.summary(),
-            "cache": self.cache.stats(),
-        }
+        """:meth:`GroupSweeper.stats` plus the groups still waiting to flush."""
+        return {**self._sweeper.stats(), "pending_groups": len(self._pending)}
 
     def close(self) -> None:
         """Shut the executor down (idempotent; pending sweeps finish first)."""
@@ -333,8 +382,3 @@ class AsyncSolveEngine:
 
     async def __aexit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"AsyncSolveEngine(requests={self._requests}, "
-                f"batches={self._batches}, "
-                f"max_batch_size={self.max_batch_size})")

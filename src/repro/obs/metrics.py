@@ -8,8 +8,7 @@ a :class:`MetricsRegistry` of typed primitives,
 
 * :class:`Counter` — monotonically increasing totals (requests, sheds,
   deaths, cache hits);
-* :class:`Gauge` — instantaneous values (queue depth, live workers,
-  coalescing window);
+* :class:`Gauge` — instantaneous values (queue depth, live workers);
 * :class:`Histogram` — duration distributions, backed by
   :class:`~repro.utils.timing.LatencyHistogram` so percentiles merge across
   processes.

@@ -1,7 +1,7 @@
 """Sharded multi-worker serving tier over the solve engine.
 
 This package scales the single-process serving stack (compiled-solver
-cache → synthesis store → coalescing async engine) across worker
+cache → synthesis store → same-key coalescing) across worker
 *processes*, with the three classic serving-tier ingredients:
 
 * **routing** — :class:`~repro.serving.router.HashRing` places each matrix
@@ -12,11 +12,10 @@ cache → synthesis store → coalescing async engine) across worker
   bounds per-worker queues and enforces per-tenant token-bucket quotas,
   shedding overload *at the front door* with explicit retriable errors
   instead of letting latency grow unboundedly;
-* **workers** — :mod:`repro.serving.worker` processes wrap an
-  :class:`~repro.engine.aio.AsyncSolveEngine` over a tiered cache hierarchy
-  (per-worker LRU → node-local store → shared store directory), coalescing
-  same-fingerprint bursts into fused sweeps and widening the coalescing
-  window under backpressure;
+* **workers** — :mod:`repro.serving.worker` processes run one synchronous
+  batch loop over a tiered cache hierarchy (per-worker LRU → node-local
+  store → shared store directory), coalescing each drained burst's
+  same-fingerprint solves into one fused sweep per group;
 * **resilience** — :mod:`repro.serving.resilience` closes the fault loop:
   a :class:`~repro.serving.resilience.Supervisor` respawns dead/hung
   workers (warm-restoring from the tiered store) and re-adds them to the

@@ -11,7 +11,7 @@ HTTP/JSON surface.  One request travels::
           │                                      QueueFullError (both retriable)
           │  SharedMatrixRegistry.publish(A)    (one shared segment per matrix)
           ▼
-        worker request queue ──(multiprocessing)──→ AsyncSolveEngine
+        worker request queue ──(multiprocessing)──→ worker batch loop
           ▲                                        coalesced fused sweep
           │                                        tiered store warm-start
         per-worker response queue ←─ result / typed error ←───┘
@@ -155,8 +155,7 @@ class ClusterEngine:
         request.
     default_deadline:
         Deadline (seconds) applied to requests that do not pass their own.
-    max_batch_size / coalesce_window / backpressure_watermark /
-    max_coalesce_window / cache_maxsize / threads_per_worker:
+    max_batch_size / cache_maxsize / threads_per_worker:
         Forwarded into each :class:`~repro.serving.worker.WorkerConfig`.
     replication_factor:
         How many distinct workers own each fingerprint (``R``).  The ring
@@ -237,9 +236,7 @@ class ClusterEngine:
                  local_store_dir=None, shared_store_dir=None,
                  use_shared_memory: bool = True,
                  default_deadline: float | None = None,
-                 max_batch_size: int = 64, coalesce_window: float = 0.0,
-                 backpressure_watermark: int = 8,
-                 max_coalesce_window: float = 0.005,
+                 max_batch_size: int = 64,
                  cache_maxsize: int = 32,
                  threads_per_worker: int | None = 1,
                  replication_factor: int = 2,
@@ -377,9 +374,6 @@ class ClusterEngine:
                                   else str(shared_store_dir)),
                 cache_maxsize=cache_maxsize,
                 max_batch_size=max_batch_size,
-                coalesce_window=coalesce_window,
-                backpressure_watermark=backpressure_watermark,
-                max_coalesce_window=max_coalesce_window,
                 threads=threads_per_worker,
                 chaos=chaos,
                 event_log_path=worker_event_path,
@@ -848,8 +842,8 @@ class ClusterEngine:
         """Route one worker response to its future / stats slot."""
         worker_id, kind, request_id, *payload = response
         # every response doubles as a heartbeat and as breaker evidence:
-        # even a worker-side *solve* error proves the process and its event
-        # loop are healthy, so only infrastructure failures (deaths, probe
+        # even a worker-side *solve* error proves the process and its loop
+        # are healthy, so only infrastructure failures (deaths, probe
         # timeouts) are allowed to trip the breaker.
         with self._lock:
             self._last_heard[worker_id] = time.monotonic()
@@ -1244,11 +1238,13 @@ class ClusterEngine:
                       timeout: float | None = None) -> bool:
         """Liveness probe: does a stats round-trip complete in ``timeout``?
 
-        Used by the supervisor to distinguish *hung* (event loop wedged —
-        no answer ever) from *busy* (sweeps run in executor threads, so the
-        loop answers stats promptly even under load).  ``timeout=None``
-        uses the engine-level :attr:`probe_timeout` — one knob governs
-        every hang-detection probe.
+        Used by the supervisor's hang detection.  The worker answers the
+        probe from its batch loop once the turn it is in has finished
+        sweeping, so a probe sent after ``hang_timeout`` of silence fails
+        only if the worker stays silent ``probe_timeout`` longer — whether
+        it is wedged or busy in one very long sweep.  ``timeout=None`` uses
+        the engine-level :attr:`probe_timeout` — one knob governs every
+        hang-detection probe.
         """
         if timeout is None:
             timeout = self.probe_timeout

@@ -394,6 +394,14 @@ class ChaosSpec:
     its third request, and leaves every respawned incarnation healthy.
     ``workers`` restricts the spec to specific worker ids (empty = all).
     The default spec injects nothing and reports ``enabled == False``.
+
+    A ``hang`` (``hang_seconds``) and a ``slow`` response
+    (``slow_seconds``) are both a ``time.sleep`` of the worker's one
+    synchronous loop: nothing else on that worker is answered meanwhile,
+    stats probes included.  ``slow`` is thus a whole-worker gray failure —
+    alive, but late on everything — and it only differs from ``hang`` in
+    length: a sleep longer than the supervisor's
+    ``hang_timeout + probe_timeout`` gets the worker killed as hung.
     """
 
     seed: int = 0
@@ -591,8 +599,12 @@ class Supervisor:
       ``stable_after`` seconds resets the schedule), so a crash-looping
       worker cannot turn the supervisor into a fork bomb;
     * **hang** — a worker with queued work whose last response (its
-      heartbeat) is older than ``hang_timeout`` is sent a stats probe with
-      a short deadline.  Silence means the event loop is wedged — the
+      heartbeat) is older than ``hang_timeout`` is sent a stats probe that
+      must be answered within ``probe_timeout``.  The worker serves from
+      one synchronous loop, so a worker busy in a sweep answers the probe
+      only when that sweep ends: "hung" therefore means silent for
+      ``hang_timeout + probe_timeout``, whatever the cause — a wedged
+      loop, a chaos hang, or one synthesis that runs that long.  The
       process is terminated, which converts the hang into a death the next
       pass heals.  ``hang_timeout=None`` disables hang detection.
     * **planned recycling** — distinct from crash healing: when

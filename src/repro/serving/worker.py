@@ -8,15 +8,16 @@ A worker owns the arc of matrix fingerprints the
   :class:`~repro.engine.store.TieredSynthesisStore` (node-local directory →
   shared fleet directory), so a cold worker warm-starts from disk instead of
   re-synthesising;
-* a :class:`~repro.engine.aio.AsyncSolveEngine`, so same-fingerprint
-  requests arriving in a burst are answered by one fused ``solve_batch``
-  sweep — the event loop drains the request pipe greedily, and everything
-  drained in one gulp coalesces;
-* **backpressure**: when the drained burst exceeds ``backpressure_watermark``
-  the worker widens the engine's coalescing window to
-  ``max_coalesce_window``, trading a little latency for bigger sweeps —
-  exactly the lever that keeps throughput up while the admission layer
-  sheds the excess.
+* one synchronous batch loop: a blocking ``get`` on the request queue,
+  then a greedy non-blocking drain until the queue is empty.  The burst's
+  solves are grouped by cache key (split at ``max_batch_size``),
+  each group is answered by one fused ``solve_batch`` sweep through
+  :meth:`~repro.engine.aio.GroupSweeper.sweep` — the same function
+  :class:`~repro.engine.aio.AsyncSolveEngine` calls — and every request
+  gets its answer.  Stats, drain and warm messages are handled inline, in
+  burst order; a drain is acknowledged only after every solve queued
+  before it has been answered.  No reader thread, event loop or executor
+  sits between the queue and the sweep.
 
 Transport is deliberately boring: stdlib :mod:`multiprocessing` queues
 carrying picklable tuples (see :data:`MessageKinds` below).  Matrices arrive
@@ -36,26 +37,24 @@ explicit shutdown message.
 (from :attr:`WorkerConfig.chaos` or the ``REPRO_CHAOS`` environment
 variable) can deterministically script crashes, hangs, slow responses,
 queue stalls and corrupted store payloads, so every recovery path of the
-supervisor/retry layer is testable.  With no policy configured the worker
+supervisor/retry layer is testable.  Hangs and slow responses are both a
+``time.sleep`` of the whole loop: a slow worker is a whole-worker gray
+failure, the case hedging exists for.  With no policy configured the worker
 holds ``None`` and the request path never calls in — zero overhead.
 """
 
 from __future__ import annotations
 
-import asyncio
-import contextlib
 import os
 import queue as queue_module
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from ..engine.aio import AsyncSolveEngine
+from ..engine.aio import GroupSweeper, SolveGroup
 from ..engine.cache import CompiledSolverCache
 from ..engine.runner import _limit_worker_threads
 from ..engine.sharedmem import SharedMatrixHandle, attach_matrix
 from ..engine.store import SynthesisStore, TieredSynthesisStore
-from ..exceptions import SolveTimeoutError
 from ..obs.events import EventLog
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import TraceContext, activated
@@ -67,10 +66,9 @@ __all__ = ["WorkerConfig", "worker_main",
 MSG_SOLVE = "solve"
 MSG_STATS = "stats"
 MSG_SHUTDOWN = "shutdown"
-#: drain handshake: ``(MSG_DRAIN, request_id)`` — the worker finishes every
-#: solve enqueued *before* the drain marker (the queue is FIFO, so awaiting
-#: the pending set after this burst covers them all) and then answers
-#: ``("drained", request_id, stats)``.  The process stays up and keeps
+#: drain handshake: ``(MSG_DRAIN, request_id)`` — the worker answers every
+#: solve enqueued *before* the drain marker (the queue is FIFO) and then
+#: replies ``("drained", request_id, stats)``.  The process stays up and keeps
 #: serving; drain is an admission-side state, not a shutdown.
 MSG_DRAIN = "drain"
 #: replica warm-up: ``(MSG_WARM, request_id, matrix, params)`` — compile or
@@ -100,12 +98,9 @@ class WorkerConfig:
         disables persistence; a shared dir alone still warm-starts reads.
     cache_maxsize:
         Per-worker compiled-solver LRU entries.
-    max_batch_size / coalesce_window / max_concurrency:
-        Forwarded to the worker's :class:`~repro.engine.aio.AsyncSolveEngine`.
-    backpressure_watermark / max_coalesce_window:
-        When one pipe drain yields more than ``backpressure_watermark``
-        requests, the coalescing window widens to ``max_coalesce_window``
-        (and narrows back once the burst subsides).
+    max_batch_size:
+        Cap on one fused sweep: a burst's same-key solves beyond it start
+        the next group.
     threads:
         BLAS/OpenMP thread cap for the worker process (``None`` = leave
         library defaults).
@@ -126,10 +121,6 @@ class WorkerConfig:
     shared_store_dir: str | None = None
     cache_maxsize: int = 32
     max_batch_size: int = 64
-    coalesce_window: float = 0.0
-    max_concurrency: int = 2
-    backpressure_watermark: int = 8
-    max_coalesce_window: float = 0.005
     threads: int | None = 1
     incarnation: int = 0
     chaos: object | None = None
@@ -186,31 +177,22 @@ def worker_main(config: WorkerConfig, requests, responses) -> None:
                                                          events=events),
                                 metrics=metrics)
     try:
-        asyncio.run(_serve(config, cache, requests, responses, chaos=chaos,
-                           metrics=metrics, events=events))
+        _serve(config, cache, requests, responses, chaos=chaos,
+               metrics=metrics, events=events)
     finally:
         events.close()
 
 
-async def _serve(config: WorkerConfig, cache: CompiledSolverCache,
-                 requests, responses, chaos=None, metrics=None,
-                 events=None) -> None:
-    engine = AsyncSolveEngine(cache=cache,
-                              max_batch_size=config.max_batch_size,
-                              coalesce_window=config.coalesce_window,
-                              max_concurrency=config.max_concurrency,
-                              metrics=metrics)
-    loop = asyncio.get_running_loop()
-    reader = ThreadPoolExecutor(max_workers=1,
-                                thread_name_prefix=f"{config.worker_id}-rx")
-    pending: set[asyncio.Task] = set()
-    served = 0
-    warmed = 0
-    drains = 0
-    widenings = 0
-    peak_burst = 0
+def _serve(config: WorkerConfig, cache: CompiledSolverCache,
+           requests, responses, chaos=None, metrics=None,
+           events=None) -> None:
+    sweeper = GroupSweeper(cache, metrics=metrics)
+    served = warmed = drains = request_serial = 0
     started_at = time.monotonic()
-    request_serial = 0
+    #: this turn's solves: every group in creation order, and the groups of
+    #: ``open_groups`` still below ``max_batch_size`` that newcomers join.
+    groups: list[SolveGroup] = []
+    open_groups: dict[tuple, SolveGroup] = {}
 
     def respond(kind: str, request_id, *payload) -> None:
         responses.put((config.worker_id, kind, request_id, *payload))
@@ -223,19 +205,21 @@ async def _serve(config: WorkerConfig, cache: CompiledSolverCache,
         # why _record_fault fsyncs the file line first.
         events.on_emit = lambda record: respond("event", None, record)
 
-    async def handle_solve(message, serial: int) -> None:
-        nonlocal served
+    def spans_out(trace):
+        return (trace.export_spans()
+                if trace is not None and trace.sampled else None)
+
+    def join(message) -> None:
+        """Admit one solve into this turn's group for its cache key."""
+        nonlocal request_serial
         _, request_id, matrix, rhs, params = message
         wire = params.get("trace")
         trace = TraceContext.from_wire(wire, origin=config.worker_id)
-        sampled = trace is not None and trace.sampled
-
-        def spans_out():
-            return trace.export_spans() if sampled else None
-
-        with activated(trace) if trace is not None else contextlib.nullcontext():
-            try:
-                if sampled:
+        serial = request_serial
+        request_serial += 1
+        try:
+            with activated(trace):
+                if trace is not None and trace.sampled:
                     trace.add_span(
                         "queue_wait",
                         duration=max(0.0,
@@ -248,94 +232,80 @@ async def _serve(config: WorkerConfig, cache: CompiledSolverCache,
                         # a real crash: no answer, no cleanup — the front
                         # end's reaper and supervisor must cope with this.
                         os._exit(23)
-                    elif action == "hang":
-                        # block the event loop synchronously: heartbeats
-                        # stop, which is what distinguishes hung from slow.
-                        time.sleep(chaos.spec.hang_seconds)
-                    elif action == "slow":
-                        await asyncio.sleep(chaos.spec.slow_seconds)
-                fingerprint = None
-                if isinstance(matrix, SharedMatrixHandle):
-                    fingerprint = matrix.fingerprint
-                    matrix = attach_matrix(matrix)
-                deadline_at = params.get("deadline_at")
-                remaining = None
-                if deadline_at is not None:
-                    # deadlines are absolute CLOCK_MONOTONIC stamps taken in
-                    # the front end (system-wide on Linux), so time spent
-                    # queued between the processes counts against the budget.
-                    remaining = float(deadline_at) - time.monotonic()
-                    if remaining <= 0.0:
-                        raise SolveTimeoutError(
-                            f"deadline expired {-remaining:.4f}s before the "
-                            "worker dequeued the request", late_by=-remaining)
-                record = await engine.solve(
-                    matrix, rhs,
-                    epsilon_l=params.get("epsilon_l", 1e-2),
-                    backend=params.get("backend", "auto"),
-                    kappa=params.get("kappa"),
-                    fingerprint=fingerprint,
-                    deadline=remaining,
-                    **params.get("backend_options", {}))
-                served += 1
-                respond("result", request_id,
-                        {field: getattr(record, field)
-                         for field in RECORD_FIELDS},
-                        spans_out())
-            except BaseException as exc:  # noqa: BLE001 - answers, not crashes
-                respond("error", request_id, type(exc).__name__, str(exc),
-                        spans_out())
+                    elif action is not None:
+                        # hang and slow both stall the whole loop: no
+                        # answers and no stats replies until it wakes.
+                        time.sleep(chaos.spec.hang_seconds if action == "hang"
+                                   else chaos.spec.slow_seconds)
+            matrix, epsilon_l, backend, kappa, options, fingerprint = \
+                _unpack(matrix, params)
+            key = CompiledSolverCache._key(matrix, epsilon_l, backend, kappa,
+                                           options, fingerprint=fingerprint)
+            group = open_groups.get(key)
+            if group is None:
+                group = open_groups[key] = SolveGroup(
+                    matrix, float(epsilon_l), backend, kappa, key[0], options)
+                groups.append(group)
+            # deadlines are absolute CLOCK_MONOTONIC stamps taken in the
+            # front end (system-wide on Linux), so time spent queued between
+            # the processes counts against the budget.
+            group.add(rhs, request_id, trace=trace,
+                      deadline_at=params.get("deadline_at"))
+            if len(group) >= config.max_batch_size:
+                del open_groups[key]  # full: the next one opens a new group
+        except Exception as exc:  # noqa: BLE001 - answers, not crashes
+            respond("error", request_id, type(exc).__name__, str(exc),
+                    spans_out(trace))
 
-    async def handle_warm(message) -> None:
+    def sweep_all() -> None:
+        """One ``solve_batch`` per group, then one answer per request."""
+        nonlocal served
+        for group in groups:
+            results = sweeper.sweep(group)
+            for request_id, trace, result in zip(group.tokens, group.traces,
+                                                 results):
+                if isinstance(result, BaseException):
+                    respond("error", request_id, type(result).__name__,
+                            str(result), spans_out(trace))
+                else:
+                    served += 1
+                    respond("result", request_id,
+                            {name: getattr(result, name)
+                             for name in RECORD_FIELDS},
+                            spans_out(trace))
+        groups.clear()
+        open_groups.clear()
+
+    def warm(message) -> None:
         """Pre-compile a replica's synthesis without solving anything.
 
-        Runs :meth:`CompiledSolverCache.solver` off the event loop: on the
-        usual path the primary already persisted the synthesis through the
-        tiered store, so this is a disk restore, and a later failover hits
-        a warm cache instead of paying a recompile.  Purely advisory — any
-        failure is swallowed (a cold replica is still a correct replica)
-        and the chaos request stream is untouched (``request_serial`` does
-        not advance, so warm-ups never shift a scripted crash schedule).
+        Usually a disk restore of what the primary persisted, so a later
+        failover hits a warm cache.  Purely advisory: failures are
+        swallowed, and ``request_serial`` does not advance, so warm-ups
+        never shift a scripted crash schedule.
         """
         nonlocal warmed
-        _, _request_id, matrix, params = message
         try:
-            fingerprint = None
-            if isinstance(matrix, SharedMatrixHandle):
-                fingerprint = matrix.fingerprint
-                matrix = attach_matrix(matrix)
-
-            def compile_synthesis():
-                return cache.solver(
-                    matrix,
-                    epsilon_l=params.get("epsilon_l", 1e-2),
-                    backend=params.get("backend", "auto"),
-                    kappa=params.get("kappa"),
-                    fingerprint=fingerprint,
-                    **params.get("backend_options", {}))
-
-            await loop.run_in_executor(None, compile_synthesis)
+            matrix, epsilon_l, backend, kappa, options, fingerprint = \
+                _unpack(message[2], message[3])
+            cache.solver(matrix, epsilon_l=epsilon_l, backend=backend,
+                         kappa=kappa, fingerprint=fingerprint, **options)
             warmed += 1
         except Exception:  # noqa: BLE001 - advisory; cold replica is fine
             pass
 
     def stats_snapshot() -> dict:
         now = time.monotonic()
-        stats = engine.stats()
+        stats = sweeper.stats()
         stats.update({
             "worker_id": config.worker_id,
             "pid": os.getpid(),
             "served": served,
             "warmed": warmed,
             "drains": drains,
-            "queue_depth": _queue_depth(requests) + len(pending),
-            "backpressure_widenings": widenings,
-            "peak_burst": peak_burst,
-            "coalesce_window": engine.coalesce_window,
-            # heartbeat is a CLOCK_MONOTONIC stamp (system-wide on Linux,
-            # the same clock the front end reads), so the supervisor and
-            # /healthz can tell a *hung* worker (stale heartbeat, queued
-            # work) from a merely slow one (fresh heartbeat, long sweeps).
+            "queue_depth": (_queue_depth(requests)
+                            + sum(len(group) for group in groups)),
+            # CLOCK_MONOTONIC, system-wide on Linux: the front end's clock.
             "heartbeat": now,
             "uptime_s": now - started_at,
             "incarnation": config.incarnation,
@@ -350,72 +320,58 @@ async def _serve(config: WorkerConfig, cache: CompiledSolverCache,
             stats["events"] = events.stats()
         return stats
 
-    try:
-        shutting_down = False
-        while not shutting_down:
-            message = await loop.run_in_executor(reader, requests.get)
-            if chaos is not None:
-                stall = chaos.on_drain()
-                if stall > 0.0:
-                    # queue stall: requests pile up undrained (and the
-                    # event loop wedges), exactly a stuck feeder thread.
-                    time.sleep(stall)
-            burst = [message]
-            # greedy drain: everything already queued joins this event-loop
-            # turn, which is exactly what lets the engine coalesce it into
-            # few sweeps even with a zero-width window.
-            while True:
-                try:
-                    burst.append(requests.get_nowait())
-                except queue_module.Empty:
-                    break
-            solves = sum(1 for m in burst if m[0] == MSG_SOLVE)
-            peak_burst = max(peak_burst, solves)
-            if solves > config.backpressure_watermark:
-                if engine.coalesce_window != config.max_coalesce_window:
-                    widenings += 1
-                engine.coalesce_window = config.max_coalesce_window
+    shutting_down = False
+    while not shutting_down:
+        message = requests.get()
+        if chaos is not None:
+            stall = chaos.on_drain()
+            if stall > 0.0:
+                # queue stall: requests pile up undrained, exactly a stuck
+                # feeder thread.
+                time.sleep(stall)
+        # greedy drain: whatever is queued by the time the last message is
+        # handled joins this turn, which is what coalesces it into few
+        # sweeps; the turn sweeps once the queue is empty.
+        while message is not None:
+            kind = message[0]
+            if kind == MSG_SOLVE:
+                join(message)
+            elif kind == MSG_STATS:
+                respond("stats", message[1], stats_snapshot())
+            elif kind == MSG_DRAIN:
+                # the queue is FIFO, so every solve enqueued before the
+                # drain marker has joined a group by now: sweeping them
+                # *is* the drain barrier.  The loop keeps serving after.
+                sweep_all()
+                drains += 1
+                respond("drained", message[1], stats_snapshot())
+            elif kind == MSG_WARM:
+                warm(message)
+            elif kind == MSG_SHUTDOWN:
+                shutting_down = True
+                break
             else:
-                engine.coalesce_window = config.coalesce_window
-            drain_acks: list = []
-            for message in burst:
-                kind = message[0]
-                if kind == MSG_SHUTDOWN:
-                    shutting_down = True
-                elif kind == MSG_STATS:
-                    respond("stats", message[1], stats_snapshot())
-                elif kind == MSG_DRAIN:
-                    drain_acks.append(message[1])
-                elif kind == MSG_WARM:
-                    task = loop.create_task(handle_warm(message))
-                    pending.add(task)
-                    task.add_done_callback(pending.discard)
-                elif kind == MSG_SOLVE:
-                    task = loop.create_task(
-                        handle_solve(message, request_serial))
-                    request_serial += 1
-                    pending.add(task)
-                    task.add_done_callback(pending.discard)
-                else:
-                    respond("error", None, "ValueError",
-                            f"unknown message kind {kind!r}")
-            if drain_acks:
-                # every solve enqueued before the drain marker is in
-                # ``pending`` by now (FIFO queue + greedy burst drain), so
-                # awaiting the set *is* the drain barrier.  New work keeps
-                # arriving afterwards — drain does not stop the loop.
-                if pending:
-                    await asyncio.gather(*list(pending),
-                                         return_exceptions=True)
-                drains += len(drain_acks)
-                for drain_id in drain_acks:
-                    respond("drained", drain_id, stats_snapshot())
-        if pending:
-            await asyncio.gather(*pending, return_exceptions=True)
-        respond("shutdown", None, stats_snapshot())
-    finally:
-        engine.close()
-        reader.shutdown(wait=False)
+                respond("error", None, "ValueError",
+                        f"unknown message kind {kind!r}")
+            try:
+                message = requests.get_nowait()
+            except queue_module.Empty:
+                message = None
+        sweep_all()
+    respond("shutdown", None, stats_snapshot())
+
+
+def _unpack(matrix, params: dict) -> tuple:
+    """``(matrix, ε_l, backend, κ, backend options, fingerprint)`` of a wire
+    request; a shared-memory handle is attached zero-copy and its
+    publish-time fingerprint reused, so the worker never re-hashes it."""
+    fingerprint = None
+    if isinstance(matrix, SharedMatrixHandle):
+        fingerprint = matrix.fingerprint
+        matrix = attach_matrix(matrix)
+    return (matrix, params.get("epsilon_l", 1e-2),
+            params.get("backend", "auto"), params.get("kappa"),
+            params.get("backend_options", {}), fingerprint)
 
 
 def _queue_depth(mp_queue) -> int:

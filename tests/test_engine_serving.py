@@ -20,11 +20,14 @@ from __future__ import annotations
 import asyncio
 import os
 import pathlib
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from repro.core import QSVTLinearSolver
+from repro.core.results import SingleSolveRecord
 from repro.engine import (
     AsyncSolveEngine,
     CompiledSolverCache,
@@ -39,6 +42,8 @@ from repro.engine import (
 )
 from repro.engine import runner as runner_module
 from repro.engine import store as store_module
+from repro.engine.aio import GroupSweeper, SolveGroup
+from repro.exceptions import BackendError, DimensionError
 from repro.linalg import random_matrix_with_condition_number, random_rhs
 
 
@@ -401,6 +406,61 @@ def test_async_failures_propagate_to_every_group_member():
     results = asyncio.run(main())
     assert len(results) == 3
     assert all(isinstance(result, Exception) for result in results)
+
+
+@pytest.mark.parametrize("bad_rhs, error", [
+    (np.zeros(8), BackendError),
+    (np.ones(7), DimensionError),
+    (np.array([1.0, np.inf, 0, 0, 0, 0, 0, 0]), ValueError),
+])
+def test_async_bad_rhs_fails_only_its_own_request(bad_rhs, error):
+    matrix = random_matrix_with_condition_number(8, 4.0, rng=28)
+    good = random_rhs(8, rng=29)
+
+    async def main():
+        async with AsyncSolveEngine() as engine:
+            results = await asyncio.gather(
+                engine.solve(matrix, good, epsilon_l=5e-2, backend="ideal"),
+                engine.solve(matrix, bad_rhs, epsilon_l=5e-2, backend="ideal"),
+                return_exceptions=True)
+            return results, engine.stats(), engine.cache
+
+    (record, failure), stats, cache = asyncio.run(main())
+    assert isinstance(failure, error)
+    assert isinstance(record, SingleSolveRecord)
+    assert stats["batches"] == 1 and stats["largest_batch"] == 1
+    reference = cache.solver(matrix, epsilon_l=5e-2, backend="ideal")
+    assert np.array_equal(record.x, reference.solve(good).x)
+
+
+def test_group_sweeper_counts_concurrent_sweeps_exactly():
+    # the asyncio engine sweeps on several executor threads at once: every
+    # counter update must survive a thread switch at any bytecode.
+    matrix = random_matrix_with_condition_number(8, 4.0, rng=30)
+    sweeper = GroupSweeper(CompiledSolverCache())
+    threads, sweeps = 8, 25
+
+    def run():
+        for seed in range(sweeps):
+            group = SolveGroup(matrix, 5e-2, "ideal", None, None, {})
+            group.add(random_rhs(8, rng=seed), None)
+            assert isinstance(sweeper.sweep(group)[0], SingleSolveRecord)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=run) for _ in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60.0)
+            assert not worker.is_alive()
+    finally:
+        sys.setswitchinterval(switch)
+    stats = sweeper.stats()
+    assert stats["requests"] == stats["batches"] == threads * sweeps
+    assert stats["latency"]["count"] == threads * sweeps
+    assert stats["largest_batch"] == 1 and stats["cache"]["compiles"] == 1
 
 
 def test_async_engine_validates_parameters():

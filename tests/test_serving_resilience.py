@@ -447,7 +447,7 @@ class TestSelfHealing:
         chaos = ChaosSpec(hang_rate=1.0, hang_seconds=60.0, workers=(victim,))
         with ClusterEngine(num_workers=2, supervisor_interval=0.1,
                            hang_timeout=0.4, chaos=chaos) as cluster:
-            # the victim's event loop wedges on the first request: its
+            # the victim's batch loop wedges on the first request: its
             # heartbeat goes stale, the probe times out, the supervisor
             # terminates it, and the death path redispatches the request.
             record = cluster.solve(matrix, rhs, epsilon_l=1e-2,
@@ -455,6 +455,35 @@ class TestSelfHealing:
             assert record.scaled_residual < 1e-2
             supervisor = cluster.stats(include_workers=False)["supervisor"]
             assert supervisor["hang_kills"] >= 1
+
+    def test_slow_sweep_within_probe_timeout_is_not_killed(self):
+        # a worker busy in one long (chaos-slowed) sweep answers no probe
+        # until the sweep ends; "hung" means silent for hang_timeout +
+        # probe_timeout, so a 1 s stall under a 0.3 s heartbeat bound and a
+        # 2 s probe survives — and its request settles normally.
+        matrix, rhs = _spd_system(8, 4.0, 74)
+        chaos = ChaosSpec(slow_rate=1.0, slow_seconds=1.0)
+        with ClusterEngine(num_workers=1, replication_factor=1,
+                           supervisor_interval=0.05, hang_timeout=0.3,
+                           probe_timeout=2.0, chaos=chaos) as cluster:
+            probes = []
+            probe = cluster._probe_worker
+
+            def counting_probe(worker_id, timeout=None):
+                answered = probe(worker_id, timeout=timeout)
+                probes.append(answered)
+                return answered
+
+            cluster._probe_worker = counting_probe
+            record = cluster.submit(matrix, rhs, epsilon_l=1e-2,
+                                    backend="ideal",
+                                    kappa=4.0).result(timeout=30.0)
+            assert record.scaled_residual < 1e-2 and not record.degraded
+            _wait_until(lambda: probes, message="the supervisor never probed")
+            supervisor = cluster.stats(include_workers=False)["supervisor"]
+            assert supervisor["hang_kills"] == 0
+            assert all(probes)
+            assert cluster.stats(include_workers=False)["worker_deaths"] == 0
 
 
 # ---------------------------------------------------------------------- #
