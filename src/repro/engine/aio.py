@@ -98,17 +98,14 @@ def _rhs_error(rhs, dimension: int) -> Exception | None:
 
 
 class GroupSweeper:
-    """A compiled-solver cache plus the coalescing counters (lock-guarded:
-    the asyncio engine sweeps concurrently on an executor).  Without a
-    ``metrics`` registry the ``engine_*`` series go to a disabled one, which
-    still keeps the latency histogram."""
+    """A compiled-solver cache plus the ``engine_*`` registry series that
+    count its sweeps (the only coalescing counters; each primitive is
+    thread-safe, as the asyncio engine sweeps concurrently on an executor).
+    Without a ``metrics`` registry the series go to a private one."""
 
     def __init__(self, cache: CompiledSolverCache, *, metrics=None) -> None:
-        metrics = MetricsRegistry(enabled=False) if metrics is None else metrics
+        metrics = MetricsRegistry() if metrics is None else metrics
         self.cache = cache
-        self._lock = threading.Lock()
-        self._requests = self._batches = self._largest_batch = 0
-        self._timeouts = 0
         self._m_requests = metrics.counter(
             "engine_requests_total", "Solve requests entering coalescing")
         self._m_batches = metrics.counter(
@@ -116,8 +113,10 @@ class GroupSweeper:
         self._m_timeouts = metrics.counter(
             "engine_timeouts_total",
             "Requests expired before their sweep started")
+        # its lifetime count and max are stats()' batches / largest_batch.
         self._m_batch_width = metrics.histogram(
-            "engine_batch_width", "Coalesced requests per fused sweep")
+            "engine_batch_width", "Coalesced requests per fused sweep"
+        ).labelled()
         # the registry series *is* the stats()["latency"] histogram.
         self._latency = metrics.histogram(
             "engine_latency_seconds",
@@ -150,9 +149,6 @@ class GroupSweeper:
                 trace.add_span("coalesce", start=joined, duration=now - joined,
                                batch=len(group))
         timeouts = len(group) - len(pending)
-        with self._lock:
-            self._requests += len(group)
-            self._timeouts += timeouts
         self._m_requests.inc(len(group))
         if timeouts:
             self._m_timeouts.inc(timeouts)
@@ -182,11 +178,8 @@ class GroupSweeper:
                 if results[index] is None:
                     results[index] = exc
             return results
-        with self._lock:
-            self._batches += 1
-            self._largest_batch = max(self._largest_batch, len(records))
         self._m_batches.inc()
-        self._m_batch_width.observe(float(len(records)))
+        self._m_batch_width.record(float(len(records)))
         if collector is not None:
             shared = collector.spans
             for trace in sampled:
@@ -201,16 +194,16 @@ class GroupSweeper:
         """Coalescing counters, the completed-solve latency histogram
         (p50/p90/p99 — the single source worker telemetry and the cluster
         benchmark read percentiles from) and the cache's snapshot."""
-        with self._lock:
-            total, batches = self._requests, self._batches
-            largest, timeouts = self._largest_batch, self._timeouts
+        total = int(self._m_requests.value())
+        width = self._m_batch_width.summary()
+        batches = width["count"]
         return {
             "requests": total,
             "batches": batches,
             "coalesced_requests": total - batches,
-            "largest_batch": largest,
+            "largest_batch": int(width["max"]),
             "mean_batch_size": (total / batches) if batches else 0.0,
-            "timeouts": timeouts,
+            "timeouts": int(self._m_timeouts.value()),
             "latency": self._latency.summary(),
             "cache": self.cache.stats(),
         }

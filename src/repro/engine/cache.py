@@ -48,6 +48,7 @@ import numpy as np
 from ..core.backends import QSVTBackend
 from ..core.qsvt_solver import QSVTLinearSolver
 from ..linalg.operators import is_structured_operator
+from ..obs.metrics import MetricsRegistry
 from ..obs.trace import span as obs_span
 from ..utils import matrix_fingerprint
 
@@ -93,18 +94,16 @@ class CompiledSolverCache:
             raise ValueError("max_bytes must be >= 1 (or None for unbounded)")
         self.maxsize = maxsize
         self.max_bytes = max_bytes
-        # optional obs.metrics.MetricsRegistry mirroring the ad-hoc counters
-        # below (which remain authoritative for the legacy stats() keys).
-        self._m_lookups = self._m_compiles = self._m_evictions = None
-        if metrics is not None:
-            self._m_lookups = metrics.counter(
-                "cache_lookups_total",
-                "Compiled-solver cache lookups by result "
-                "(hit / miss / store_hit)")
-            self._m_compiles = metrics.counter(
-                "cache_compiles_total", "Solver syntheses paid by the cache")
-            self._m_evictions = metrics.counter(
-                "cache_evictions_total", "Cache entries evicted (LRU/bytes)")
+        # the registry series are the only counters stats() reads; a cache
+        # built without a registry keeps a private one.
+        metrics = MetricsRegistry() if metrics is None else metrics
+        self._m_lookups = metrics.counter(
+            "cache_lookups_total",
+            "Compiled-solver cache lookups by result (hit / miss / store_hit)")
+        self._m_compiles = metrics.counter(
+            "cache_compiles_total", "Solver syntheses paid by the cache")
+        self._m_evictions = metrics.counter(
+            "cache_evictions_total", "Cache entries evicted (LRU/bytes)")
         #: optional :class:`repro.engine.store.SynthesisStore` consulted on
         #: in-memory misses and populated after fresh compilations.
         self.store = store
@@ -116,11 +115,6 @@ class CompiledSolverCache:
         #: for one synthesis instead of each paying for their own, while
         #: different keys still compile in parallel.
         self._compile_locks: dict[tuple, threading.Lock] = {}
-        self._hits = 0
-        self._misses = 0
-        self._compiles = 0
-        self._store_hits = 0
-        self._evictions = 0
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -194,10 +188,8 @@ class CompiledSolverCache:
         with self._lock:
             cached = self._entries.get(key)
             if cached is not None:
-                self._hits += 1
                 self._entries.move_to_end(key)
-                if self._m_lookups is not None:
-                    self._m_lookups.inc(result="hit")
+                self._m_lookups.inc(result="hit")
                 return cached
             compile_lock = self._compile_locks.setdefault(key, threading.Lock())
         with compile_lock:
@@ -205,14 +197,10 @@ class CompiledSolverCache:
             with self._lock:
                 cached = self._entries.get(key)
                 if cached is not None:
-                    self._hits += 1
                     self._entries.move_to_end(key)
-                    if self._m_lookups is not None:
-                        self._m_lookups.inc(result="hit")
+                    self._m_lookups.inc(result="hit")
                     return cached
-                self._misses += 1
-            if self._m_lookups is not None:
-                self._m_lookups.inc(result="miss")
+            self._m_lookups.inc(result="miss")
             # restore from the persistent store if one is attached: a store
             # hit installs a ready-made solver without any synthesis.
             if self.store is not None:
@@ -256,15 +244,10 @@ class CompiledSolverCache:
         """Insert a freshly obtained solver and release its compile lock."""
         entry_bytes = self._payload_bytes(solver)
         if store_hit:
-            if self._m_lookups is not None:
-                self._m_lookups.inc(result="store_hit")
-        elif self._m_compiles is not None:
+            self._m_lookups.inc(result="store_hit")
+        else:
             self._m_compiles.inc()
         with self._lock:
-            if store_hit:
-                self._store_hits += 1
-            else:
-                self._compiles += 1
             self._entries[key] = solver
             self._entries.move_to_end(key)
             self._entry_bytes[key] = entry_bytes
@@ -296,17 +279,13 @@ class CompiledSolverCache:
         while self.maxsize is not None and len(self._entries) > self.maxsize:
             key = next(iter(self._entries))
             self._drop_locked(key)
-            self._evictions += 1
-            if self._m_evictions is not None:
-                self._m_evictions.inc()
+            self._m_evictions.inc()
         if self.max_bytes is None:
             return
         while self._total_bytes > self.max_bytes and len(self._entries) > 1:
             key = next(iter(self._entries))
             self._drop_locked(key)
-            self._evictions += 1
-            if self._m_evictions is not None:
-                self._m_evictions.inc()
+            self._m_evictions.inc()
 
     # ------------------------------------------------------------------ #
     def invalidate(self, matrix) -> int:
@@ -345,22 +324,22 @@ class CompiledSolverCache:
     @property
     def hits(self) -> int:
         """Lookups answered without synthesis."""
-        return self._hits
+        return int(self._m_lookups.value(result="hit"))
 
     @property
     def misses(self) -> int:
         """Lookups that required a synthesis."""
-        return self._misses
+        return int(self._m_lookups.value(result="miss"))
 
     @property
     def compiles(self) -> int:
         """Solver compilations performed on behalf of callers."""
-        return self._compiles
+        return int(self._m_compiles.value())
 
     @property
     def store_hits(self) -> int:
         """In-memory misses answered by the persistent store (no synthesis)."""
-        return self._store_hits
+        return int(self._m_lookups.value(result="store_hit"))
 
     @property
     def total_bytes(self) -> int:
@@ -374,17 +353,17 @@ class CompiledSolverCache:
         with self._lock:
             size = len(self._entries)
             total_bytes = self._total_bytes
-        total = self._hits + self._misses
+        hits, misses = self.hits, self.misses
         stats = {
-            "hits": self._hits,
-            "misses": self._misses,
-            "compiles": self._compiles,
-            "store_hits": self._store_hits,
-            "evictions": self._evictions,
+            "hits": hits,
+            "misses": misses,
+            "compiles": self.compiles,
+            "store_hits": self.store_hits,
+            "evictions": int(self._m_evictions.value()),
             "size": size,
             "total_bytes": total_bytes,
             "max_bytes": self.max_bytes,
-            "hit_rate": (self._hits / total) if total else 0.0,
+            "hit_rate": (hits / (hits + misses)) if hits + misses else 0.0,
         }
         if self.store is not None:
             stats["store"] = self.store.stats()

@@ -3,9 +3,11 @@
 Three coordinated pillars, one per module:
 
 * :mod:`repro.obs.metrics` — process-local Counter/Gauge/Histogram
-  primitives with labels and a mergeable snapshot format; workers ship
-  snapshots over the stats-probe path and the front end folds them into
-  one cluster-wide view, rendered as Prometheus text on ``GET /metrics``.
+  primitives with labels and a mergeable snapshot format, and the only
+  counters the serving stack keeps: every ``stats()`` count is read from
+  them.  Workers ship snapshots over the stats-probe path and the front end
+  folds them into one cluster-wide view, rendered as Prometheus text on
+  ``GET /metrics``.
 * :mod:`repro.obs.trace` — per-request span trees with deterministic
   sampling, propagated across threads (contextvars), processes (wire
   dicts in the queue tuples) and coalesced batches (shared sweep spans);
@@ -15,16 +17,15 @@ Three coordinated pillars, one per module:
   each stamped with the trace that observed it.
 
 :class:`Observability` bundles the three so call sites thread one handle
-instead of three, with environment-driven defaults (``REPRO_METRICS``,
-``REPRO_TRACE``, ``REPRO_EVENT_LOG``).
+instead of three, with environment-driven defaults for the tracer
+(``REPRO_TRACE``) and the event log (``REPRO_EVENT_LOG``).
 """
 
 from __future__ import annotations
 
 from .events import EVENT_LOG_ENV_VAR, EventLog, default_event_log_path
-from .metrics import (METRICS_ENV_VAR, Counter, Gauge, Histogram,
-                      MetricsRegistry, merge_snapshots, metrics_enabled,
-                      relabel_snapshot, render_prometheus)
+from .metrics import (Counter, Gauge, Histogram, MetricsRegistry,
+                      merge_snapshots, relabel_snapshot, render_prometheus)
 from .trace import (TRACE_ENV_VAR, Span, TraceBuffer, TraceContext, Tracer,
                     activated, current_trace, default_sample_rate, span,
                     trace_is_sampled)
@@ -33,8 +34,7 @@ __all__ = [
     "Observability",
     # metrics
     "MetricsRegistry", "Counter", "Gauge", "Histogram", "merge_snapshots",
-    "relabel_snapshot", "render_prometheus", "metrics_enabled",
-    "METRICS_ENV_VAR",
+    "relabel_snapshot", "render_prometheus",
     # trace
     "Tracer", "TraceContext", "TraceBuffer", "Span", "span", "activated",
     "current_trace", "trace_is_sampled", "default_sample_rate",
@@ -47,8 +47,9 @@ __all__ = [
 class Observability:
     """One handle bundling a metrics registry, a tracer and an event log.
 
-    Every component is optional at construction and defaults to an
-    environment-configured instance, so ``Observability()`` is always safe
+    Every component is optional at construction and defaults to a fresh
+    instance (the tracer and event log configured from the environment),
+    so ``Observability()`` is always safe
     and ``Observability(tracer=Tracer(sample_rate=1.0))`` overrides just
     the piece a test or benchmark cares about.
     """

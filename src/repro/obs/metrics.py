@@ -1,10 +1,10 @@
 """Process-local metrics registry with mergeable snapshots.
 
-The serving stack's telemetry predates this module as a patchwork of ad-hoc
-dict counters (``stats()`` methods on the cache, store, admission controller,
-engine, front end and workers).  Those dicts stay — their keys are API — but
-they stop being the *only* representation: every layer now also records into
-a :class:`MetricsRegistry` of typed primitives,
+Every counter in the serving stack lives here and nowhere else: the
+``stats()`` dicts of the cache, admission controller, engine, front end and
+workers keep their keys (they are API) but *read* them from a
+:class:`MetricsRegistry` of typed primitives, so ``stats()``, ``/metrics``
+and the benchmarks report one number.  The primitives:
 
 * :class:`Counter` — monotonically increasing totals (requests, sheds,
   deaths, cache hits);
@@ -27,35 +27,20 @@ than averaged per-worker percentiles.
 exposition format (``text/plain; version=0.0.4``) for ``GET /metrics`` on
 :class:`~repro.serving.frontend.ServingHTTPServer`; histograms render as
 summaries (``quantile="0.5|0.9|0.99"`` plus ``_count``/``_sum``).
-
-Set ``REPRO_METRICS=0`` (or ``off``/``false``) to disable recording — every
-primitive becomes a no-op while keeping its API, so instrumented hot paths
-cost one attribute check.
 """
 
 from __future__ import annotations
 
-import os
 import re
 import threading
 
 from ..utils import LatencyHistogram
 
 __all__ = ["MetricsRegistry", "Counter", "Gauge", "Histogram",
-           "merge_snapshots", "relabel_snapshot", "render_prometheus",
-           "metrics_enabled", "METRICS_ENV_VAR"]
-
-#: environment variable gating metric recording ("0"/"off"/"false" = off).
-METRICS_ENV_VAR = "REPRO_METRICS"
+           "merge_snapshots", "relabel_snapshot", "render_prometheus"]
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
-
-
-def metrics_enabled(environ=os.environ) -> bool:
-    """Whether the ``REPRO_METRICS`` knob leaves recording on (the default)."""
-    return environ.get(METRICS_ENV_VAR, "").strip().lower() not in (
-        "0", "off", "false", "no")
 
 
 def _label_key(labels: dict) -> tuple:
@@ -68,12 +53,11 @@ class _Metric:
 
     kind = "untyped"
 
-    def __init__(self, name: str, help: str = "", *, enabled: bool = True):
+    def __init__(self, name: str, help: str = ""):
         if not _NAME_RE.match(name):
             raise ValueError(f"invalid metric name {name!r}")
         self.name = name
         self.help = help
-        self.enabled = enabled
         self._lock = threading.Lock()
         self._series: dict[tuple, object] = {}
 
@@ -114,8 +98,6 @@ class Counter(_Metric):
     kind = "counter"
 
     def inc(self, amount: float = 1.0, **labels) -> None:
-        if not self.enabled:
-            return
         if amount < 0:
             raise ValueError("counters only go up; use a Gauge")
         self._validate_labels(labels)
@@ -139,15 +121,11 @@ class Gauge(_Metric):
     kind = "gauge"
 
     def set(self, value: float, **labels) -> None:
-        if not self.enabled:
-            return
         self._validate_labels(labels)
         with self._lock:
             self._series[_label_key(labels)] = float(value)
 
     def inc(self, amount: float = 1.0, **labels) -> None:
-        if not self.enabled:
-            return
         self._validate_labels(labels)
         key = _label_key(labels)
         with self._lock:
@@ -171,14 +149,11 @@ class Histogram(_Metric):
 
     kind = "histogram"
 
-    def __init__(self, name: str, help: str = "", *, enabled: bool = True,
-                 window: int = 2048):
-        super().__init__(name, help, enabled=enabled)
+    def __init__(self, name: str, help: str = "", *, window: int = 2048):
+        super().__init__(name, help)
         self.window = int(window)
 
     def observe(self, seconds: float, **labels) -> None:
-        if not self.enabled:
-            return
         self.labelled(**labels).record(seconds)
 
     def labelled(self, **labels) -> LatencyHistogram:
@@ -208,19 +183,14 @@ class MetricsRegistry:
     namespace:
         Prefix prepended (``<namespace>_``) to every metric name, keeping
         worker- and cluster-level registries collision-free in one scrape.
-    enabled:
-        ``False`` turns every primitive into a no-op; ``None`` (default)
-        reads the ``REPRO_METRICS`` environment knob.
 
     Re-requesting a name returns the existing family (so modules can declare
     their metrics idempotently); re-requesting it as a *different* type is a
     bug and raises.
     """
 
-    def __init__(self, *, namespace: str = "repro",
-                 enabled: bool | None = None) -> None:
+    def __init__(self, *, namespace: str = "repro") -> None:
         self.namespace = namespace
-        self.enabled = metrics_enabled() if enabled is None else bool(enabled)
         self._lock = threading.Lock()
         self._metrics: dict[str, _Metric] = {}
 
@@ -234,7 +204,7 @@ class MetricsRegistry:
                     raise TypeError(
                         f"metric {full!r} already registered as {metric.kind}")
                 return metric
-            metric = cls(full, help, enabled=self.enabled, **kwargs)
+            metric = cls(full, help, **kwargs)
             self._metrics[full] = metric
             return metric
 
@@ -259,11 +229,8 @@ class MetricsRegistry:
 
         Series keys are label tuples (``(("worker", "worker-0"),)``);
         histogram series carry their full mergeable state.  This is the
-        wire format workers ship over the stats-probe path.  A disabled
-        registry snapshots to ``{}`` — nothing recorded, nothing shipped.
+        wire format workers ship over the stats-probe path.
         """
-        if not self.enabled:
-            return {}
         with self._lock:
             metrics = list(self._metrics.values())
         return {metric.name: metric.snapshot() for metric in metrics}
@@ -274,7 +241,7 @@ class MetricsRegistry:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"MetricsRegistry(namespace={self.namespace!r}, "
-                f"metrics={len(self)}, enabled={self.enabled})")
+                f"metrics={len(self)})")
 
 
 # ---------------------------------------------------------------------- #

@@ -35,8 +35,13 @@ from ..exceptions import (
     QuotaExceededError,
     WorkerUnavailableError,
 )
+from ..obs.metrics import MetricsRegistry
 
 __all__ = ["TokenBucket", "AdmissionController"]
+
+#: ``admission_decisions_total`` outcome labels, in ``stats()`` key order.
+_OUTCOMES = ("admitted", "shed_queue_full", "shed_quota",
+             "shed_breaker_open", "shed_draining")
 
 
 class TokenBucket:
@@ -134,21 +139,12 @@ class AdmissionController:
         self._clock = clock
         self._buckets: dict[str, TokenBucket] = {}
         self._lock = threading.Lock()
-        self._admitted = 0
-        self._shed_queue_full = 0
-        self._shed_quota = 0
-        self._shed_breaker_open = 0
-        self._shed_draining = 0
-        # the ad-hoc counters above stay authoritative for stats(); the
-        # registry series mirrors them under an ``outcome`` label so the
-        # Prometheus surface gets them for free.
-        self._m_decisions = None if metrics is None else metrics.counter(
+        # the registry series is the only count of each decision; a
+        # controller built without one keeps a private registry.
+        metrics = MetricsRegistry() if metrics is None else metrics
+        self._m_decisions = metrics.counter(
             "admission_decisions_total",
             "Admission gate decisions by outcome")
-
-    def _count(self, outcome: str) -> None:
-        if self._m_decisions is not None:
-            self._m_decisions.inc(outcome=outcome)
 
     # ------------------------------------------------------------------ #
     def _bucket(self, tenant: str) -> TokenBucket:
@@ -177,32 +173,24 @@ class AdmissionController:
         guard is defence in depth against racing drain transitions).
         """
         if draining:
-            with self._lock:
-                self._shed_draining += 1
-            self._count("shed_draining")
+            self._m_decisions.inc(outcome="shed_draining")
             raise WorkerUnavailableError(
                 f"worker {worker_id!r} is draining; retry for a replica")
         if self.tenant_rate is not None and tenant is not None:
             bucket = self._bucket(str(tenant))
             if not bucket.try_acquire():
-                with self._lock:
-                    self._shed_quota += 1
-                self._count("shed_quota")
+                self._m_decisions.inc(outcome="shed_quota")
                 raise QuotaExceededError(
                     f"tenant {tenant!r} exceeded its quota "
                     f"({self.tenant_rate}/s)",
                     retry_after=bucket.retry_after())
         if self.queue_limit is not None and depth >= self.queue_limit:
-            with self._lock:
-                self._shed_queue_full += 1
-            self._count("shed_queue_full")
+            self._m_decisions.inc(outcome="shed_queue_full")
             raise QueueFullError(
                 f"worker {worker_id!r} queue is full "
                 f"({depth}/{self.queue_limit} in flight); retry later",
                 retry_after=None)
-        with self._lock:
-            self._admitted += 1
-        self._count("admitted")
+        self._m_decisions.inc(outcome="admitted")
 
     def note_breaker_shed(self) -> None:
         """Count a front-door rejection made by an open circuit breaker.
@@ -212,27 +200,22 @@ class AdmissionController:
         recording them here keeps "how much did we refuse and why" one
         stats read even when the refusing control is the resilience layer.
         """
-        with self._lock:
-            self._shed_breaker_open += 1
-        self._count("shed_breaker_open")
+        self._m_decisions.inc(outcome="shed_breaker_open")
 
     # ------------------------------------------------------------------ #
     def stats(self) -> dict:
         """Decision counters (admitted / shed by reason / live buckets)."""
+        decisions = {outcome: int(self._m_decisions.value(outcome=outcome))
+                     for outcome in _OUTCOMES}
         with self._lock:
-            total_shed = (self._shed_queue_full + self._shed_quota
-                          + self._shed_breaker_open + self._shed_draining)
-            return {
-                "admitted": self._admitted,
-                "shed_queue_full": self._shed_queue_full,
-                "shed_quota": self._shed_quota,
-                "shed_breaker_open": self._shed_breaker_open,
-                "shed_draining": self._shed_draining,
-                "shed_total": total_shed,
-                "queue_limit": self.queue_limit,
-                "tenant_rate": self.tenant_rate,
-                "tenants": len(self._buckets),
-            }
+            tenants = len(self._buckets)
+        return {
+            **decisions,
+            "shed_total": sum(decisions.values()) - decisions["admitted"],
+            "queue_limit": self.queue_limit,
+            "tenant_rate": self.tenant_rate,
+            "tenants": tenants,
+        }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         stats = self.stats()

@@ -126,8 +126,30 @@ class _Inflight:
     #: replica (``None`` = no hedge armed / already hedged).
     hedge_at: float | None = None
     #: replica currently holding the speculative hedge copy (``None`` = no
-    #: hedge in flight); it occupies a depth slot until settle.
+    #: hedge in flight); it counts toward that replica's depth until settle.
     hedge_worker_id: str | None = None
+
+
+#: Frontend lifecycle transitions recorded by :meth:`ClusterEngine._record`:
+#: kind -> (registry counter, its help text, whether the transition also
+#: writes a span of that name into the request's trace).  The counter is the
+#: transition's only count — ``stats()``, ``healthz()`` and ``/metrics`` all
+#: read it.
+_TRANSITIONS = {
+    "failover": ("cluster_failovers_total",
+                 "Requests instantly failed over to a live replica", True),
+    "redispatch": ("cluster_redispatched_total",
+                   "In-flight requests moved off a dead owner", True),
+    "hedge_dispatch": ("cluster_hedged_total",
+                       "Requests speculatively doubled onto a replica", True),
+    "hedge_win": ("cluster_hedge_wins_total",
+                  "Hedged requests answered first by the replica", False),
+    "worker_death": ("cluster_worker_deaths_total",
+                     "Worker processes found dead", False),
+    "worker_respawn": ("cluster_restarts_total",
+                       "Worker incarnations respawned", False),
+    "degraded_fallback": (None, None, False),
+}
 
 
 class ClusterEngine:
@@ -166,9 +188,9 @@ class ClusterEngine:
     hedging / hedge_after:
         Tail-latency hedging: when the primary has not answered within the
         hedge deadline, the request is speculatively doubled onto a replica
-        and the first response wins (the loser's late answer is dropped and
-        its depth slot released at settle).  ``hedge_after`` pins the
-        deadline in seconds; ``None`` derives it live as
+        and the first response wins (the loser's late answer is dropped;
+        both copies leave the depth count at settle).  ``hedge_after``
+        pins the deadline in seconds; ``None`` derives it live as
         ``3 x cluster p99`` once at least 64 latencies are recorded (so
         cold clusters never hedge).  ``hedging=False`` disables the hedger
         thread entirely.
@@ -214,8 +236,7 @@ class ClusterEngine:
     observability:
         Optional :class:`~repro.obs.Observability` bundle (metrics registry,
         tracer, event log).  ``None`` builds one from the environment
-        (``REPRO_METRICS`` / ``REPRO_TRACE`` / ``REPRO_EVENT_LOG``) and the
-        two knobs below.
+        (``REPRO_TRACE`` / ``REPRO_EVENT_LOG``) and the two knobs below.
     trace_sample_rate:
         Deterministic trace sampling rate in ``[0, 1]`` (``None`` follows
         ``REPRO_TRACE``; 0 = tracing fully off, zero per-request overhead).
@@ -283,27 +304,18 @@ class ClusterEngine:
                                               tenant_rate=tenant_rate,
                                               tenant_burst=tenant_burst,
                                               metrics=metrics)
-        # cluster counters: the ad-hoc ints below stay authoritative for
-        # stats(); these registry series mirror them onto /metrics (and the
-        # latency histogram IS the registry series, so no double recording).
+        # cluster counters: these registry series are the only counts —
+        # stats(), healthz() and /metrics all read them (and the latency
+        # histogram IS the registry series, so no double recording).
+        self._m_submitted = metrics.counter(
+            "cluster_submitted_total",
+            "Requests admitted, or answered by the degraded fallback")
         self._m_requests = metrics.counter(
             "cluster_requests_total", "Requests by final outcome")
-        self._m_redispatched = metrics.counter(
-            "cluster_redispatched_total",
-            "In-flight requests moved off a dead owner")
-        self._m_worker_deaths = metrics.counter(
-            "cluster_worker_deaths_total", "Worker processes found dead")
-        self._m_restarts = metrics.counter(
-            "cluster_restarts_total", "Worker incarnations respawned")
-        self._m_hedged = metrics.counter(
-            "cluster_hedged_total",
-            "Requests speculatively doubled onto a replica")
-        self._m_hedge_wins = metrics.counter(
-            "cluster_hedge_wins_total",
-            "Hedged requests answered first by the replica")
-        self._m_failovers = metrics.counter(
-            "cluster_failovers_total",
-            "Requests instantly failed over to a live replica")
+        self._m_transitions = {
+            kind: metrics.counter(name, help)
+            for kind, (name, help, _) in _TRANSITIONS.items()
+            if name is not None}
         self._g_workers_alive = metrics.gauge(
             "cluster_workers_alive", "Workers currently on the hash ring")
         self._g_inflight = metrics.gauge(
@@ -329,7 +341,6 @@ class ClusterEngine:
         #: control traffic (stats probes), which must never occupy
         #: admission slots.
         self._inflight: dict[int, _Inflight] = {}
-        self._depth: dict[str, int] = {}
         self._request_ids = itertools.count()
         #: id(matrix) -> (fingerprint, memo payload, weakref); see
         #: :meth:`_prepare_matrix` for why the reference must be weak.
@@ -338,21 +349,12 @@ class ClusterEngine:
         #: workers mid-planned-recycle: the reaper and supervisor death
         #: paths must not treat their deliberate exit as a crash.
         self._planned: set[str] = set()
-        self._worker_deaths = 0
-        self._submitted = 0
-        self._completed = 0
-        self._degraded = 0
-        self._redispatched = 0
-        self._hedged = 0
-        self._hedge_wins = 0
-        self._failovers = 0
         #: requests dispatched to each worker's *current* incarnation —
         #: the planned-recycling trigger (reset on respawn).
         self._incarnation_dispatched: dict[str, int] = {}
         #: (worker, incarnation, fingerprint) triples already sent a
         #: replica warm-up, so each synthesis warms each replica once.
         self._warmed: set[tuple] = set()
-        self._restarts: dict[str, int] = {}
         self._last_heard: dict[str, float] = {}
         self._breakers: dict[str, CircuitBreaker] = {}
         self._closing = threading.Event()
@@ -376,8 +378,7 @@ class ClusterEngine:
                 max_batch_size=max_batch_size,
                 threads=threads_per_worker,
                 chaos=chaos,
-                event_log_path=worker_event_path,
-                metrics_enabled=metrics.enabled)
+                event_log_path=worker_event_path)
             requests = context.Queue()
             # one response queue PER worker, not one shared by the fleet: a
             # multiprocessing.Queue write holds a cross-process feeder lock,
@@ -394,8 +395,6 @@ class ClusterEngine:
                                         "process": process,
                                         "final_stats": None,
                                         "started_at": now}
-            self._depth[worker_id] = 0
-            self._restarts[worker_id] = 0
             self._incarnation_dispatched[worker_id] = 0
             self._last_heard[worker_id] = now
             self._breakers[worker_id] = CircuitBreaker(
@@ -431,6 +430,43 @@ class ClusterEngine:
     def _event(self, kind: str, **fields) -> None:
         """Stamp one lifecycle event on the cluster event log (never raises)."""
         self._obs.events.emit(kind, **fields)
+
+    def _record(self, kind: str, entry_or_trace=None, **fields) -> None:
+        """Record one lifecycle transition after it has happened.
+
+        One call per transition, from the :data:`_TRANSITIONS` row of
+        ``kind``: increment its counter, emit its event stamped with the
+        request's ``trace_id``, and write its span into the trace.
+        ``entry_or_trace`` is the request's :class:`_Inflight` entry, its
+        trace, or ``None`` for fleet transitions.
+        """
+        _, _, writes_span = _TRANSITIONS[kind]
+        counter = self._m_transitions.get(kind)
+        if counter is not None:
+            counter.inc()
+        trace = (entry_or_trace.trace if isinstance(entry_or_trace, _Inflight)
+                 else entry_or_trace)
+        self._event(kind, trace_id=None if trace is None else trace.trace_id,
+                    **fields)
+        if writes_span and trace is not None:
+            trace.add_span(kind, **fields)
+
+    def _count(self, kind: str) -> int:
+        """Lifetime count of one :data:`_TRANSITIONS` kind."""
+        return int(self._m_transitions[kind].value())
+
+    def _depth_of(self, worker_id: str) -> int:
+        """Live request copies on ``worker_id`` (caller holds ``_lock``).
+
+        Derived, never stored: the in-flight entries (stats probes and drain
+        handshakes excluded) whose primary or hedge copy sits on that
+        worker.  Admission, drain quiescence, ``stats()`` and the
+        supervisor's hang check all read it.
+        """
+        return sum(1 for entry in self._inflight.values()
+                   if entry.counts_depth
+                   and (entry.worker_id == worker_id
+                        or entry.hedge_worker_id == worker_id))
 
     def _breaker_listener(self, worker_id: str):
         """Event-log adapter for one worker's circuit breaker."""
@@ -532,13 +568,6 @@ class ClusterEngine:
                 "it half-opens",
                 retry_after=(None if breaker is None
                              else breaker.retry_after()))
-        if worker_id != replicas[0]:
-            with self._lock:
-                self._failovers += 1
-            self._m_failovers.inc()
-            self._event("failover", worker_from=replicas[0],
-                        worker_to=worker_id, reason="breaker_open",
-                        trace_id=None if trace is None else trace.trace_id)
         future: Future = Future()
         future.worker_id = worker_id
         if trace is not None:
@@ -547,12 +576,12 @@ class ClusterEngine:
         hedge_after = self.hedge_deadline()
         admit_started = time.monotonic()
         with self._lock:
-            # admit under the lock so depth-check and increment are atomic
-            # (two racing submits must not both squeeze under the watermark).
-            self._admission.admit(worker_id, self._depth.get(worker_id, 0),
+            # admit under the lock so the depth check and the new entry are
+            # atomic (two racing submits must not both squeeze under the
+            # watermark).
+            self._admission.admit(worker_id, self._depth_of(worker_id),
                                   tenant=tenant,
                                   draining=self._ring.is_draining(worker_id))
-            self._depth[worker_id] = self._depth.get(worker_id, 0) + 1
             started = time.monotonic()
             self._inflight[request_id] = _Inflight(
                 future=future, worker_id=worker_id, started=started,
@@ -561,10 +590,10 @@ class ClusterEngine:
                 replicas=tuple(replicas),
                 hedge_at=(None if hedge_after is None or len(replicas) < 2
                           else started + hedge_after))
-            self._submitted += 1
             self._incarnation_dispatched[worker_id] = (
                 self._incarnation_dispatched.get(worker_id, 0) + 1)
             requests = self._workers[worker_id]["requests"]
+        self._m_submitted.inc()
         if trace is not None:
             trace.add_span("admit", start=admit_started,
                            duration=time.monotonic() - admit_started,
@@ -576,9 +605,17 @@ class ClusterEngine:
         message = (MSG_SOLVE, request_id, payload, rhs_wire, params)
         try:
             requests.put(message)
-        except BaseException:
-            self._settle(request_id, None, None)
+        except (ValueError, OSError):
+            # the owner's queue was closed under us (a respawn swapped it
+            # after we read it): move the request, as the lost check below.
+            self._handle_owner_lost(request_id, worker_id)
+            return future
+        except BaseException as exc:
+            self._settle(request_id, None, exc)
             raise
+        if worker_id != replicas[0]:
+            self._record("failover", trace, worker_from=replicas[0],
+                         worker_to=worker_id, reason="breaker_open")
         # Close the submit/reap/respawn races: between route() and the put
         # above, the reaper may have retired this worker (its orphan scan ran
         # too early to see us) or the supervisor may have respawned it (our
@@ -679,8 +716,8 @@ class ClusterEngine:
         """Speculatively dispatch one overdue request to a live replica.
 
         First response wins: :meth:`_settle` pops the entry exactly once,
-        so the loser's late answer is dropped and both depth slots are
-        released together.  The duplicate reuses the same ``request_id`` —
+        so the loser's late answer is dropped and both copies leave the
+        depth count together.  The duplicate reuses the same ``request_id`` —
         idempotent settling is what makes hedging safe.
         """
         with self._lock:
@@ -718,24 +755,16 @@ class ClusterEngine:
                 return
             entry.hedge_at = None
             entry.hedge_worker_id = target
-            self._depth[target] = self._depth.get(target, 0) + 1
-            self._hedged += 1
+            primary = entry.worker_id
             self._incarnation_dispatched[target] = (
                 self._incarnation_dispatched.get(target, 0) + 1)
             requests = self._workers[target]["requests"]
-        self._m_hedged.inc()
-        trace = entry.trace
         params = entry.params
-        if trace is not None:
-            trace.add_span("hedge_dispatch", worker_from=entry.worker_id,
-                           worker_to=target)
+        if entry.trace is not None:
             # copy so the hedge's re-stamped enqueued_at cannot race the
             # primary entry's params (redispatch also reads them).
             params = dict(params)
-            params["trace"] = trace.to_wire()
-        self._event("hedge_dispatch", worker_primary=entry.worker_id,
-                    worker_hedge=target,
-                    trace_id=None if trace is None else trace.trace_id)
+            params["trace"] = entry.trace.to_wire()
         message = (MSG_SOLVE, request_id, entry.payload, entry.rhs, params)
         try:
             requests.put(message)
@@ -744,8 +773,9 @@ class ClusterEngine:
                 if (self._inflight.get(request_id) is entry
                         and entry.hedge_worker_id == target):
                     entry.hedge_worker_id = None
-                    self._depth[target] = max(
-                        0, self._depth.get(target, 1) - 1)
+            return
+        self._record("hedge_dispatch", entry, worker_primary=primary,
+                     worker_hedge=target)
 
     def _warm_replicas(self, entry: _Inflight) -> None:
         """Send this request's synthesis to its other replicas (advisory).
@@ -886,36 +916,19 @@ class ClusterEngine:
 
         ``from_worker`` names the worker whose response triggered this
         settle.  For a hedged request both copies share one ``request_id``;
-        the first response pops the entry (first-wins), releases the
-        primary *and* the hedge depth slot together (the loser's late
-        answer no-ops here, so it must never also decrement), and a win by
-        the hedge replica is counted and stamped on the event log.
+        the first response pops the entry (first-wins), so the primary
+        *and* the hedge copy leave the depth count together (the loser's
+        late answer no-ops here), and a win by the hedge replica is
+        recorded.
         """
-        hedge_win = False
         with self._lock:
             entry = self._inflight.pop(request_id, None)
-            if entry is None:
-                return
-            if entry.counts_depth:
-                self._depth[entry.worker_id] = max(
-                    0, self._depth.get(entry.worker_id, 1) - 1)
-                if entry.hedge_worker_id is not None:
-                    self._depth[entry.hedge_worker_id] = max(
-                        0, self._depth.get(entry.hedge_worker_id, 1) - 1)
-                    hedge_win = from_worker == entry.hedge_worker_id
-                    if hedge_win:
-                        self._hedge_wins += 1
-                if error is None:
-                    self._completed += 1
-                    if (isinstance(result, SingleSolveRecord)
-                            and result.degraded):
-                        self._degraded += 1
-        if hedge_win:
-            self._m_hedge_wins.inc()
-            self._event("hedge_win", worker_primary=entry.worker_id,
-                        worker_hedge=from_worker,
-                        trace_id=(None if entry.trace is None
-                                  else entry.trace.trace_id))
+        if entry is None:
+            return
+        if (entry.counts_depth and entry.hedge_worker_id is not None
+                and from_worker == entry.hedge_worker_id):
+            self._record("hedge_win", entry, worker_primary=entry.worker_id,
+                         worker_hedge=from_worker)
         if (from_worker is not None and entry.counts_depth
                 and error is None):
             # the worker that actually answered (hedge wins move it)
@@ -971,13 +984,11 @@ class ClusterEngine:
                 continue  # a deliberate recycle exit, not a crash
             with self._lock:
                 self._retired.add(worker_id)
-            self._worker_deaths += 1
-            self._m_worker_deaths.inc()
-            self._event("worker_death", worker=worker_id,
-                        incarnation=worker["config"].incarnation,
-                        pid=worker["process"].pid,
-                        exitcode=worker["process"].exitcode,
-                        uptime_s=time.monotonic() - worker["started_at"])
+            self._record("worker_death", worker=worker_id,
+                         incarnation=worker["config"].incarnation,
+                         pid=worker["process"].pid,
+                         exitcode=worker["process"].exitcode,
+                         uptime_s=time.monotonic() - worker["started_at"])
             self._ring.remove_worker(worker_id)
             breaker = self._breakers.get(worker_id)
             if breaker is not None:
@@ -994,13 +1005,10 @@ class ClusterEngine:
                         in self._inflight.items()
                         if entry.worker_id in self._retired]
             # a *hedge* copy on a dead worker is simply dropped: the
-            # primary still answers, so only the corpse's depth slot is
-            # released (it must not be re-released at settle).
+            # primary still answers.
             for entry in self._inflight.values():
-                hedge = entry.hedge_worker_id
-                if hedge is not None and hedge in self._retired:
+                if entry.hedge_worker_id in self._retired:
                     entry.hedge_worker_id = None
-                    self._depth[hedge] = max(0, self._depth.get(hedge, 1) - 1)
         for request_id, owner in orphaned:
             self._handle_owner_lost(request_id, owner)
 
@@ -1026,13 +1034,10 @@ class ClusterEngine:
             if (hedge is not None and hedge not in self._retired
                     and hedge in self._workers):
                 # the hedge copy is live on a replica: promote it to
-                # primary.  Its depth slot carries over; only the dead
-                # owner's slot is released.  No new dispatch needed —
-                # failover latency is bounded by the hedge already running.
-                self._depth[owner] = max(0, self._depth.get(owner, 1) - 1)
+                # primary.  No new dispatch needed — failover latency is
+                # bounded by the hedge already running.
                 entry.worker_id = hedge
                 entry.hedge_worker_id = None
-                self._failovers += 1
                 promoted = hedge
             else:
                 promoted = None
@@ -1042,14 +1047,8 @@ class ClusterEngine:
                                   and not self._closing.is_set())
         if promoted is not None:
             entry.future.worker_id = promoted
-            self._m_failovers.inc()
-            trace = entry.trace
-            self._event("failover", worker_from=owner, worker_to=promoted,
-                        reason="hedge_promoted",
-                        trace_id=None if trace is None else trace.trace_id)
-            if trace is not None:
-                trace.add_span("failover", worker_from=owner,
-                               worker_to=promoted, reason="hedge_promoted")
+            self._record("failover", entry, worker_from=owner,
+                         worker_to=promoted, reason="hedge_promoted")
             return
         if redispatchable:
             # prefer the request's own replica set (warm by construction)
@@ -1066,44 +1065,23 @@ class ClusterEngine:
                     new_owner = None
             if new_owner is not None:
                 with self._lock:
-                    # atomic move; quota was paid at admission and the old
-                    # slot transfers, so redispatch never re-runs admission
-                    # (shedding an *admitted* request would be a silent
-                    # drop, the one outcome this path exists to prevent).
+                    # atomic move; quota was paid at admission, so
+                    # redispatch never re-runs admission (shedding an
+                    # *admitted* request would be a silent drop, the one
+                    # outcome this path exists to prevent).
                     if self._inflight.get(request_id) is not entry:
                         return
-                    self._depth[entry.worker_id] = max(
-                        0, self._depth.get(entry.worker_id, 1) - 1)
-                    self._depth[new_owner] = self._depth.get(new_owner, 0) + 1
                     entry.worker_id = new_owner
                     entry.redispatches += 1
-                    self._redispatched += 1
-                    if via_replica:
-                        self._failovers += 1
+                    hop = entry.redispatches
                     self._incarnation_dispatched[new_owner] = (
                         self._incarnation_dispatched.get(new_owner, 0) + 1)
                     requests = self._workers[new_owner]["requests"]
                 entry.future.worker_id = new_owner
-                self._m_redispatched.inc()
-                trace = entry.trace
-                if via_replica:
-                    self._m_failovers.inc()
-                    self._event("failover", worker_from=owner,
-                                worker_to=new_owner,
-                                reason="replica_redispatch",
-                                trace_id=(None if trace is None
-                                          else trace.trace_id))
-                self._event("redispatch", worker_from=owner,
-                            worker_to=new_owner, hop=entry.redispatches,
-                            trace_id=(None if trace is None
-                                      else trace.trace_id))
-                if trace is not None:
-                    trace.add_span("redispatch", worker_from=owner,
-                                   worker_to=new_owner,
-                                   hop=entry.redispatches)
+                if entry.trace is not None:
                     # re-stamp enqueued_at: the new owner's queue_wait span
                     # must measure *its* queue, not the dead worker's.
-                    entry.params["trace"] = trace.to_wire()
+                    entry.params["trace"] = entry.trace.to_wire()
                 message = (MSG_SOLVE, request_id, entry.payload, entry.rhs,
                            entry.params)
                 try:
@@ -1111,6 +1089,12 @@ class ClusterEngine:
                 except (ValueError, OSError):
                     self._handle_owner_lost(request_id, new_owner)
                     return
+                if via_replica:
+                    self._record("failover", entry, worker_from=owner,
+                                 worker_to=new_owner,
+                                 reason="replica_redispatch")
+                self._record("redispatch", entry, worker_from=owner,
+                             worker_to=new_owner, hop=hop)
                 with self._lock:
                     lost = (new_owner in self._retired
                             or self._workers[new_owner]["requests"]
@@ -1123,10 +1107,8 @@ class ClusterEngine:
             # solve classically off-thread: this path runs on the collector
             # / supervisor threads, which must keep servicing the fleet.
             matrix, rhs = entry.matrix, entry.rhs
-            self._event("degraded_fallback", worker=owner,
-                        reason="owner_lost", hops=entry.redispatches,
-                        trace_id=(None if entry.trace is None
-                                  else entry.trace.trace_id))
+            self._record("degraded_fallback", entry, worker=owner,
+                         reason="owner_lost", hops=entry.redispatches)
 
             def degrade() -> None:
                 started = time.monotonic()
@@ -1155,24 +1137,18 @@ class ClusterEngine:
         future.worker_id = None
         if trace is not None:
             future.trace_id = trace.trace_id
-        self._event("degraded_fallback", reason=reason,
-                    trace_id=None if trace is None else trace.trace_id)
+        self._record("degraded_fallback", trace, reason=reason)
         started = time.monotonic()
+        self._m_submitted.inc()
         try:
             record = _degraded_record(matrix, rhs)
         except Exception as exc:  # noqa: BLE001 - the future carries it
-            with self._lock:
-                self._submitted += 1
             self._m_requests.inc(outcome="error")
             if trace is not None:
                 self._obs.tracer.finish(trace, status="error",
                                         error=type(exc).__name__)
             future.set_exception(exc)
             return future
-        with self._lock:
-            self._submitted += 1
-            self._completed += 1
-            self._degraded += 1
         self._m_requests.inc(outcome="degraded")
         self._latency.record(time.monotonic() - started)
         if trace is not None:
@@ -1220,14 +1196,12 @@ class ClusterEngine:
                            "process": process, "final_stats": None,
                            "started_at": now})
             self._retired.discard(worker_id)
-            self._restarts[worker_id] = self._restarts.get(worker_id, 0) + 1
             self._incarnation_dispatched[worker_id] = 0
             self._last_heard[worker_id] = now
         self._ring.ensure_worker(worker_id)
-        self._m_restarts.inc()
-        self._event("worker_respawn", worker=worker_id,
-                    incarnation=config.incarnation, pid=process.pid,
-                    restarts=self._restarts.get(worker_id, 0))
+        self._record("worker_respawn", worker=worker_id,
+                     incarnation=config.incarnation, pid=process.pid,
+                     restarts=config.incarnation)
         try:
             old_requests.close()
         except (ValueError, OSError):  # pragma: no cover - already torn down
@@ -1282,8 +1256,8 @@ class ClusterEngine:
         new primaries instantly — its arcs stay in place so
         :meth:`undrain` restores the exact pre-drain split), then runs the
         drain handshake: the worker finishes everything already enqueued
-        and acks, and the front end waits for its depth accounting to
-        reach zero.  Returns ``True`` when the worker is fully quiesced
+        and acks, and the front end waits until no request copy is left
+        on it.  Returns ``True`` when the worker is fully quiesced
         within ``timeout``; the worker keeps running either way — drain is
         a routing state, not a shutdown.
         """
@@ -1321,7 +1295,7 @@ class ClusterEngine:
         # own accounting to settle (responses may still be in the pipe).
         while time.monotonic() < deadline:
             with self._lock:
-                quiesced = self._depth.get(worker_id, 0) <= 0
+                quiesced = self._depth_of(worker_id) == 0
             if quiesced:
                 self._event("worker_drain_complete", worker=worker_id)
                 return True
@@ -1444,28 +1418,25 @@ class ClusterEngine:
     def stats(self, *, include_workers: bool = True) -> dict:
         """Cluster snapshot: ring, admission, latency, depths, workers."""
         with self._lock:
-            depths = dict(self._depth)
-            submitted = self._submitted
-            completed = self._completed
+            depths = {worker_id: self._depth_of(worker_id)
+                      for worker_id in self._workers}
             inflight = len(self._inflight)
-            degraded = self._degraded
-            redispatched = self._redispatched
-            hedged = self._hedged
-            hedge_wins = self._hedge_wins
-            failovers = self._failovers
-            restarts = dict(self._restarts)
+            restarts = {worker_id: worker["config"].incarnation
+                        for worker_id, worker in self._workers.items()}
             incarnation_dispatched = dict(self._incarnation_dispatched)
+        degraded = int(self._m_requests.value(outcome="degraded"))
         stats = {
             "workers_alive": len(self._ring),
-            "worker_deaths": self._worker_deaths,
-            "submitted": submitted,
-            "completed": completed,
+            "worker_deaths": self._count("worker_death"),
+            "submitted": int(self._m_submitted.value()),
+            "completed": (int(self._m_requests.value(outcome="completed"))
+                          + degraded),
             "inflight": inflight,
             "degraded": degraded,
-            "redispatched": redispatched,
-            "hedged": hedged,
-            "hedge_wins": hedge_wins,
-            "failovers": failovers,
+            "redispatched": self._count("redispatch"),
+            "hedged": self._count("hedge_dispatch"),
+            "hedge_wins": self._count("hedge_win"),
+            "failovers": self._count("failover"),
             "replication_factor": self.replication_factor,
             "hedge_deadline_s": self.hedge_deadline(),
             "incarnation_dispatched": incarnation_dispatched,
@@ -1485,9 +1456,8 @@ class ClusterEngine:
                         "events": self._obs.events.stats()}
         if include_workers:
             stats["per_worker"] = self.worker_stats()
-            if self._obs.metrics.enabled:
-                stats["metrics"] = self.metrics_snapshot(
-                    worker_snapshots=stats["per_worker"])
+            stats["metrics"] = self.metrics_snapshot(
+                worker_snapshots=stats["per_worker"])
         return stats
 
     def metrics_snapshot(self, *, worker_snapshots: dict | None = None) -> dict:
@@ -1533,19 +1503,17 @@ class ClusterEngine:
         now = time.monotonic()
         draining = set(self._ring.draining)
         with self._lock:
-            restarts = sum(self._restarts.values())
+            restarts = sum(worker["config"].incarnation
+                           for worker in self._workers.values())
             ages = {worker_id: (None if worker_id not in self._metrics_seen
                                 else now - self._metrics_seen[worker_id])
                     for worker_id in self._workers}
             drain_states = {worker_id: worker_id in draining
                             for worker_id in self._workers}
-            hedged = self._hedged
-            hedge_wins = self._hedge_wins
-            failovers = self._failovers
         events = self._obs.events.stats()
         return {"ok": alive > 0 or self.degraded_fallback,
                 "workers_alive": alive,
-                "worker_deaths": self._worker_deaths,
+                "worker_deaths": self._count("worker_death"),
                 "restarts": restarts,
                 "uptime_s": now - self._started_at,
                 # the rolling-restart watchers: R, who is draining, and the
@@ -1554,9 +1522,9 @@ class ClusterEngine:
                 "replication_factor": self.replication_factor,
                 "draining": drain_states,
                 "hedge_deadline_s": self.hedge_deadline(),
-                "hedged": hedged,
-                "hedge_wins": hedge_wins,
-                "failovers": failovers,
+                "hedged": self._count("hedge_dispatch"),
+                "hedge_wins": self._count("hedge_win"),
+                "failovers": self._count("failover"),
                 "metrics_snapshot_age_s": ages,
                 "event_log": {"lag_s": events["last_event_age_s"],
                               "events": events["events"],
@@ -1620,7 +1588,8 @@ class ClusterEngine:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"ClusterEngine(workers={len(self._ring)}, "
-                f"submitted={self._submitted}, deaths={self._worker_deaths})")
+                f"submitted={int(self._m_submitted.value())}, "
+                f"deaths={self._count('worker_death')})")
 
 
 def _degraded_record(matrix, rhs) -> SingleSolveRecord:

@@ -672,30 +672,27 @@ class Supervisor:
         """One supervision pass (public so tests can drive it directly)."""
         engine = self._engine
         now = time.monotonic()
-        planned = getattr(engine, "_planned", frozenset())
         for worker_id in list(engine._workers):
             if engine._closing.is_set():
                 return
             info = engine._workers[worker_id]
             process = info["process"]
-            if worker_id in planned:
+            if worker_id in engine._planned:
                 continue  # recycle_worker owns this worker's lifecycle
             if not process.is_alive():
                 engine._reap_dead_workers()
                 self._maybe_respawn(worker_id, info, now)
-            elif (self.hang_timeout is not None
-                  and engine._depth.get(worker_id, 0) > 0
-                  and now - engine._last_heard.get(worker_id, now)
-                  > self.hang_timeout):
-                if not engine._probe_worker(worker_id,
-                                            timeout=self.probe_timeout):
+            elif self.hang_timeout is not None:
+                with engine._lock:
+                    busy = engine._depth_of(worker_id) > 0
+                    silent_s = now - engine._last_heard.get(worker_id, now)
+                if (busy and silent_s > self.hang_timeout
+                        and not engine._probe_worker(
+                            worker_id, timeout=self.probe_timeout)):
                     with self._lock:
                         self._hang_kills += 1
-                    emit = getattr(engine, "_event", None)
-                    if emit is not None:
-                        emit("worker_hang_kill", worker=worker_id,
-                             silent_s=now - engine._last_heard.get(worker_id,
-                                                                   now))
+                    engine._event("worker_hang_kill", worker=worker_id,
+                                  silent_s=silent_s)
                     process.terminate()  # next pass heals it as a death
         if self.max_requests_per_incarnation is not None:
             self._maybe_recycle()
@@ -712,7 +709,7 @@ class Supervisor:
             if self._recycling is not None and self._recycling.is_alive():
                 return
             self._recycling = None
-        if getattr(engine, "_planned", None):
+        if engine._planned:
             return
         candidate = None
         for worker_id in sorted(engine._workers):
@@ -737,7 +734,9 @@ class Supervisor:
             pass
 
     def _maybe_respawn(self, worker_id: str, info: dict, now: float) -> None:
-        restarts = self._engine._restarts.get(worker_id, 0)
+        # every respawn starts the next incarnation, so the incarnation
+        # number is the worker's restart count.
+        restarts = info["config"].incarnation
         if self.max_restarts is not None and restarts >= self.max_restarts:
             with self._lock:
                 self._exhausted.add(worker_id)

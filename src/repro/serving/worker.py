@@ -127,10 +127,6 @@ class WorkerConfig:
     #: append-only JSONL lifecycle/fault log shared with the front end
     #: (``None`` falls back to ``REPRO_EVENT_LOG``; empty env = memory-only).
     event_log_path: str | None = None
-    #: tri-state metrics switch (``None`` = follow ``REPRO_METRICS``); the
-    #: front end forwards its own resolved setting so one knob governs both
-    #: sides of the queue.
-    metrics_enabled: bool | None = None
 
     def build_store(self, chaos=None, events=None):
         """The tiered store this config describes (``None`` = no persistence).
@@ -168,7 +164,7 @@ def worker_main(config: WorkerConfig, requests, responses) -> None:
     """
     _limit_worker_threads(config.threads)
     chaos = config.build_chaos()
-    metrics = MetricsRegistry(enabled=config.metrics_enabled)
+    metrics = MetricsRegistry()
     events = EventLog(config.event_log_path, source=config.worker_id)
     if chaos is not None:
         chaos.events = events
@@ -186,6 +182,7 @@ def worker_main(config: WorkerConfig, requests, responses) -> None:
 def _serve(config: WorkerConfig, cache: CompiledSolverCache,
            requests, responses, chaos=None, metrics=None,
            events=None) -> None:
+    metrics = MetricsRegistry() if metrics is None else metrics
     sweeper = GroupSweeper(cache, metrics=metrics)
     served = warmed = drains = request_serial = 0
     started_at = time.monotonic()
@@ -310,12 +307,11 @@ def _serve(config: WorkerConfig, cache: CompiledSolverCache,
             "uptime_s": now - started_at,
             "incarnation": config.incarnation,
             "chaos_enabled": chaos is not None,
-        })
-        if metrics is not None and metrics.enabled:
             # snapshots are mergeable: the front end folds every worker's
             # copy into one cluster view (relabelled by worker id).
-            stats["metrics"] = metrics.snapshot()
-            stats["metrics_snapshot_at"] = now
+            "metrics": metrics.snapshot(),
+            "metrics_snapshot_at": now,
+        })
         if events is not None:
             stats["events"] = events.stats()
         return stats

@@ -95,3 +95,47 @@ def make_inner_solver():
     synthesises anew, so two solvers of a seeded route draw the same noise.
     """
     return _inner_solver
+
+
+#: a ``ClusterEngine``'s lifecycle counters: event kind, ``stats()`` key,
+#: ``healthz()`` key (``None`` = not reported there), ``/metrics`` family.
+_FRONTEND_COUNTERS = (
+    ("failover", "failovers", "failovers", "repro_cluster_failovers_total"),
+    ("redispatch", "redispatched", None, "repro_cluster_redispatched_total"),
+    ("hedge_dispatch", "hedged", "hedged", "repro_cluster_hedged_total"),
+    ("hedge_win", "hedge_wins", "hedge_wins",
+     "repro_cluster_hedge_wins_total"),
+    ("worker_death", "worker_deaths", "worker_deaths",
+     "repro_cluster_worker_deaths_total"),
+    ("worker_respawn", "restarts", "restarts",
+     "repro_cluster_restarts_total"),
+)
+
+
+def _total(value):
+    """A per-worker ``{worker: n}`` report summed, a scalar as is."""
+    return sum(value.values()) if isinstance(value, dict) else value
+
+
+@pytest.fixture()
+def assert_counters_match_events():
+    """Checker for a quiescent ``ClusterEngine``: every lifecycle counter
+    equals the number of events of its kind on the engine's event log, and
+    ``stats()``, ``healthz()`` and ``metrics_snapshot()`` report that same
+    number.  Call it once no request is in flight and no respawn pending."""
+    from repro.obs.events import count_kinds
+
+    def check(cluster) -> dict:
+        counts = count_kinds(cluster.observability.events.events())
+        stats = cluster.stats(include_workers=False)
+        health = cluster.healthz()
+        metrics = cluster.metrics_snapshot(worker_snapshots={})
+        for kind, stats_key, health_key, family in _FRONTEND_COUNTERS:
+            expected = counts.get(kind, 0)
+            assert _total(stats[stats_key]) == expected, kind
+            if health_key is not None:
+                assert _total(health[health_key]) == expected, kind
+            assert sum(metrics[family]["series"].values()) == expected, kind
+        return counts
+
+    return check

@@ -71,7 +71,7 @@ def _wait_until(predicate, timeout: float = 10.0, message: str = "condition"):
 # ---------------------------------------------------------------------- #
 class TestMetricsRegistry:
     def test_counter_accumulates_per_label_set(self):
-        registry = MetricsRegistry(enabled=True)
+        registry = MetricsRegistry()
         counter = registry.counter("hits_total", "hits")
         counter.inc()
         counter.inc(2.0, result="miss")
@@ -81,41 +81,26 @@ class TestMetricsRegistry:
         assert counter.total() == 4.0
 
     def test_counter_rejects_negative(self):
-        counter = MetricsRegistry(enabled=True).counter("c_total", "c")
+        counter = MetricsRegistry().counter("c_total", "c")
         with pytest.raises(ValueError):
             counter.inc(-1.0)
 
     def test_gauge_set_inc_dec(self):
-        gauge = MetricsRegistry(enabled=True).gauge("depth", "d")
+        gauge = MetricsRegistry().gauge("depth", "d")
         gauge.set(5.0)
         gauge.inc()
         gauge.dec(2.0)
         assert gauge.value() == 4.0
 
     def test_registration_is_idempotent_but_type_checked(self):
-        registry = MetricsRegistry(enabled=True)
+        registry = MetricsRegistry()
         first = registry.counter("x_total", "x")
         assert registry.counter("x_total", "x") is first
         with pytest.raises(TypeError):
             registry.gauge("x_total", "x")
 
-    def test_disabled_registry_is_inert_but_safe(self):
-        registry = MetricsRegistry(enabled=False)
-        counter = registry.counter("x_total", "x")
-        counter.inc()
-        assert counter.value() == 0.0
-        assert registry.snapshot() == {}
-
-    def test_env_var_gates_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_METRICS", "off")
-        assert not MetricsRegistry().enabled
-        monkeypatch.setenv("REPRO_METRICS", "1")
-        assert MetricsRegistry().enabled
-        monkeypatch.delenv("REPRO_METRICS")
-        assert MetricsRegistry().enabled  # metrics default on
-
     def test_histogram_labelled_is_the_series(self):
-        registry = MetricsRegistry(enabled=True)
+        registry = MetricsRegistry()
         histogram = registry.histogram("lat_seconds", "latency")
         underlying = histogram.labelled()
         assert isinstance(underlying, LatencyHistogram)
@@ -124,8 +109,8 @@ class TestMetricsRegistry:
         assert histogram.summary()["count"] == 2
 
     def test_snapshot_merge_adds_counters_and_folds_histograms(self):
-        a = MetricsRegistry(enabled=True)
-        b = MetricsRegistry(enabled=True)
+        a = MetricsRegistry()
+        b = MetricsRegistry()
         a.counter("req_total", "r").inc(3.0)
         b.counter("req_total", "r").inc(4.0)
         a.histogram("lat_seconds", "l").observe(1.0)
@@ -138,7 +123,7 @@ class TestMetricsRegistry:
         assert folded.summary()["count"] == 2
 
     def test_relabel_keeps_snapshots_disjoint(self):
-        a = MetricsRegistry(enabled=True)
+        a = MetricsRegistry()
         a.counter("req_total", "r").inc(2.0)
         merged = merge_snapshots([relabel_snapshot(a.snapshot(), worker="w0"),
                                   relabel_snapshot(a.snapshot(), worker="w1")])
@@ -146,7 +131,7 @@ class TestMetricsRegistry:
         assert len(series) == 2 and all(v == 2.0 for v in series.values())
 
     def test_prometheus_rendering(self):
-        registry = MetricsRegistry(enabled=True)
+        registry = MetricsRegistry()
         registry.counter("req_total", "requests").inc(5.0, code="200")
         registry.gauge("depth", "queue depth").set(3.0)
         registry.histogram("lat_seconds", "latency").observe(0.25)
@@ -158,8 +143,8 @@ class TestMetricsRegistry:
         assert "repro_lat_seconds_count 1" in text
 
     def test_merge_rejects_cross_type_collision(self):
-        a = MetricsRegistry(enabled=True)
-        b = MetricsRegistry(enabled=True)
+        a = MetricsRegistry()
+        b = MetricsRegistry()
         a.counter("x_total", "x").inc()
         b.gauge("x_total", "x").set(1.0)
         with pytest.raises(TypeError):
@@ -325,7 +310,7 @@ class TestEngineTracing:
     def test_coalesced_batch_shares_one_sweep_span(self):
         matrix, _ = _spd_system(8, 4.0, 5)
         rng = np.random.default_rng(6)
-        registry = MetricsRegistry(enabled=True)
+        registry = MetricsRegistry()
         engine = AsyncSolveEngine(max_batch_size=8, coalesce_window=0.05,
                                   metrics=registry)
         traces = [TraceContext(f"{i:032x}", sampled=True) for i in range(4)]
@@ -390,7 +375,8 @@ class TestServingTracePropagation:
             assert not hasattr(future, "trace_id")
             assert engine.observability.tracer.stats()["finished"] == 0
 
-    def test_redispatch_hop_spans_after_worker_death(self):
+    def test_redispatch_hop_spans_after_worker_death(
+            self, assert_counters_match_events):
         spec = ChaosSpec(seed=5, crash_points=((0, 0),),
                          workers=("worker-0",))
         with ClusterEngine(num_workers=2, chaos=spec,
@@ -419,8 +405,13 @@ class TestServingTracePropagation:
             # file, covered by test_respawn_timeline_and_trace_continuity.
             # The death itself is a frontend-observed event and always lands.
             assert engine.observability.events.events(kind="worker_death")
+            _wait_until(lambda: len(engine.workers_alive) == 2,
+                        message="respawn never re-ringed the worker")
+            counts = assert_counters_match_events(engine)
+            assert counts["redispatch"] >= 1
 
-    def test_degraded_fallback_trace_is_complete(self):
+    def test_degraded_fallback_trace_is_complete(
+            self, assert_counters_match_events):
         with ClusterEngine(num_workers=1, respawn=False, max_redispatch=0,
                            trace_sample_rate=1.0,
                            event_log_path=False) as engine:
@@ -437,8 +428,11 @@ class TestServingTracePropagation:
             assert "degraded" in names
             assert engine.observability.events.events(
                 kind="degraded_fallback")
+            counts = assert_counters_match_events(engine)
+            assert counts["worker_death"] == 1
 
-    def test_respawn_timeline_and_trace_continuity(self, tmp_path):
+    def test_respawn_timeline_and_trace_continuity(
+            self, tmp_path, assert_counters_match_events):
         path = str(tmp_path / "events.jsonl")
         spec = ChaosSpec(seed=9, crash_points=((0, 1),),
                          workers=("worker-0",))
@@ -458,6 +452,8 @@ class TestServingTracePropagation:
             future = engine.submit(matrix, rhs, backend="ideal", kappa=4.0)
             future.result(timeout=30)
             assert engine.trace(future.trace_id) is not None
+            counts = assert_counters_match_events(engine)
+            assert counts["worker_death"] == counts["worker_respawn"] == 1
         records = EventLog.read_file(path)
         kinds = [r["kind"] for r in records]
         assert "chaos_fault" in kinds

@@ -446,6 +446,37 @@ class TestClusterEngine:
                                    backend="ideal", kappa=4.0)
             assert record.scaled_residual < 1e-2
 
+    def test_put_on_a_closed_owner_queue_moves_the_request(self):
+        # the state a respawn leaves behind for a submit that read the old
+        # incarnation's queue: the put fails.  The request must move to the
+        # replica like any lost owner's, not escape as a raw ValueError nor
+        # count as a completed solve without an answer.
+        matrix, rhs = _spd_system(8, 4.0, 29)
+        with ClusterEngine(num_workers=2, respawn=False, hedging=False,
+                           trace_sample_rate=1.0,
+                           event_log_path=False) as cluster:
+            owner = cluster.route(matrix)
+            reference = cluster.solve(matrix, rhs, epsilon_l=1e-2,
+                                      backend="ideal", kappa=4.0)
+            assert cluster.stats(include_workers=False)["completed"] == 1
+            cluster._workers[owner]["requests"].close()
+            future = cluster.submit(matrix, rhs, epsilon_l=1e-2,
+                                    backend="ideal", kappa=4.0)
+            record = future.result(timeout=30.0)
+            assert not record.degraded
+            assert future.worker_id != owner
+            np.testing.assert_allclose(record.x, reference.x,
+                                       rtol=0.0, atol=1e-12)
+            stats = cluster.stats(include_workers=False)
+            assert stats["submitted"] == 2 and stats["completed"] == 2
+            assert stats["redispatched"] == 1
+            assert stats["inflight"] == 0
+            trace = cluster.trace(future.trace_id)
+            assert trace["status"] == "ok"
+            assert "redispatch" in [span["name"] for span in trace["spans"]]
+            # the owner's queue is gone, so it cannot be told to stop.
+            cluster.close(timeout=0.5)
+
     def test_deadline_crosses_the_process_boundary(self):
         matrix, rhs = _spd_system(8, 4.0, 19)
         with ClusterEngine(num_workers=1) as cluster:
@@ -487,7 +518,8 @@ class TestClusterEngine:
         with ClusterEngine(num_workers=1, queue_limit=1) as cluster:
             for _ in range(3):
                 cluster.worker_stats()
-            assert all(depth == 0 for depth in cluster._depth.values())
+            depths = cluster.stats(include_workers=False)["queue_depths"]
+            assert all(depth == 0 for depth in depths.values())
             record = cluster.solve(matrix, rhs, epsilon_l=1e-2,
                                    backend="ideal", kappa=4.0)
             assert record.scaled_residual < 1e-2

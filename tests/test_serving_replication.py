@@ -217,7 +217,7 @@ class TestAdmissionDraining:
 # ---------------------------------------------------------------------- #
 class TestFailoverCorrectness:
     def test_replica_failover_is_bit_identical_and_not_degraded(
-            self, tmp_path):
+            self, tmp_path, assert_counters_match_events):
         matrix, rhs = _spd_system(8, 4.0, 211)
         primary, replica = _replica_order(matrix)[:2]
         # incarnation 0, request 1: the primary dies mid-solve on the
@@ -249,8 +249,13 @@ class TestFailoverCorrectness:
             events = cluster.observability.events.events(kind="failover")
             assert events and events[-1]["worker_to"] == replica
             assert events[-1]["reason"] == "replica_redispatch"
+            _wait_until(lambda: len(cluster.workers_alive) == 2,
+                        message="the dead primary was never respawned")
+            counts = assert_counters_match_events(cluster)
+            assert counts["worker_death"] == counts["worker_respawn"] == 1
 
-    def test_hedged_duplicate_settles_exactly_once(self, tmp_path):
+    def test_hedged_duplicate_settles_exactly_once(
+            self, tmp_path, assert_counters_match_events):
         matrix, rhs = _spd_system(8, 4.0, 223)
         primary, replica = _replica_order(matrix)[:2]
         # the primary stalls on every request for longer than the hedge
@@ -286,6 +291,8 @@ class TestFailoverCorrectness:
             assert stats["inflight"] == 0
             assert all(depth == 0
                        for depth in stats["queue_depths"].values())
+            counts = assert_counters_match_events(cluster)
+            assert counts["hedge_dispatch"] == counts["hedge_win"] == 1
 
 
 # ---------------------------------------------------------------------- #
