@@ -68,7 +68,7 @@ from ..exceptions import (
     SolveTimeoutError,
     WorkerUnavailableError,
 )
-from ..obs import Observability
+from ..obs import EventLog, Observability, Tracer
 from ..obs.metrics import merge_snapshots, relabel_snapshot, render_prometheus
 from ..utils import is_linear_operator, matrix_fingerprint
 from .admission import AdmissionController
@@ -95,36 +95,46 @@ __all__ = ["ClusterEngine", "ServingHTTPServer"]
 
 @dataclasses.dataclass
 class _Inflight:
-    """Book-keeping for one dispatched request.
+    """One admitted solve request, from admission to its single settle.
 
     Carries everything needed to *re*-dispatch when the owning worker dies
     (wire payload, rhs copy, params) plus a strong reference to the
     caller's matrix for the classical degraded fallback.  Both live only as
     long as the request is in flight, so the pin is bounded by the queue
-    limits.  Control traffic (stats probes) sets ``counts_depth=False`` and
-    carries no payload — it is never redispatched or degraded.
+    limits.  Control traffic (stats probes, drain handshakes) never enters
+    the request table; it lives in ``ClusterEngine._control``.
+
+    ``state`` is one of:
+
+    * ``"dispatched"`` — a primary copy is on ``worker_id``; the hedger may
+      double it once it is overdue;
+    * ``"hedged"`` — a hedge copy was sent.  It never goes back: a hedge
+      copy that dies clears ``hedge_worker_id`` but is not re-sent;
+    * ``"degraded"`` — an in-process classical solve owns the entry; the
+      reaper's orphan scan, the hedger and the depth count skip it.
+
+    Popping the entry in :meth:`ClusterEngine._settle` is the only exit.
     """
 
     future: Future
-    worker_id: str
+    #: worker holding the primary copy (``None`` for a request the
+    #: submit-time fallback answers without any worker).
+    worker_id: str | None
     started: float
-    counts_depth: bool
-    fingerprint: str | None = None
-    payload: object | None = None
-    rhs: np.ndarray | None = None
-    params: dict | None = None
-    matrix: object | None = None
-    redispatches: int = 0
+    fingerprint: str
+    payload: object
+    rhs: np.ndarray
+    params: dict
+    matrix: object
     #: per-request :class:`~repro.obs.trace.TraceContext` (``None`` when
     #: tracing is off); spans recorded by the owning worker are adopted into
     #: it at settle time and the finished tree lands in the tracer's ring.
-    trace: object | None = None
+    trace: object | None
     #: ring-ordered replica set at dispatch time (primary first) — the
     #: pre-provisioned failover/hedge candidates for this request.
-    replicas: tuple = ()
-    #: monotonic stamp at which the hedger doubles this request onto a
-    #: replica (``None`` = no hedge armed / already hedged).
-    hedge_at: float | None = None
+    replicas: tuple
+    state: str = "dispatched"
+    redispatches: int = 0
     #: replica currently holding the speculative hedge copy (``None`` = no
     #: hedge in flight); it counts toward that replica's depth until settle.
     hedge_worker_id: str | None = None
@@ -186,24 +196,23 @@ class ClusterEngine:
         tiered store after the primary's first solve so a failover costs a
         cache hit, not a recompile.  ``1`` restores single-owner routing.
     hedging / hedge_after:
-        Tail-latency hedging: when the primary has not answered within the
-        hedge deadline, the request is speculatively doubled onto a replica
-        and the first response wins (the loser's late answer is dropped;
-        both copies leave the depth count at settle).  ``hedge_after``
-        pins the deadline in seconds; ``None`` derives it live as
-        ``3 x cluster p99`` once at least 64 latencies are recorded (so
-        cold clusters never hedge).  ``hedging=False`` disables the hedger
-        thread entirely.
+        Tail-latency hedging: a request whose primary has not answered
+        within the hedge deadline (read once per 5 ms hedger tick) is
+        doubled onto a replica — at most once, retried on a later tick
+        while no replica is eligible — and the first response wins.
+        ``hedge_after`` pins the deadline in seconds; ``None`` derives it
+        live as ``3 x cluster p99`` once at least 64 latencies are recorded
+        (so cold clusters never hedge).  ``hedging=False`` disables the
+        hedger thread entirely.
     respawn:
         Run the :class:`~repro.serving.resilience.Supervisor`: dead workers
-        are respawned (warm-restoring from the tiered store) and re-added
-        to the ring, hung workers (stale heartbeat with queued work) are
-        killed so the same path heals them.  ``False`` restores PR 6's
-        shrink-only behaviour.
-    supervisor_interval / hang_timeout / max_restarts:
-        Supervisor tuning: pass period, heartbeat staleness bound
-        (``None`` disables hang detection) and an optional cap on respawns
-        per worker.
+        are respawned (warm-restoring from the tiered store, under
+        exponential backoff) and re-added to the ring, hung workers (stale
+        heartbeat with queued work) are killed so the same path heals
+        them.  ``False`` restores the shrink-only behaviour.
+    supervisor_interval / hang_timeout:
+        Supervisor tuning: pass period and heartbeat staleness bound
+        (``None`` disables hang detection).
     probe_timeout:
         Seconds a stats probe may take before a silent worker is declared
         hung — used by the supervisor's hang detection and as the default
@@ -233,18 +242,14 @@ class ClusterEngine:
     chaos:
         Optional :class:`~repro.serving.resilience.ChaosSpec` forwarded to
         every worker — the deterministic fault-injection harness.
-    observability:
-        Optional :class:`~repro.obs.Observability` bundle (metrics registry,
-        tracer, event log).  ``None`` builds one from the environment
-        (``REPRO_TRACE`` / ``REPRO_EVENT_LOG``) and the two knobs below.
     trace_sample_rate:
         Deterministic trace sampling rate in ``[0, 1]`` (``None`` follows
         ``REPRO_TRACE``; 0 = tracing fully off, zero per-request overhead).
-        Ignored when ``observability`` is passed.
     event_log_path:
         JSONL file all processes append lifecycle/fault events to
         (``None`` follows ``REPRO_EVENT_LOG``; workers share the path).
-        Ignored when ``observability`` is passed.
+        The engine's :attr:`observability` bundle (metrics registry,
+        tracer, event log) is built from these two knobs.
 
     Use as a context manager (or call :meth:`close`) — worker processes and
     shared-memory segments are released deterministically.
@@ -267,7 +272,6 @@ class ClusterEngine:
                  supervisor_interval: float = 0.2,
                  hang_timeout: float | None = 10.0,
                  probe_timeout: float = 2.0,
-                 max_restarts: int | None = None,
                  max_requests_per_incarnation: int | None = None,
                  retry_policy: RetryPolicy | None = None,
                  max_redispatch: int = 2,
@@ -275,7 +279,6 @@ class ClusterEngine:
                  breaker_failure_threshold: int = 3,
                  breaker_reset_timeout: float = 1.0,
                  chaos=None,
-                 observability: Observability | None = None,
                  trace_sample_rate: float | None = None,
                  event_log_path=None) -> None:
         if num_workers < 1:
@@ -292,12 +295,9 @@ class ClusterEngine:
         self.probe_timeout = float(probe_timeout)
         self._hedge_policy = (HedgePolicy(hedge_after=hedge_after)
                               if hedging else None)
-        if observability is None:
-            from ..obs import EventLog, Tracer
-            observability = Observability(
-                tracer=Tracer(sample_rate=trace_sample_rate),
-                events=EventLog(event_log_path, source="frontend"))
-        self._obs = observability
+        self._obs = Observability(
+            tracer=Tracer(sample_rate=trace_sample_rate),
+            events=EventLog(event_log_path, source="frontend"))
         metrics = self._obs.metrics
         self._ring = HashRing(vnodes=vnodes)
         self._admission = AdmissionController(queue_limit=queue_limit,
@@ -319,7 +319,7 @@ class ClusterEngine:
         self._g_workers_alive = metrics.gauge(
             "cluster_workers_alive", "Workers currently on the hash ring")
         self._g_inflight = metrics.gauge(
-            "cluster_inflight", "Requests currently dispatched")
+            "cluster_inflight", "Solve requests currently in flight")
         self._latency = metrics.histogram(
             "cluster_latency_seconds",
             "Submit-to-settle latency").labelled()
@@ -337,10 +337,12 @@ class ClusterEngine:
             context = multiprocessing.get_context()
         self._context = context
         self._lock = threading.Lock()
-        #: request_id -> :class:`_Inflight`; ``counts_depth`` is False for
-        #: control traffic (stats probes), which must never occupy
-        #: admission slots.
+        #: request_id -> :class:`_Inflight`: admitted solve requests only.
         self._inflight: dict[int, _Inflight] = {}
+        #: request_id -> (worker_id, future) for control round-trips (stats
+        #: probes, drain handshakes): off the request table, so they never
+        #: occupy admission slots and are never redispatched.
+        self._control: dict[int, tuple[str, Future]] = {}
         self._request_ids = itertools.count()
         #: id(matrix) -> (fingerprint, memo payload, weakref); see
         #: :meth:`_prepare_matrix` for why the reference must be weak.
@@ -414,7 +416,6 @@ class ClusterEngine:
                 self, interval=supervisor_interval,
                 hang_timeout=hang_timeout,
                 probe_timeout=self.probe_timeout,
-                max_restarts=max_restarts,
                 max_requests_per_incarnation=max_requests_per_incarnation)
             self._supervisor.start()
         self._hedger: threading.Thread | None = None
@@ -458,13 +459,13 @@ class ClusterEngine:
     def _depth_of(self, worker_id: str) -> int:
         """Live request copies on ``worker_id`` (caller holds ``_lock``).
 
-        Derived, never stored: the in-flight entries (stats probes and drain
-        handshakes excluded) whose primary or hedge copy sits on that
-        worker.  Admission, drain quiescence, ``stats()`` and the
-        supervisor's hang check all read it.
+        Derived, never stored: the request entries not owned by the
+        degraded fallback whose primary or hedge copy sits on that worker.
+        Admission, drain quiescence, ``stats()`` and the supervisor's hang
+        check all read it.
         """
         return sum(1 for entry in self._inflight.values()
-                   if entry.counts_depth
+                   if entry.state != "degraded"
                    and (entry.worker_id == worker_id
                         or entry.hedge_worker_id == worker_id))
 
@@ -535,6 +536,8 @@ class ClusterEngine:
     def _submit_once(self, matrix, fingerprint: str, payload, rhs_wire,
                      params: dict, tenant: str | None, trace=None) -> Future:
         """One routing/admission/dispatch attempt (see :meth:`submit`)."""
+        degrade_reason = None
+        worker_id = None
         try:
             if trace is not None:
                 with trace.span("route", fingerprint=fingerprint[:16]):
@@ -547,34 +550,42 @@ class ClusterEngine:
             # every worker is gone: either answer classically (and visibly
             # degraded) or let the retriable error reach the retry loop —
             # the supervisor may be mid-respawn.
-            if self.degraded_fallback:
-                return self._degraded_future(matrix, rhs_wire, trace=trace,
-                                             reason="empty_ring")
-            raise
-        # prefer the ring primary, but fail over *instantly* to the next
-        # live replica when the primary's breaker refuses — replicas are
-        # warm, so the detour costs a cache hit, not a recompile.
-        worker_id = select_replica(replicas, breakers=self._breakers,
-                                   retired=self._retired)
-        if worker_id is None:
-            self._admission.note_breaker_shed()
-            if self.degraded_fallback:
-                return self._degraded_future(matrix, rhs_wire, trace=trace,
-                                             reason="breaker_open")
-            breaker = self._breakers.get(replicas[0])
-            raise CircuitOpenError(
-                f"worker {replicas[0]!r} breaker is open after consecutive "
-                "failures (and no replica is eligible); probe admitted when "
-                "it half-opens",
-                retry_after=(None if breaker is None
-                             else breaker.retry_after()))
+            if not self.degraded_fallback:
+                raise
+            replicas, degrade_reason = (), "empty_ring"
+        if degrade_reason is None:
+            # prefer the ring primary, but fail over *instantly* to the next
+            # live replica when the primary's breaker refuses — replicas
+            # are warm, so the detour costs a cache hit, not a recompile.
+            worker_id = select_replica(replicas, breakers=self._breakers,
+                                       retired=self._retired)
+            if worker_id is None:
+                self._admission.note_breaker_shed()
+                if not self.degraded_fallback:
+                    breaker = self._breakers.get(replicas[0])
+                    raise CircuitOpenError(
+                        f"worker {replicas[0]!r} breaker is open after "
+                        "consecutive failures (and no replica is eligible); "
+                        "probe admitted when it half-opens",
+                        retry_after=(None if breaker is None
+                                     else breaker.retry_after()))
+                replicas, degrade_reason = (), "breaker_open"
         future: Future = Future()
         future.worker_id = worker_id
         if trace is not None:
             future.trace_id = trace.trace_id
         request_id = next(self._request_ids)
-        hedge_after = self.hedge_deadline()
-        admit_started = time.monotonic()
+        entry = _Inflight(future=future, worker_id=worker_id,
+                          started=time.monotonic(), fingerprint=fingerprint,
+                          payload=payload, rhs=rhs_wire, params=params,
+                          matrix=matrix, trace=trace,
+                          replicas=tuple(replicas))
+        if degrade_reason is not None:
+            with self._lock:
+                self._inflight[request_id] = entry
+            self._m_submitted.inc()
+            self._degrade(request_id, entry, degrade_reason)
+            return future
         with self._lock:
             # admit under the lock so the depth check and the new entry are
             # atomic (two racing submits must not both squeeze under the
@@ -582,53 +593,81 @@ class ClusterEngine:
             self._admission.admit(worker_id, self._depth_of(worker_id),
                                   tenant=tenant,
                                   draining=self._ring.is_draining(worker_id))
-            started = time.monotonic()
-            self._inflight[request_id] = _Inflight(
-                future=future, worker_id=worker_id, started=started,
-                counts_depth=True, fingerprint=fingerprint, payload=payload,
-                rhs=rhs_wire, params=params, matrix=matrix, trace=trace,
-                replicas=tuple(replicas),
-                hedge_at=(None if hedge_after is None or len(replicas) < 2
-                          else started + hedge_after))
-            self._incarnation_dispatched[worker_id] = (
-                self._incarnation_dispatched.get(worker_id, 0) + 1)
-            requests = self._workers[worker_id]["requests"]
+            self._inflight[request_id] = entry
         self._m_submitted.inc()
         if trace is not None:
-            trace.add_span("admit", start=admit_started,
-                           duration=time.monotonic() - admit_started,
+            trace.add_span("admit", start=entry.started,
+                           duration=time.monotonic() - entry.started,
                            worker=worker_id)
-            # stamped at dispatch time so the worker-side queue_wait span
-            # measures exactly the cross-process queue (both ends read
+        self._send(request_id, entry, worker_id, transitions=(
+            () if worker_id == replicas[0] else
+            (("failover", {"worker_from": replicas[0], "worker_to": worker_id,
+                           "reason": "breaker_open"}),)))
+        return future
+
+    def _send(self, request_id: int, entry: _Inflight, target: str, *,
+              hedge: bool = False, lost_owner: str | None = None,
+              transitions: tuple = ()) -> None:
+        """Put one copy of a solve request on ``target``'s queue.
+
+        The only place a ``MSG_SOLVE`` message is built: the primary copy
+        at submit, a ``hedge`` copy, and a redispatch off ``lost_owner``.
+        Under the lock it checks the entry is still live (and unhedged, or
+        still on ``lost_owner``), moves the copy to ``target`` and reads
+        the queue.  ``transitions`` are recorded once the put succeeds.  A
+        closed queue, or a target retired or respawned by the time the put
+        returns (the reaper and the supervisor swap that state under the
+        lock, so one side always sees the other), loses the copy: a hedge
+        copy is dropped, a primary copy goes down the owner-lost ladder.
+        """
+        with self._lock:
+            if self._inflight.get(request_id) is not entry:
+                return
+            if hedge:
+                if entry.state != "dispatched":
+                    return
+                entry.state = "hedged"
+                entry.hedge_worker_id = target
+            else:
+                if entry.state == "degraded" or (
+                        lost_owner is not None
+                        and entry.worker_id != lost_owner):
+                    return
+                if lost_owner is not None:
+                    # quota was paid at admission, so a redispatch never
+                    # re-runs admission (shedding an *admitted* request
+                    # would be a silent drop).
+                    entry.redispatches += 1
+                entry.worker_id = target
+                entry.future.worker_id = target
+            self._incarnation_dispatched[target] = (
+                self._incarnation_dispatched.get(target, 0) + 1)
+            requests = self._workers[target]["requests"]
+        params = entry.params
+        if entry.trace is not None:
+            # stamped per copy so the worker-side queue_wait span measures
+            # exactly *this* cross-process queue (both ends read
             # CLOCK_MONOTONIC, which is system-wide on Linux).
-            params["trace"] = trace.to_wire()
-        message = (MSG_SOLVE, request_id, payload, rhs_wire, params)
+            params = dict(params, trace=entry.trace.to_wire())
         try:
-            requests.put(message)
+            requests.put((MSG_SOLVE, request_id, entry.payload, entry.rhs,
+                          params))
         except (ValueError, OSError):
-            # the owner's queue was closed under us (a respawn swapped it
-            # after we read it): move the request, as the lost check below.
-            self._handle_owner_lost(request_id, worker_id)
-            return future
+            sent = False
         except BaseException as exc:
             self._settle(request_id, None, exc)
             raise
-        if worker_id != replicas[0]:
-            self._record("failover", trace, worker_from=replicas[0],
-                         worker_to=worker_id, reason="breaker_open")
-        # Close the submit/reap/respawn races: between route() and the put
-        # above, the reaper may have retired this worker (its orphan scan ran
-        # too early to see us) or the supervisor may have respawned it (our
-        # message sits in the *old* incarnation's queue that nobody reads).
-        # Both transitions swap state under the lock, so re-checking here
-        # guarantees at least one side observes the other; the owner-lost
-        # path is idempotent, so double-handling is harmless.
+        else:
+            sent = True
+            for kind, fields in transitions:
+                self._record(kind, entry, **fields)
         with self._lock:
-            lost = (worker_id in self._retired
-                    or self._workers[worker_id]["requests"] is not requests)
-        if lost:
-            self._handle_owner_lost(request_id, worker_id)
-        return future
+            lost = (not sent or target in self._retired
+                    or self._workers[target]["requests"] is not requests)
+            if lost and hedge and entry.hedge_worker_id == target:
+                entry.hedge_worker_id = None  # the primary still answers
+        if lost and not hedge:  # a redispatch chain is bounded by the budget
+            self._handle_owner_lost(request_id, target)
 
     def solve(self, matrix, rhs, **kwargs) -> SingleSolveRecord:
         """Blocking convenience wrapper: ``submit(...).result()``."""
@@ -702,80 +741,56 @@ class ClusterEngine:
                 pass
 
     def _scan_hedges(self) -> None:
+        """One hedger tick: read the deadline once, hedge what is overdue
+        (only ``dispatched`` entries with a replica to spare qualify)."""
         now = time.monotonic()
         with self._lock:
-            due = [request_id for request_id, entry in self._inflight.items()
-                   if entry.hedge_at is not None
-                   and entry.hedge_worker_id is None
-                   and entry.counts_depth and entry.payload is not None
-                   and now >= entry.hedge_at]
-        for request_id in due:
-            self._maybe_hedge(request_id)
+            candidates = [(request_id, entry) for request_id, entry
+                          in self._inflight.items()
+                          if entry.state == "dispatched"
+                          and len(entry.replicas) > 1]
+        if not candidates:
+            return
+        deadline = self.hedge_deadline()
+        if deadline is None:
+            return
+        for request_id, entry in candidates:
+            if now - entry.started >= deadline:
+                self._maybe_hedge(request_id, entry)
 
-    def _maybe_hedge(self, request_id: int) -> None:
+    def _maybe_hedge(self, request_id: int, entry: _Inflight) -> None:
         """Speculatively dispatch one overdue request to a live replica.
 
         First response wins: :meth:`_settle` pops the entry exactly once,
         so the loser's late answer is dropped and both copies leave the
         depth count together.  The duplicate reuses the same ``request_id`` —
-        idempotent settling is what makes hedging safe.
+        idempotent settling is what makes hedging safe.  With no eligible
+        replica the entry stays ``dispatched`` and a later tick retries:
+        the blocking condition (a drain window, an open breaker) usually
+        clears long before a gray primary's stall would.
         """
-        with self._lock:
-            entry = self._inflight.get(request_id)
-            if (entry is None or entry.hedge_at is None
-                    or entry.hedge_worker_id is not None):
-                return
+        primary = entry.worker_id
         draining = set(self._ring.draining)
         target = select_replica(entry.replicas, breakers=self._breakers,
                                 retired=self._retired, draining=draining,
-                                exclude=(entry.worker_id,))
+                                exclude=(primary,))
         if target is None:
-            # the stored replica set can be *transiently* ineligible (a
-            # drain window, an open breaker): a fresh ring walk may
-            # surface the next live worker beyond the original R-set.
+            # the stored replica set can be *transiently* ineligible: a
+            # fresh ring walk may surface the next live worker beyond the
+            # original R-set.
             try:
                 fresh = self._ring.route_replicas(entry.fingerprint,
                                                   max(len(self._ring), 1))
             except (WorkerUnavailableError, ValueError):
-                fresh = []
+                return
             target = select_replica(fresh, breakers=self._breakers,
                                     retired=self._retired,
-                                    draining=draining,
-                                    exclude=(entry.worker_id,))
-        deadline = self.hedge_deadline()
-        with self._lock:
-            if self._inflight.get(request_id) is not entry:
-                return
+                                    draining=draining, exclude=(primary,))
             if target is None:
-                # defer one deadline rather than cancel: the blocking
-                # condition usually clears (undrain, breaker close) long
-                # before a gray primary's stall would.
-                entry.hedge_at = (None if deadline is None
-                                  else time.monotonic() + deadline)
                 return
-            entry.hedge_at = None
-            entry.hedge_worker_id = target
-            primary = entry.worker_id
-            self._incarnation_dispatched[target] = (
-                self._incarnation_dispatched.get(target, 0) + 1)
-            requests = self._workers[target]["requests"]
-        params = entry.params
-        if entry.trace is not None:
-            # copy so the hedge's re-stamped enqueued_at cannot race the
-            # primary entry's params (redispatch also reads them).
-            params = dict(params)
-            params["trace"] = entry.trace.to_wire()
-        message = (MSG_SOLVE, request_id, entry.payload, entry.rhs, params)
-        try:
-            requests.put(message)
-        except (ValueError, OSError):
-            with self._lock:
-                if (self._inflight.get(request_id) is entry
-                        and entry.hedge_worker_id == target):
-                    entry.hedge_worker_id = None
-            return
-        self._record("hedge_dispatch", entry, worker_primary=primary,
-                     worker_hedge=target)
+        self._send(request_id, entry, target, hedge=True, transitions=(
+            ("hedge_dispatch", {"worker_primary": primary,
+                                "worker_hedge": target}),))
 
     def _warm_replicas(self, entry: _Inflight) -> None:
         """Send this request's synthesis to its other replicas (advisory).
@@ -787,11 +802,9 @@ class ClusterEngine:
         Memoised per (worker, incarnation, fingerprint) so steady traffic
         warms each replica exactly once per synthesis.
         """
-        if (self.replication_factor < 2 or entry.payload is None
-                or entry.fingerprint is None or len(entry.replicas) < 2
-                or self._closing.is_set()):
+        if len(entry.replicas) < 2 or self._closing.is_set():
             return
-        params = entry.params or {}
+        params = entry.params
         warm_params = {
             "epsilon_l": params.get("epsilon_l", 1e-2),
             "backend": params.get("backend", "auto"),
@@ -891,7 +904,7 @@ class ClusterEngine:
                          spans=payload[2] if len(payload) > 2 else None,
                          from_worker=worker_id)
         elif kind in ("stats", "drained"):
-            self._settle(request_id, payload[0], None, record_latency=False)
+            self._resolve_control(request_id, payload[0])
         elif kind == "event":
             # a worker-side lifecycle/fault event (already on the shared
             # JSONL file from the worker's own log): fold it into the front
@@ -902,17 +915,15 @@ class ClusterEngine:
             if worker is not None:
                 worker["final_stats"] = payload[0]
 
-    def _settle(self, request_id, result, error, *,
-                record_latency: bool = True, spans=None,
+    def _settle(self, request_id, result, error, *, spans=None,
                 from_worker: str | None = None) -> None:
-        """Resolve one in-flight future and release its queue slot(s).
+        """Resolve one solve request: the only way out of the request table.
 
-        Idempotent (the first caller pops the entry; later ones no-op), and
-        safe against caller-side ``Future.cancel()`` — a cancelled future
-        rejects ``set_result``/``set_exception``, and raising here would kill
-        the collector thread, so the slot is released and the settle skipped.
-        ``spans`` are worker-recorded span dicts adopted into the request's
-        trace before it is finished into the tracer's ring.
+        Idempotent (the first caller pops the entry; later ones no-op).
+        Counts the outcome once: ``completed``, ``degraded``, ``error``, or
+        ``cancelled`` when the caller's ``Future.cancel()`` won — then
+        nothing is delivered.  ``spans`` are worker-recorded span dicts
+        adopted into the request's trace before it is finished.
 
         ``from_worker`` names the worker whose response triggered this
         settle.  For a hedged request both copies share one ``request_id``;
@@ -925,46 +936,55 @@ class ClusterEngine:
             entry = self._inflight.pop(request_id, None)
         if entry is None:
             return
-        if (entry.counts_depth and entry.hedge_worker_id is not None
+        if (entry.hedge_worker_id is not None
                 and from_worker == entry.hedge_worker_id):
             self._record("hedge_win", entry, worker_primary=entry.worker_id,
                          worker_hedge=from_worker)
-        if (from_worker is not None and entry.counts_depth
-                and error is None):
-            # the worker that actually answered (hedge wins move it)
-            entry.future.worker_id = from_worker
-        degraded = isinstance(result, SingleSolveRecord) and result.degraded
-        if entry.counts_depth:
-            if error is not None:
-                self._m_requests.inc(outcome="error")
-            else:
-                self._m_requests.inc(
-                    outcome="degraded" if degraded else "completed")
+        future = entry.future
+        if not future.set_running_or_notify_cancel():
+            status = "cancelled"
+        elif error is not None:
+            status = "error"
+        else:
+            status = "degraded" if result.degraded else "ok"
+        self._m_requests.inc(
+            outcome="completed" if status == "ok" else status)
+        if status in ("ok", "degraded"):
+            self._latency.record(time.monotonic() - entry.started)
         trace = entry.trace
         if trace is not None:
             if spans:
                 trace.adopt(spans)
             self._obs.tracer.finish(
-                trace,
-                status=("error" if error is not None
-                        else "degraded" if degraded else "ok"),
-                worker=entry.worker_id,
+                trace, status=status, worker=entry.worker_id,
                 redispatches=entry.redispatches,
                 error=None if error is None else type(error).__name__)
-        future = entry.future
-        if not future.set_running_or_notify_cancel():
-            return  # caller cancelled; the slot above is already released
+        if status == "cancelled":
+            return
         if error is not None:
             future.set_exception(error)
+            return
+        if from_worker is not None:
+            # the worker that actually answered (hedge wins move it)
+            future.worker_id = from_worker
+        future.set_result(result)
+        if status == "ok":
+            # warm-on-settle: the answering worker's cache has already
+            # persisted this synthesis to the store, so replicas can
+            # restore it from disk now and failover stays a cache hit.
+            self._warm_replicas(entry)
+
+    def _resolve_control(self, request_id, reply=None,
+                         error: BaseException | None = None) -> None:
+        """Answer (or fail) one control round-trip; idempotent."""
+        with self._lock:
+            slot = self._control.pop(request_id, None)
+        if slot is None:
+            return  # timed out, or already failed by the reaper
+        if error is None:
+            slot[1].set_result(reply)
         else:
-            if record_latency and isinstance(result, SingleSolveRecord):
-                self._latency.record(time.monotonic() - entry.started)
-            future.set_result(result)
-            if isinstance(result, SingleSolveRecord) and not degraded:
-                # warm-on-settle: the answering worker's cache has already
-                # persisted this synthesis to the store, so replicas can
-                # restore it from disk now and failover stays a cache hit.
-                self._warm_replicas(entry)
+            slot[1].set_exception(error)
 
     def _reap_dead_workers(self) -> None:
         """Retire crashed workers: shrink the ring, redispatch their in-flight.
@@ -999,16 +1019,25 @@ class ClusterEngine:
         # Orphan scan over *all* retired owners, every pass — not only at
         # retirement time: a submit racing the retirement may register its
         # entry just after a one-shot scan, and the retired check in submit
-        # plus this rescan together guarantee the future settles.
+        # plus this rescan together guarantee the future settles.  An entry
+        # the degraded fallback owns is no orphan: its solve is running.
         with self._lock:
             orphaned = [(request_id, entry.worker_id) for request_id, entry
                         in self._inflight.items()
-                        if entry.worker_id in self._retired]
+                        if entry.state != "degraded"
+                        and entry.worker_id in self._retired]
             # a *hedge* copy on a dead worker is simply dropped: the
             # primary still answers.
             for entry in self._inflight.values():
                 if entry.hedge_worker_id in self._retired:
                     entry.hedge_worker_id = None
+            # a control round-trip to a dead worker can never be answered.
+            dead_control = [request_id for request_id, (worker_id, _)
+                            in self._control.items()
+                            if worker_id in self._retired]
+        for request_id in dead_control:
+            self._resolve_control(request_id, error=WorkerUnavailableError(
+                "worker died before answering a control message"))
         for request_id, owner in orphaned:
             self._handle_owner_lost(request_id, owner)
 
@@ -1022,33 +1051,30 @@ class ClusterEngine:
         :attr:`max_redispatch` budget lasts → classical in-process solve
         with ``degraded=True`` → typed retriable failure.  Whatever branch
         runs, the future settles — no admitted request is silently dropped.
-        Idempotent: the entry may already be settled or moved by a
-        concurrent caller, in which case this is a no-op.
+        Idempotent: the entry may already be settled, moved or degrading
+        by a concurrent caller, in which case this is a no-op.
         """
         draining = set(self._ring.draining)
         with self._lock:
             entry = self._inflight.get(request_id)
-            if entry is None or entry.worker_id != owner:
-                return  # settled, or already redispatched elsewhere
+            if (entry is None or entry.worker_id != owner
+                    or entry.state == "degraded"):
+                return  # settled, already redispatched, or degrading
             hedge = entry.hedge_worker_id
-            if (hedge is not None and hedge not in self._retired
-                    and hedge in self._workers):
+            promoted = (hedge is not None and hedge not in self._retired
+                        and hedge in self._workers)
+            if promoted:
                 # the hedge copy is live on a replica: promote it to
                 # primary.  No new dispatch needed — failover latency is
                 # bounded by the hedge already running.
                 entry.worker_id = hedge
                 entry.hedge_worker_id = None
-                promoted = hedge
-            else:
-                promoted = None
-                redispatchable = (entry.counts_depth
-                                  and entry.payload is not None
-                                  and entry.redispatches < self.max_redispatch
-                                  and not self._closing.is_set())
-        if promoted is not None:
-            entry.future.worker_id = promoted
+            redispatchable = (entry.redispatches < self.max_redispatch
+                              and not self._closing.is_set())
+        if promoted:
+            entry.future.worker_id = hedge
             self._record("failover", entry, worker_from=owner,
-                         worker_to=promoted, reason="hedge_promoted")
+                         worker_to=hedge, reason="hedge_promoted")
             return
         if redispatchable:
             # prefer the request's own replica set (warm by construction)
@@ -1064,100 +1090,53 @@ class ClusterEngine:
                 except WorkerUnavailableError:
                     new_owner = None
             if new_owner is not None:
-                with self._lock:
-                    # atomic move; quota was paid at admission, so
-                    # redispatch never re-runs admission (shedding an
-                    # *admitted* request would be a silent drop, the one
-                    # outcome this path exists to prevent).
-                    if self._inflight.get(request_id) is not entry:
-                        return
-                    entry.worker_id = new_owner
-                    entry.redispatches += 1
-                    hop = entry.redispatches
-                    self._incarnation_dispatched[new_owner] = (
-                        self._incarnation_dispatched.get(new_owner, 0) + 1)
-                    requests = self._workers[new_owner]["requests"]
-                entry.future.worker_id = new_owner
-                if entry.trace is not None:
-                    # re-stamp enqueued_at: the new owner's queue_wait span
-                    # must measure *its* queue, not the dead worker's.
-                    entry.params["trace"] = entry.trace.to_wire()
-                message = (MSG_SOLVE, request_id, entry.payload, entry.rhs,
-                           entry.params)
-                try:
-                    requests.put(message)
-                except (ValueError, OSError):
-                    self._handle_owner_lost(request_id, new_owner)
-                    return
-                if via_replica:
-                    self._record("failover", entry, worker_from=owner,
-                                 worker_to=new_owner,
-                                 reason="replica_redispatch")
-                self._record("redispatch", entry, worker_from=owner,
-                             worker_to=new_owner, hop=hop)
-                with self._lock:
-                    lost = (new_owner in self._retired
-                            or self._workers[new_owner]["requests"]
-                            is not requests)
-                if lost:  # bounded by the redispatch budget
-                    self._handle_owner_lost(request_id, new_owner)
+                moved = {"worker_from": owner, "worker_to": new_owner}
+                transitions = (
+                    (("failover", dict(moved, reason="replica_redispatch")),)
+                    if via_replica else ()) + (
+                    ("redispatch", dict(moved, hop=entry.redispatches + 1)),)
+                self._send(request_id, entry, new_owner, lost_owner=owner,
+                           transitions=transitions)
                 return
-        if (self.degraded_fallback and entry.counts_depth
-                and entry.matrix is not None and entry.rhs is not None):
+        if self.degraded_fallback:
             # solve classically off-thread: this path runs on the collector
             # / supervisor threads, which must keep servicing the fleet.
-            matrix, rhs = entry.matrix, entry.rhs
-            self._record("degraded_fallback", entry, worker=owner,
-                         reason="owner_lost", hops=entry.redispatches)
-
-            def degrade() -> None:
-                started = time.monotonic()
-                try:
-                    record = _degraded_record(matrix, rhs)
-                except Exception as exc:  # noqa: BLE001 - settle, not raise
-                    self._settle(request_id, None, exc)
-                else:
-                    if entry.trace is not None:
-                        entry.trace.add_span(
-                            "degraded", start=started,
-                            duration=time.monotonic() - started,
-                            reason="owner_lost")
-                    self._settle(request_id, record, None)
-            threading.Thread(target=degrade, name="repro-degraded-solve",
-                             daemon=True).start()
+            threading.Thread(target=self._degrade,
+                             args=(request_id, entry, "owner_lost"),
+                             name="repro-degraded-solve", daemon=True).start()
             return
         self._settle(request_id, None, WorkerUnavailableError(
             f"worker {owner!r} died with the request in flight; "
             "its fingerprints now route to the surviving workers"))
 
-    def _degraded_future(self, matrix, rhs, trace=None,
-                         reason: str = "") -> Future:
-        """Already-settled future answered by the classical fallback."""
-        future: Future = Future()
-        future.worker_id = None
-        if trace is not None:
-            future.trace_id = trace.trace_id
-        self._record("degraded_fallback", trace, reason=reason)
+    def _degrade(self, request_id: int, entry: _Inflight,
+                 reason: str) -> None:
+        """Answer one request from the in-process classical fallback.
+
+        Moves the entry to ``degraded`` — at most once, so a reaper pass
+        that finds the dead owner again while the solve runs starts no
+        second one — then solves, adds the ``degraded`` span and settles
+        through :meth:`_settle`, which counts the outcome, records the
+        latency and finishes the trace.
+        """
+        with self._lock:
+            if (self._inflight.get(request_id) is not entry
+                    or entry.state == "degraded"):
+                return
+            entry.state = "degraded"
+        self._record("degraded_fallback", entry, worker=entry.worker_id,
+                     reason=reason, hops=entry.redispatches)
         started = time.monotonic()
-        self._m_submitted.inc()
         try:
-            record = _degraded_record(matrix, rhs)
+            record = _degraded_record(entry.matrix, entry.rhs)
         except Exception as exc:  # noqa: BLE001 - the future carries it
-            self._m_requests.inc(outcome="error")
-            if trace is not None:
-                self._obs.tracer.finish(trace, status="error",
-                                        error=type(exc).__name__)
-            future.set_exception(exc)
-            return future
-        self._m_requests.inc(outcome="degraded")
-        self._latency.record(time.monotonic() - started)
-        if trace is not None:
-            trace.add_span("degraded", start=started,
-                           duration=time.monotonic() - started,
-                           reason=reason)
-            self._obs.tracer.finish(trace, status="degraded", worker=None)
-        future.set_result(record)
-        return future
+            self._settle(request_id, None, exc)
+            return
+        if entry.trace is not None:
+            entry.trace.add_span("degraded", start=started,
+                                 duration=time.monotonic() - started,
+                                 reason=reason)
+        self._settle(request_id, record, None)
 
     # ------------------------------------------------------------------ #
     # supervision mechanics (policy lives in resilience.Supervisor)
@@ -1222,29 +1201,50 @@ class ClusterEngine:
         """
         if timeout is None:
             timeout = self.probe_timeout
-        worker = self._workers.get(worker_id)
-        if worker is None:
-            return False
-        future: Future = Future()
-        request_id = next(self._request_ids)
-        with self._lock:
-            if worker_id in self._retired:
-                return False
-            requests = worker["requests"]
-            self._inflight[request_id] = _Inflight(
-                future=future, worker_id=worker_id,
-                started=time.monotonic(), counts_depth=False)
+        reply = self._round_trip(MSG_STATS, [worker_id], timeout).get(
+            worker_id)
+        return reply is not None and not isinstance(reply, Exception)
+
+    def _round_trip(self, kind: str, worker_ids, timeout: float) -> dict:
+        """Send one control message to each worker; collect the replies.
+
+        Stats probes and drain handshakes stay off the request table, in
+        :attr:`_control`: they never occupy admission slots, and the reaper
+        fails those of a dead worker.  All workers are asked first, then
+        awaited under one shared ``timeout``.  Returns ``{worker_id:
+        reply}``, the reply being the answer or the exception standing for
+        it; unknown and retired workers are left out.  Every slot is
+        released on return, so polling a wedged worker leaks nothing.
+        """
+        pending: dict[str, tuple[int, Future]] = {}
+        for worker_id in worker_ids:
+            future: Future = Future()
+            request_id = next(self._request_ids)
+            with self._lock:
+                worker = self._workers.get(worker_id)
+                if worker is None or worker_id in self._retired:
+                    continue
+                requests = worker["requests"]
+                self._control[request_id] = (worker_id, future)
+            pending[worker_id] = (request_id, future)
+            try:
+                requests.put((kind, request_id))
+            except (ValueError, OSError) as exc:
+                self._resolve_control(request_id, error=exc)
+        deadline = time.monotonic() + timeout
+        replies = {}
         try:
-            requests.put((MSG_STATS, request_id))
-        except (ValueError, OSError):
-            self._settle(request_id, None, None, record_latency=False)
-            return False
-        try:
-            future.result(timeout=timeout)
-            return True
-        except Exception:  # noqa: BLE001 - timeout or torn-down future
-            self._settle(request_id, None, None, record_latency=False)
-            return False
+            for worker_id, (_, future) in pending.items():
+                try:
+                    replies[worker_id] = future.result(
+                        timeout=max(0.0, deadline - time.monotonic()))
+                except Exception as exc:  # noqa: BLE001 - reported as reply
+                    replies[worker_id] = exc
+        finally:
+            with self._lock:
+                for request_id, _ in pending.values():
+                    self._control.pop(request_id, None)
+        return replies
 
     # ------------------------------------------------------------------ #
     # zero-downtime operations
@@ -1267,30 +1267,17 @@ class ClusterEngine:
         self._event("worker_drain", worker=worker_id)
         with self._lock:
             already_dead = worker_id in self._retired
-            requests = self._workers[worker_id]["requests"]
         if already_dead:
             # nothing can be in flight inside a dead process; the reaper
             # already moved (or will move) its orphans to replicas.
             self._event("worker_drain_complete", worker=worker_id,
                         dead=True)
             return True
-        future: Future = Future()
-        request_id = next(self._request_ids)
-        with self._lock:
-            self._inflight[request_id] = _Inflight(
-                future=future, worker_id=worker_id,
-                started=time.monotonic(), counts_depth=False)
-        try:
-            requests.put((MSG_DRAIN, request_id))
-        except (ValueError, OSError):
-            self._settle(request_id, None, None, record_latency=False)
-            return False
         deadline = time.monotonic() + timeout
-        try:
-            future.result(timeout=timeout)
-        except Exception:  # noqa: BLE001 - timeout / died mid-drain
-            self._settle(request_id, None, None, record_latency=False)
-            return False
+        reply = self._round_trip(MSG_DRAIN, [worker_id], timeout).get(
+            worker_id)
+        if reply is None or isinstance(reply, Exception):
+            return False  # timed out, or died mid-drain
         # the worker's pending set is empty; now wait for the front end's
         # own accounting to settle (responses may still be in the pipe).
         while time.monotonic() < deadline:
@@ -1373,41 +1360,22 @@ class ClusterEngine:
     def worker_stats(self, timeout: float = 5.0) -> dict:
         """Per-worker telemetry snapshots (cache, coalescing, queue depth).
 
-        Stats probes ride the worker request queues but are *control*
-        traffic: they never count against the admission ``queue_limit``
-        (``counts_depth=False``), so monitoring cannot shed — or be shed by
-        — solve load, and a probe that times out releases its in-flight
-        entry instead of leaking it on every poll of a wedged worker.
+        Stats probes are *control* traffic (see :meth:`_round_trip`): they
+        never count against the admission ``queue_limit``, so monitoring
+        cannot shed — or be shed by — solve load, and a probe that times
+        out releases its slot instead of leaking it on every poll of a
+        wedged worker.
         """
-        pending: dict[str, tuple[int, Future]] = {}
-        for worker_id, worker in self._workers.items():
-            future: Future = Future()
-            request_id = next(self._request_ids)
-            with self._lock:
-                if worker_id in self._retired:
-                    continue
-                requests = worker["requests"]
-                self._inflight[request_id] = _Inflight(
-                    future=future, worker_id=worker_id,
-                    started=time.monotonic(), counts_depth=False)
-            try:
-                requests.put((MSG_STATS, request_id))
-            except (ValueError, OSError):  # pragma: no cover - queue torn down
-                self._settle(request_id, None, None, record_latency=False)
-                continue
-            pending[worker_id] = (request_id, future)
         snapshots = {}
-        for worker_id, (request_id, future) in pending.items():
-            try:
-                snapshots[worker_id] = future.result(timeout=timeout)
-                if isinstance(snapshots[worker_id], dict) \
-                        and snapshots[worker_id].get("metrics") is not None:
-                    self._metrics_seen[worker_id] = time.monotonic()
-            except FutureTimeoutError:
-                self._settle(request_id, None, None, record_latency=False)
-                snapshots[worker_id] = {"error": "stats probe timed out"}
-            except Exception as exc:  # noqa: BLE001
-                snapshots[worker_id] = {"error": f"{type(exc).__name__}: {exc}"}
+        for worker_id, reply in self._round_trip(
+                MSG_STATS, list(self._workers), timeout).items():
+            if isinstance(reply, FutureTimeoutError):
+                reply = {"error": "stats probe timed out"}
+            elif isinstance(reply, Exception):
+                reply = {"error": f"{type(reply).__name__}: {reply}"}
+            elif reply.get("metrics") is not None:
+                self._metrics_seen[worker_id] = time.monotonic()
+            snapshots[worker_id] = reply
         with self._lock:
             retired = sorted(self._retired)
         for worker_id in retired:
@@ -1570,9 +1538,13 @@ class ClusterEngine:
         # fail whatever is still unresolved, then let the collector exit.
         with self._lock:
             orphaned = list(self._inflight)
+            control = list(self._control)
         for request_id in orphaned:
             self._settle(request_id, None,
                          WorkerUnavailableError("cluster engine closed"))
+        for request_id in control:
+            self._resolve_control(request_id, error=WorkerUnavailableError(
+                "cluster engine closed"))
         self._collector.join(timeout=2.0)
         if self._registry is not None:
             self._registry.close()

@@ -621,7 +621,6 @@ class Supervisor:
                  hang_timeout: float | None = 10.0,
                  probe_timeout: float = 2.0, backoff_base: float = 0.05,
                  backoff_cap: float = 2.0, stable_after: float = 5.0,
-                 max_restarts: int | None = None,
                  max_requests_per_incarnation: int | None = None) -> None:
         if interval <= 0.0:
             raise ValueError("interval must be > 0")
@@ -637,7 +636,6 @@ class Supervisor:
         self.backoff_base = float(backoff_base)
         self.backoff_cap = float(backoff_cap)
         self.stable_after = float(stable_after)
-        self.max_restarts = max_restarts
         self.max_requests_per_incarnation = max_requests_per_incarnation
         self._lock = threading.Lock()
         #: worker_id -> (consecutive short-lived incarnations, next allowed at)
@@ -646,7 +644,6 @@ class Supervisor:
         self._hang_kills = 0
         self._recycles = 0
         self._recycling: threading.Thread | None = None
-        self._exhausted: set[str] = set()
         self._thread = threading.Thread(target=self._run,
                                         name="repro-serving-supervisor",
                                         daemon=True)
@@ -734,13 +731,6 @@ class Supervisor:
             pass
 
     def _maybe_respawn(self, worker_id: str, info: dict, now: float) -> None:
-        # every respawn starts the next incarnation, so the incarnation
-        # number is the worker's restart count.
-        restarts = info["config"].incarnation
-        if self.max_restarts is not None and restarts >= self.max_restarts:
-            with self._lock:
-                self._exhausted.add(worker_id)
-            return
         with self._lock:
             consecutive, not_before = self._backoff.get(worker_id, (0, 0.0))
             if now < not_before:
@@ -763,8 +753,7 @@ class Supervisor:
                     "hang_timeout": self.hang_timeout,
                     "probe_timeout": self.probe_timeout,
                     "max_requests_per_incarnation":
-                        self.max_requests_per_incarnation,
-                    "exhausted": sorted(self._exhausted)}
+                        self.max_requests_per_incarnation}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"Supervisor(respawns={self._respawns}, "

@@ -42,6 +42,7 @@ from repro.exceptions import (
 from repro.linalg import random_matrix_with_condition_number, random_rhs
 from repro.serving import (
     AdmissionController,
+    ChaosSpec,
     ClusterEngine,
     HashRing,
     ServingHTTPServer,
@@ -525,16 +526,31 @@ class TestClusterEngine:
             assert record.scaled_residual < 1e-2
 
     def test_cancelled_future_does_not_kill_the_collector(self):
+        # the chaos-slowed worker holds every request 0.3 s, so the cancel
+        # always precedes the answer.  The collector must survive settling
+        # a cancelled future, keep serving, and count it as cancelled —
+        # an answer nobody received is not a completed solve.
         matrix, rhs = _spd_system(8, 4.0, 43)
-        with ClusterEngine(num_workers=1) as cluster:
+        with ClusterEngine(num_workers=1, hedging=False,
+                           chaos=ChaosSpec(slow_rate=1.0,
+                                           slow_seconds=0.3)) as cluster:
             future = cluster.submit(matrix, rhs, epsilon_l=1e-2,
                                     backend="ideal", kappa=4.0)
-            future.cancel()  # may race completion; either way the collector
-            # must survive the settle and keep serving other requests.
+            assert future.cancel()
             record = cluster.solve(matrix, rhs, epsilon_l=1e-2,
                                    backend="ideal", kappa=4.0)
             assert record.scaled_residual < 1e-2
             assert cluster._collector.is_alive()
+            deadline = time.monotonic() + 10.0
+            while cluster.stats(include_workers=False)["inflight"]:
+                assert time.monotonic() < deadline, "cancelled never settled"
+                time.sleep(0.02)
+            stats = cluster.stats(include_workers=False)
+            assert stats["submitted"] == 2 and stats["completed"] == 1
+            outcomes = cluster.observability.metrics.get(
+                "cluster_requests_total")
+            assert outcomes.value(outcome="completed") == 1
+            assert outcomes.value(outcome="cancelled") == 1
 
     def test_closed_engine_rejects_new_work(self):
         matrix, rhs = _spd_system(8, 4.0, 23)

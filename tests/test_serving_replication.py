@@ -18,6 +18,8 @@ Covers the robustness layer end to end:
 
 from __future__ import annotations
 
+import sys
+import threading
 import time
 
 import numpy as np
@@ -294,6 +296,54 @@ class TestFailoverCorrectness:
             counts = assert_counters_match_events(cluster)
             assert counts["hedge_dispatch"] == counts["hedge_win"] == 1
 
+    def test_hedge_storm_with_a_kill_settles_every_request_once(
+            self, assert_counters_match_events):
+        # a 1 ms hedge deadline doubles nearly every request while four
+        # client threads submit and one worker is killed mid-traffic; a
+        # short switch interval widens every race between submit, hedge,
+        # redispatch, reap and settle.  Each request must settle exactly
+        # once and leave no copy behind.
+        systems = [_spd_system(8, 4.0, seed) for seed in range(231, 239)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ClusterEngine(num_workers=2, replication_factor=2,
+                               hedge_after=0.001, supervisor_interval=0.05,
+                               event_log_path=False) as cluster:
+                futures = []
+
+                def client(offset):
+                    for index in range(12):
+                        matrix, rhs = systems[(offset + index) % len(systems)]
+                        futures.append(cluster.submit(
+                            matrix, rhs, epsilon_l=1e-2, backend="ideal",
+                            kappa=4.0))
+
+                clients = [threading.Thread(target=client, args=(offset,))
+                           for offset in range(4)]
+                for thread in clients:
+                    thread.start()
+                time.sleep(0.2)
+                cluster._workers["worker-0"]["process"].terminate()
+                for thread in clients:
+                    thread.join(timeout=30.0)
+                    assert not thread.is_alive()
+                records = [future.result(timeout=30.0) for future in futures]
+                assert all(record.scaled_residual < 1e-2
+                           for record in records)
+                _wait_until(lambda: len(cluster.workers_alive) == 2,
+                            message="the killed worker was never respawned")
+                stats = cluster.stats(include_workers=False)
+                assert stats["submitted"] == stats["completed"] == 48
+                assert stats["inflight"] == 0
+                assert all(depth == 0
+                           for depth in stats["queue_depths"].values())
+                assert stats["hedged"] >= 1
+                assert stats["hedge_wins"] <= stats["hedged"]
+                assert_counters_match_events(cluster)
+        finally:
+            sys.setswitchinterval(interval)
+
 
 # ---------------------------------------------------------------------- #
 # (d) zero-downtime operations
@@ -320,6 +370,36 @@ class TestZeroDowntimeOps:
             assert events.events(kind="worker_drain")
             assert events.events(kind="worker_drain_complete")
             assert events.events(kind="worker_undrain")
+
+    def test_drain_of_a_worker_that_dies_returns_promptly(self):
+        # the handshake waits on a worker wedged in a hang; once it is
+        # killed the reaper fails the drain's round-trip, so drain answers
+        # False within a reaper pass or two, not at its 30 s timeout, and
+        # leaves nothing in flight.
+        matrix, rhs = _spd_system(8, 4.0, 307)
+        with ClusterEngine(num_workers=1, respawn=False, hedging=False,
+                           degraded_fallback=False, event_log_path=False,
+                           chaos=ChaosSpec(hang_rate=1.0,
+                                           hang_seconds=60.0)) as cluster:
+            future = cluster.submit(matrix, rhs, epsilon_l=1e-2,
+                                    backend="ideal", kappa=4.0)
+            outcome = {}
+
+            def drain():
+                outcome["drained"] = cluster.drain("worker-0", timeout=30.0)
+                outcome["at"] = time.monotonic()
+
+            thread = threading.Thread(target=drain, daemon=True)
+            thread.start()
+            time.sleep(0.3)
+            killed_at = time.monotonic()
+            cluster._workers["worker-0"]["process"].terminate()
+            thread.join(timeout=10.0)
+            assert outcome.get("drained") is False
+            assert outcome["at"] - killed_at < 5.0
+            with pytest.raises(WorkerUnavailableError):
+                future.result(timeout=10.0)
+            assert cluster.stats(include_workers=False)["inflight"] == 0
 
     def test_rolling_restart_serves_throughout_with_zero_deaths(
             self, tmp_path):

@@ -54,6 +54,7 @@ from repro.serving import (
     RetryPolicy,
     ServingHTTPServer,
 )
+from repro.serving import frontend
 from repro.utils import matrix_fingerprint
 
 
@@ -503,6 +504,39 @@ class TestDegradation:
                                        rtol=0.0, atol=1e-10)
             assert record.scaled_residual < 1e-10
             assert cluster.stats(include_workers=False)["degraded"] >= 1
+
+    def test_owner_lost_fallback_solves_once(self, monkeypatch):
+        # a classical fallback still running when the reaper passes again
+        # must not be started a second time: the entry it owns is no
+        # orphan.  The wrapper makes each solve outlive several passes.
+        calls = []
+        solve_classically = frontend._degraded_record
+
+        def slow_degraded_record(matrix, rhs):
+            calls.append(time.monotonic())
+            time.sleep(0.5)
+            return solve_classically(matrix, rhs)
+
+        monkeypatch.setattr(frontend, "_degraded_record",
+                            slow_degraded_record)
+        matrix, rhs = _spd_system(8, 4.0, 86)
+        with ClusterEngine(num_workers=1, respawn=False, hedging=False,
+                           event_log_path=False,
+                           chaos=ChaosSpec(slow_rate=1.0,
+                                           slow_seconds=5.0)) as cluster:
+            future = cluster.submit(matrix, rhs)
+            time.sleep(0.3)
+            cluster._workers["worker-0"]["process"].terminate()
+            record = future.result(timeout=30.0)
+            assert record.degraded
+            time.sleep(0.3)  # further reaper passes find nothing to degrade
+            assert len(calls) == 1
+            events = cluster.observability.events.events(
+                kind="degraded_fallback")
+            assert len(events) == 1 and events[0]["reason"] == "owner_lost"
+            stats = cluster.stats(include_workers=False)
+            assert stats["submitted"] == stats["completed"] == 1
+            assert stats["degraded"] == 1 and stats["inflight"] == 0
 
     def test_empty_ring_without_fallback_raises_typed_error(self):
         matrix, rhs = _spd_system(8, 4.0, 82)
