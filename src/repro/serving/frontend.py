@@ -106,12 +106,12 @@ class _Inflight:
 
     ``state`` is one of:
 
-    * ``"dispatched"`` — a primary copy is on ``worker_id``; the hedger may
-      double it once it is overdue;
+    * ``"dispatched"`` — a primary copy is on ``worker_id``; the hedge
+      scan may double it once it is overdue;
     * ``"hedged"`` — a hedge copy was sent.  It never goes back: a hedge
       copy that dies clears ``hedge_worker_id`` but is not re-sent;
     * ``"degraded"`` — an in-process classical solve owns the entry; the
-      reaper's orphan scan, the hedger and the depth count skip it.
+      reaper's orphan scan, the hedge scan and the depth count skip it.
 
     Popping the entry in :meth:`ClusterEngine._settle` is the only exit.
     """
@@ -187,7 +187,7 @@ class ClusterEngine:
         request.
     default_deadline:
         Deadline (seconds) applied to requests that do not pass their own.
-    max_batch_size / cache_maxsize / threads_per_worker:
+    max_batch_size / threads_per_worker:
         Forwarded into each :class:`~repro.serving.worker.WorkerConfig`.
     replication_factor:
         How many distinct workers own each fingerprint (``R``).  The ring
@@ -197,13 +197,12 @@ class ClusterEngine:
         cache hit, not a recompile.  ``1`` restores single-owner routing.
     hedging / hedge_after:
         Tail-latency hedging: a request whose primary has not answered
-        within the hedge deadline (read once per 5 ms hedger tick) is
-        doubled onto a replica — at most once, retried on a later tick
-        while no replica is eligible — and the first response wins.
+        within the hedge deadline is doubled onto a replica — at most
+        once, retried on a later scan while no replica is eligible — and
+        the first response wins; the collector sleeps until one is due.
         ``hedge_after`` pins the deadline in seconds; ``None`` derives it
         live as ``3 x cluster p99`` once at least 64 latencies are recorded
-        (so cold clusters never hedge).  ``hedging=False`` disables the
-        hedger thread entirely.
+        (so cold clusters never hedge).  ``hedging=False`` disables it.
     respawn:
         Run the :class:`~repro.serving.resilience.Supervisor`: dead workers
         are respawned (warm-restoring from the tiered store, under
@@ -263,7 +262,6 @@ class ClusterEngine:
                  use_shared_memory: bool = True,
                  default_deadline: float | None = None,
                  max_batch_size: int = 64,
-                 cache_maxsize: int = 32,
                  threads_per_worker: int | None = 1,
                  replication_factor: int = 2,
                  hedging: bool = True,
@@ -294,7 +292,7 @@ class ClusterEngine:
         self.replication_factor = int(replication_factor)
         self.probe_timeout = float(probe_timeout)
         self._hedge_policy = (HedgePolicy(hedge_after=hedge_after)
-                              if hedging else None)
+                              if hedging and replication_factor > 1 else None)
         self._obs = Observability(
             tracer=Tracer(sample_rate=trace_sample_rate),
             events=EventLog(event_log_path, source="frontend"))
@@ -376,7 +374,6 @@ class ClusterEngine:
                                  else str(local_store_dir) + f"/{worker_id}"),
                 shared_store_dir=(None if shared_store_dir is None
                                   else str(shared_store_dir)),
-                cache_maxsize=cache_maxsize,
                 max_batch_size=max_batch_size,
                 threads=threads_per_worker,
                 chaos=chaos,
@@ -418,12 +415,6 @@ class ClusterEngine:
                 probe_timeout=self.probe_timeout,
                 max_requests_per_incarnation=max_requests_per_incarnation)
             self._supervisor.start()
-        self._hedger: threading.Thread | None = None
-        if self._hedge_policy is not None and self.replication_factor > 1:
-            self._hedger = threading.Thread(target=self._hedge_loop,
-                                            name="repro-cluster-hedger",
-                                            daemon=True)
-            self._hedger.start()
 
     # ------------------------------------------------------------------ #
     # observability plumbing
@@ -728,35 +719,38 @@ class ClusterEngine:
         window holds enough samples) — the number ``/healthz`` reports so
         operators can watch the deadline track the workload.
         """
-        if self._hedge_policy is None or self.replication_factor < 2:
+        if self._hedge_policy is None:
             return None
         return self._hedge_policy.deadline(self._latency.summary())
 
-    def _hedge_loop(self) -> None:
-        """Hedger thread: double overdue requests onto their replicas."""
-        while not self._closing.wait(0.005):
-            try:
-                self._scan_hedges()
-            except Exception:  # noqa: BLE001 - hedging must outlive bugs
-                pass
+    def _scan_hedges(self, now: float) -> float:
+        """Hedge what is overdue; return the seconds until the next scan.
 
-    def _scan_hedges(self) -> None:
-        """One hedger tick: read the deadline once, hedge what is overdue
-        (only ``dispatched`` entries with a replica to spare qualify)."""
-        now = time.monotonic()
+        Only ``dispatched`` entries with a spare replica qualify, and none
+        is due before the floor (``hedge_after``, else ``min_hedge``), so the
+        percentile is read only once the oldest has passed it.  The next
+        scan is at the earliest due time, at most one floor away.
+        """
+        floor = self._hedge_policy.hedge_after or self._hedge_policy.min_hedge
         with self._lock:
             candidates = [(request_id, entry) for request_id, entry
                           in self._inflight.items()
                           if entry.state == "dispatched"
                           and len(entry.replicas) > 1]
-        if not candidates:
-            return
+        oldest = min((entry.started for _, entry in candidates), default=now)
+        if now - oldest < floor:
+            return oldest + floor - now
         deadline = self.hedge_deadline()
         if deadline is None:
-            return
+            return floor
+        wait = floor  # also the retry delay of a hedge no replica could take
         for request_id, entry in candidates:
-            if now - entry.started >= deadline:
+            due = entry.started + deadline - now
+            if due > 0.0:
+                wait = min(wait, due)
+            else:
                 self._maybe_hedge(request_id, entry)
+        return wait
 
     def _maybe_hedge(self, request_id: int, entry: _Inflight) -> None:
         """Speculatively dispatch one overdue request to a live replica.
@@ -765,7 +759,7 @@ class ClusterEngine:
         so the loser's late answer is dropped and both copies leave the
         depth count together.  The duplicate reuses the same ``request_id`` —
         idempotent settling is what makes hedging safe.  With no eligible
-        replica the entry stays ``dispatched`` and a later tick retries:
+        replica the entry stays ``dispatched`` and a later scan retries:
         the blocking condition (a drain window, an open breaker) usually
         clears long before a gray primary's stall would.
         """
@@ -837,26 +831,40 @@ class ClusterEngine:
     # response path
     # ------------------------------------------------------------------ #
     def _collect(self) -> None:
-        """Collector thread: settle futures, notice dead workers.
+        """Collector thread: settle, reap and hedge — every timed action.
 
-        Multiplexes the per-worker response queues with
-        :func:`multiprocessing.connection.wait` on their read pipes.  The
-        queue snapshot is re-taken under the lock every iteration because a
-        respawn swaps in a fresh queue; a pipe torn down between snapshot
-        and wait just surfaces as an ``OSError`` for that round.
+        Waits on the response pipes and on the ``process.sentinel`` of each
+        worker neither retired nor planned (none once closing), so a death
+        wakes it; both are re-read each turn, as a respawn swaps them.  A
+        ready sentinel or a wake with no response runs
+        :meth:`_reap_dead_workers`, its only caller; the wait ends at the
+        :meth:`_scan_hedges` stamp.
         """
-        last_reap = time.monotonic()
+        idle = 0.05
+        hedge_at = 0.0 if self._hedge_policy is not None else float("inf")
         while True:
+            closing = self._closing.is_set()
             with self._lock:
                 readers = {worker["responses"]._reader: worker["responses"]
                            for worker in self._workers.values()}
+                # values pin each process, so its sentinel fd stays open
+                sentinels = {} if closing else {
+                    worker["process"].sentinel: worker["process"]
+                    for worker_id, worker in self._workers.items()
+                    if worker_id not in self._retired
+                    and worker_id not in self._planned}
+            timeout = min(idle, max(0.0, hedge_at - time.monotonic()))
             try:
-                ready = mp_connection.wait(list(readers), timeout=0.05)
+                ready = mp_connection.wait([*readers, *sentinels],
+                                           timeout=timeout)
             except OSError:  # pragma: no cover - queue closed mid-wait
                 ready = []
-            got_any = False
-            for reader in ready:
-                responses = readers[reader]
+            got_any = died = False
+            for handle in ready:
+                responses = readers.get(handle)
+                if responses is None:
+                    died = True
+                    continue
                 while True:
                     try:
                         response = responses.get_nowait()
@@ -870,16 +878,16 @@ class ClusterEngine:
                         self._dispatch(response)
                     except Exception:  # noqa: BLE001 - one bad response must
                         pass           # not kill the loop and hang the rest
-            if not got_any:
-                if self._closing.is_set() and not self._inflight:
-                    return
+            if not got_any and closing and not self._inflight:
+                return
+            if died or not got_any:
                 self._reap_dead_workers()
-                last_reap = time.monotonic()
-            # reap on a clock too: a steady response stream from live
-            # workers must not starve detection of a dead sibling.
-            elif time.monotonic() - last_reap >= 0.25:
-                self._reap_dead_workers()
-                last_reap = time.monotonic()
+            now = time.monotonic()
+            if now >= hedge_at:
+                try:
+                    hedge_at = now + self._scan_hedges(now)
+                except Exception:  # noqa: BLE001 - a hedging bug must not
+                    hedge_at = now + idle  # stop the settle loop
 
     def _dispatch(self, response) -> None:
         """Route one worker response to its future / stats slot."""
@@ -989,39 +997,25 @@ class ClusterEngine:
     def _reap_dead_workers(self) -> None:
         """Retire crashed workers: shrink the ring, redispatch their in-flight.
 
-        Consistent hashing makes this the *only* re-sharding step needed —
-        the dead worker's arcs fall to its ring successors, every other
-        fingerprint keeps its warm owner.  The supervisor (when enabled)
-        respawns the worker afterwards and :meth:`HashRing.ensure_worker`
-        gives it exactly its old arcs back.
+        Consistent hashing makes this the *only* re-sharding step needed.
+        One ``_lock`` hold retires each newly dead worker, takes it off the
+        ring and snapshots the orphans, so a death counts once and a
+        respawn (which re-rings under the same lock) is never undone.
         """
         if self._closing.is_set():
             return
-        for worker_id, worker in self._workers.items():
-            if worker_id in self._retired or worker["process"].is_alive():
-                continue
-            if worker_id in self._planned:
-                continue  # a deliberate recycle exit, not a crash
-            with self._lock:
-                self._retired.add(worker_id)
-            self._record("worker_death", worker=worker_id,
-                         incarnation=worker["config"].incarnation,
-                         pid=worker["process"].pid,
-                         exitcode=worker["process"].exitcode,
-                         uptime_s=time.monotonic() - worker["started_at"])
-            self._ring.remove_worker(worker_id)
-            breaker = self._breakers.get(worker_id)
-            if breaker is not None:
-                # one death = one failure: only a crash *loop* (threshold
-                # consecutive deaths with no response in between) trips the
-                # breaker, a single fault heals invisibly.
-                breaker.record_failure()
-        # Orphan scan over *all* retired owners, every pass — not only at
-        # retirement time: a submit racing the retirement may register its
-        # entry just after a one-shot scan, and the retired check in submit
-        # plus this rescan together guarantee the future settles.  An entry
-        # the degraded fallback owns is no orphan: its solve is running.
         with self._lock:
+            dead = [(worker_id, dict(worker))
+                    for worker_id, worker in self._workers.items()
+                    if worker_id not in self._retired
+                    and worker_id not in self._planned  # recycle, no crash
+                    and not worker["process"].is_alive()]
+            for worker_id, _ in dead:
+                self._retired.add(worker_id)
+                self._ring.remove_worker(worker_id)
+            # orphans of *all* retired owners, every pass: a submit racing
+            # the retirement may register after a one-shot scan.  A degraded
+            # entry is no orphan: its solve is running.
             orphaned = [(request_id, entry.worker_id) for request_id, entry
                         in self._inflight.items()
                         if entry.state != "degraded"
@@ -1035,6 +1029,14 @@ class ClusterEngine:
             dead_control = [request_id for request_id, (worker_id, _)
                             in self._control.items()
                             if worker_id in self._retired]
+        for worker_id, worker in dead:
+            self._record("worker_death", worker=worker_id,
+                         incarnation=worker["config"].incarnation,
+                         pid=worker["process"].pid,
+                         exitcode=worker["process"].exitcode,
+                         uptime_s=time.monotonic() - worker["started_at"])
+            # one death = one failure: only a crash loop trips the breaker
+            self._breakers[worker_id].record_failure()
         for request_id in dead_control:
             self._resolve_control(request_id, error=WorkerUnavailableError(
                 "worker died before answering a control message"))
@@ -1100,7 +1102,7 @@ class ClusterEngine:
                 return
         if self.degraded_fallback:
             # solve classically off-thread: this path runs on the collector
-            # / supervisor threads, which must keep servicing the fleet.
+            # (or a submitting client), which must not block on it.
             threading.Thread(target=self._degrade,
                              args=(request_id, entry, "owner_lost"),
                              name="repro-degraded-solve", daemon=True).start()
@@ -1175,9 +1177,9 @@ class ClusterEngine:
                            "process": process, "final_stats": None,
                            "started_at": now})
             self._retired.discard(worker_id)
+            self._ring.ensure_worker(worker_id)
             self._incarnation_dispatched[worker_id] = 0
             self._last_heard[worker_id] = now
-        self._ring.ensure_worker(worker_id)
         self._record("worker_respawn", worker=worker_id,
                      incarnation=config.incarnation, pid=process.pid,
                      restarts=config.incarnation)
@@ -1521,8 +1523,6 @@ class ClusterEngine:
             # _closing wakes its loop; join before shutdown so no respawn
             # races the teardown below.
             self._supervisor.join(timeout=2.0)
-        if self._hedger is not None and self._hedger.is_alive():
-            self._hedger.join(timeout=1.0)
         for worker_id, worker in self._workers.items():
             if worker_id not in self._retired:
                 try:

@@ -588,13 +588,13 @@ class Supervisor:
     """Respawn loop: watch the fleet, heal deaths, unstick hangs.
 
     Owned by :class:`~repro.serving.frontend.ClusterEngine` (which passes
-    itself in); the engine provides the mechanics (``_reap_dead_workers``,
-    ``_respawn_worker``, ``_probe_worker``) and the supervisor provides the
-    policy:
+    itself in); the engine provides the mechanics (``_respawn_worker``,
+    ``_probe_worker``) and the supervisor provides the policy:
 
-    * **death** — a worker process that is no longer alive is reaped (ring
-      shrink + orphan redispatch) and then respawned under exponential
-      backoff (``backoff_base`` doubling up to ``backoff_cap`` per
+    * **death** — the engine's collector sees a death through the process
+      sentinel and retires the worker (ring shrink + orphan redispatch);
+      each pass respawns retired workers under exponential backoff
+      (``backoff_base`` doubling up to ``backoff_cap`` per
       consecutive short-lived incarnation; an incarnation that survives
       ``stable_after`` seconds resets the schedule), so a crash-looping
       worker cannot turn the supervisor into a fork bomb;
@@ -605,8 +605,9 @@ class Supervisor:
       only when that sweep ends: "hung" therefore means silent for
       ``hang_timeout + probe_timeout``, whatever the cause — a wedged
       loop, a chaos hang, or one synthesis that runs that long.  The
-      process is terminated, which converts the hang into a death the next
-      pass heals.  ``hang_timeout=None`` disables hang detection.
+      process is terminated, which converts the hang into a death the
+      collector retires and a later pass heals.  ``hang_timeout=None``
+      disables hang detection.
     * **planned recycling** — distinct from crash healing: when
       ``max_requests_per_incarnation`` is set, a worker whose current
       incarnation has dispatched that many requests is *drained* (ring
@@ -676,10 +677,9 @@ class Supervisor:
             process = info["process"]
             if worker_id in engine._planned:
                 continue  # recycle_worker owns this worker's lifecycle
-            if not process.is_alive():
-                engine._reap_dead_workers()
+            if worker_id in engine._retired:
                 self._maybe_respawn(worker_id, info, now)
-            elif self.hang_timeout is not None:
+            elif self.hang_timeout is not None and process.is_alive():
                 with engine._lock:
                     busy = engine._depth_of(worker_id) > 0
                     silent_s = now - engine._last_heard.get(worker_id, now)
@@ -690,7 +690,7 @@ class Supervisor:
                         self._hang_kills += 1
                     engine._event("worker_hang_kill", worker=worker_id,
                                   silent_s=silent_s)
-                    process.terminate()  # next pass heals it as a death
+                    process.terminate()  # retired, then healed, as a death
         if self.max_requests_per_incarnation is not None:
             self._maybe_recycle()
 

@@ -270,6 +270,7 @@ class TestFailoverCorrectness:
                            shared_store_dir=str(tmp_path / "shared")) \
                 as cluster:
             assert cluster.hedge_deadline() == 0.1
+            submitted_at = time.time()
             future = cluster.submit(matrix, rhs, epsilon_l=1e-2,
                                     backend="ideal", kappa=4.0)
             record = future.result(timeout=30.0)
@@ -280,7 +281,10 @@ class TestFailoverCorrectness:
             assert stats["hedged"] == 1
             assert stats["hedge_wins"] == 1
             events = cluster.observability.events
-            assert events.events(kind="hedge_dispatch")
+            hedges = events.events(kind="hedge_dispatch")
+            # never early: the copy goes out at the deadline, not before
+            # (the event log stamps wall-clock time).
+            assert hedges and hedges[0]["ts"] - submitted_at >= 0.1
             wins = events.events(kind="hedge_win")
             assert wins and wins[-1]["worker_hedge"] == replica
             # exactly-once settlement: the loser's late answer (due at

@@ -29,6 +29,7 @@ The resilience layer's contract, clause by clause:
 from __future__ import annotations
 
 import json
+import threading
 import time
 import urllib.request
 
@@ -485,6 +486,50 @@ class TestSelfHealing:
             assert supervisor["hang_kills"] == 0
             assert all(probes)
             assert cluster.stats(include_workers=False)["worker_deaths"] == 0
+
+    def test_racing_reapers_count_one_death(self):
+        # two reaper passes that find the same death at once: only the one
+        # that retires the worker records the death and charges its breaker.
+        with ClusterEngine(num_workers=2, respawn=False, hedging=False,
+                           event_log_path=False) as cluster:
+            process = cluster._workers["worker-0"]["process"]
+            reapers = [threading.Thread(target=cluster._reap_dead_workers)
+                       for _ in range(2)]
+            with cluster._lock:
+                process.terminate()
+                process.join(5.0)
+                for thread in reapers:
+                    thread.start()
+                time.sleep(0.2)
+            for thread in reapers:
+                thread.join(timeout=10.0)
+            stats = cluster.stats(include_workers=False)
+            assert stats["worker_deaths"] == 1
+            assert stats["breakers"]["worker-0"]["consecutive_failures"] == 1
+
+    def test_respawn_right_after_retirement_stays_on_the_ring(self):
+        # a respawn that lands as soon as the worker is retired (here from
+        # inside its death record) must not be undone by the reaper taking
+        # the worker off the ring afterwards.
+        with ClusterEngine(num_workers=2, respawn=False, hedging=False,
+                           event_log_path=False) as cluster:
+            record = cluster._record
+
+            def respawn_on_death(kind, *args, **fields):
+                record(kind, *args, **fields)
+                if kind == "worker_death":
+                    cluster._respawn_worker(fields["worker"])
+
+            cluster._record = respawn_on_death
+            cluster._workers["worker-0"]["process"].terminate()
+            _wait_until(lambda: cluster.stats(include_workers=False)
+                        ["restarts"]["worker-0"] == 1,
+                        message="the death record never respawned")
+            assert cluster._workers["worker-0"]["process"].is_alive()
+            assert "worker-0" not in cluster._retired
+            _wait_until(lambda: "worker-0" in cluster.workers_alive,
+                        timeout=2.0,
+                        message="the live incarnation is off the ring")
 
 
 # ---------------------------------------------------------------------- #
