@@ -148,7 +148,7 @@ class _Killer(threading.Thread):
             prior_restarts = self._cluster.stats(
                 include_workers=False)["restarts"].get(victim, 0)
             killed_at = time.monotonic()
-            self._cluster._workers[victim]["process"].terminate()
+            self._cluster._fleet.workers[victim].process.terminate()
             recovery_s, reconverged = self._await_recovery(
                 victim, prior_restarts, killed_at)
             self.kills.append({
@@ -306,7 +306,7 @@ def _measure_replicated(cluster: ClusterEngine, pool: list[dict],
             time.sleep(0.005)
         prior = cluster.stats(include_workers=False)["restarts"].get(victim, 0)
         killed_at = time.monotonic()
-        cluster._workers[victim]["process"].terminate()
+        cluster._fleet.workers[victim].process.terminate()
         while time.monotonic() < killed_at + 15.0:
             if cluster.stats(include_workers=False)["restarts"] \
                     .get(victim, 0) > prior:

@@ -111,7 +111,7 @@ def _measure_kill(cluster: ClusterEngine, pool: list[dict],
         victim = cluster.route(pool[0]["matrix"])
         prior = cluster.stats(include_workers=False)["restarts"].get(victim, 0)
         killed_at = time.monotonic()
-        cluster._workers[victim]["process"].terminate()
+        cluster._fleet.workers[victim].process.terminate()
         kill["victim"] = victim
         deadline = killed_at + 15.0
         while time.monotonic() < deadline:

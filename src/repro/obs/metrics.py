@@ -25,7 +25,7 @@ than averaged per-worker percentiles.
 
 :func:`render_prometheus` serialises a snapshot into the Prometheus text
 exposition format (``text/plain; version=0.0.4``) for ``GET /metrics`` on
-:class:`~repro.serving.frontend.ServingHTTPServer`; histograms render as
+:class:`~repro.serving.http.ServingHTTPServer`; histograms render as
 summaries (``quantile="0.5|0.9|0.99"`` plus ``_count``/``_sum``).
 """
 

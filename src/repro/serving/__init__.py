@@ -16,10 +16,12 @@ cache → synthesis store → same-key coalescing) across worker
   batch loop over a tiered cache hierarchy (per-worker LRU → node-local
   store → shared store directory), coalescing each drained burst's
   same-fingerprint solves into one fused sweep per group;
-* **resilience** — :mod:`repro.serving.resilience` closes the fault loop:
-  a :class:`~repro.serving.resilience.Supervisor` respawns dead/hung
-  workers (warm-restoring from the tiered store) and re-adds them to the
-  ring, :class:`~repro.serving.resilience.RetryPolicy` retries retriable
+* **fleet** — :mod:`repro.serving.fleet` keeps one record per worker
+  (process, queues, an explicit state, breaker, heartbeat) and its
+  :class:`~repro.serving.fleet.Supervisor` respawns dead/hung workers
+  (warm-restoring from the tiered store) and re-adds them to the ring;
+* **resilience** — :mod:`repro.serving.resilience` holds the fault-loop
+  primitives: :class:`~repro.serving.resilience.RetryPolicy` retries retriable
   rejections under decorrelated-jitter backoff,
   :class:`~repro.serving.resilience.CircuitBreaker` sheds traffic for
   workers presumed down, and the deterministic
@@ -28,7 +30,7 @@ cache → synthesis store → same-key coalescing) across worker
 
 :class:`~repro.serving.frontend.ClusterEngine` is the in-process API
 (``submit`` / ``solve`` / ``stats``);
-:class:`~repro.serving.frontend.ServingHTTPServer` exposes it over
+:class:`~repro.serving.http.ServingHTTPServer` exposes it over
 stdlib HTTP/JSON.  ``benchmarks/bench_serving_cluster.py`` measures the
 tier under Zipf-distributed traffic, including a 10x overload run;
 ``benchmarks/bench_chaos.py`` replays a seeded kill schedule against it
@@ -44,7 +46,9 @@ Examples
 """
 
 from .admission import AdmissionController, TokenBucket
-from .frontend import ClusterEngine, ServingHTTPServer
+from .fleet import Supervisor
+from .frontend import ClusterEngine
+from .http import ServingHTTPServer
 from .resilience import (
     CHAOS_ENV_VAR,
     ChaosPolicy,
@@ -52,7 +56,6 @@ from .resilience import (
     CircuitBreaker,
     HedgePolicy,
     RetryPolicy,
-    Supervisor,
     select_replica,
 )
 from .router import DEFAULT_VNODES, HashRing

@@ -1,8 +1,11 @@
 """Cluster front end: routed, admission-controlled access to a worker fleet.
 
 :class:`ClusterEngine` is the in-process API (``submit`` / ``solve`` /
-``stats``); :class:`ServingHTTPServer` wraps it in a minimal stdlib
-HTTP/JSON surface.  One request travels::
+``stats``); :class:`~repro.serving.http.ServingHTTPServer` wraps it in a
+minimal stdlib HTTP/JSON surface.  The workers themselves — processes,
+queues, ring membership, respawn, drain — are the
+:class:`~repro.serving.fleet.Fleet`'s; this module keeps the request
+lifecycle.  One request travels::
 
         submit(A, b)
           │  fingerprint(A)                    (hash once per live object)
@@ -32,7 +35,7 @@ Guarantees the tests pin down:
   its in-flight requests are redispatched to the surviving ring (or fail
   retriably once the redispatch budget is spent), the ring drops its
   virtual nodes, and every other fingerprint keeps its warm home;
-* **self-healing** — a :class:`~repro.serving.resilience.Supervisor`
+* **self-healing** — a :class:`~repro.serving.fleet.Supervisor`
   respawns dead/hung workers (warm-restoring their compiled-solver state
   from the tiered store) and re-adds them to the ring, so the fleet
   re-converges to full capacity after faults instead of shrinking; a
@@ -46,51 +49,35 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import json
 import queue as queue_module
 import threading
 import time
 import weakref
+from contextlib import nullcontext
 from multiprocessing import connection as mp_connection
-from concurrent.futures import Future, TimeoutError as FutureTimeoutError
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from concurrent.futures import Future
 
 import numpy as np
 
 from .. import exceptions as exceptions_module
 from ..core.results import SingleSolveRecord
-from ..engine.runner import _fork_context
 from ..engine.sharedmem import SharedMatrixRegistry
 from ..exceptions import (
     AdmissionError,
     CircuitOpenError,
     ReproError,
-    SolveTimeoutError,
     WorkerUnavailableError,
 )
 from ..obs import EventLog, Observability, Tracer
 from ..obs.metrics import merge_snapshots, relabel_snapshot, render_prometheus
 from ..utils import is_linear_operator, matrix_fingerprint
 from .admission import AdmissionController
-from .resilience import (
-    CircuitBreaker,
-    HedgePolicy,
-    RetryPolicy,
-    Supervisor,
-    select_replica,
-)
-from .router import DEFAULT_VNODES, HashRing
-from .worker import (
-    MSG_DRAIN,
-    MSG_SHUTDOWN,
-    MSG_SOLVE,
-    MSG_STATS,
-    MSG_WARM,
-    WorkerConfig,
-    worker_main,
-)
+from .fleet import Fleet, Supervisor
+from .resilience import HedgePolicy, RetryPolicy
+from .router import DEFAULT_VNODES
+from .worker import MSG_SOLVE, WorkerConfig
 
-__all__ = ["ClusterEngine", "ServingHTTPServer"]
+__all__ = ["ClusterEngine"]
 
 
 @dataclasses.dataclass
@@ -102,7 +89,7 @@ class _Inflight:
     caller's matrix for the classical degraded fallback.  Both live only as
     long as the request is in flight, so the pin is bounded by the queue
     limits.  Control traffic (stats probes, drain handshakes) never enters
-    the request table; it lives in ``ClusterEngine._control``.
+    the request table; the fleet keeps them.
 
     ``state`` is one of:
 
@@ -158,6 +145,10 @@ _TRANSITIONS = {
                      "Worker processes found dead", False),
     "worker_respawn": ("cluster_restarts_total",
                        "Worker incarnations respawned", False),
+    "worker_hang_kill": ("cluster_hang_kills_total",
+                         "Hung workers killed by the supervisor", False),
+    "worker_recycle": ("cluster_recycles_total",
+                       "Planned worker recycles (drain, then respawn)", False),
     "degraded_fallback": (None, None, False),
 }
 
@@ -204,7 +195,7 @@ class ClusterEngine:
         live as ``3 x cluster p99`` once at least 64 latencies are recorded
         (so cold clusters never hedge).  ``hedging=False`` disables it.
     respawn:
-        Run the :class:`~repro.serving.resilience.Supervisor`: dead workers
+        Run the :class:`~repro.serving.fleet.Supervisor`: dead workers
         are respawned (warm-restoring from the tiered store, under
         exponential backoff) and re-added to the ring, hung workers (stale
         heartbeat with queued work) are killed so the same path heals
@@ -214,8 +205,7 @@ class ClusterEngine:
         (``None`` disables hang detection).
     probe_timeout:
         Seconds a stats probe may take before a silent worker is declared
-        hung — used by the supervisor's hang detection and as the default
-        for :meth:`_probe_worker`.
+        hung — the supervisor's hang detection.
     max_requests_per_incarnation:
         Planned-recycling policy: once a worker's current incarnation has
         dispatched this many requests, the supervisor drains it (zero
@@ -253,6 +243,9 @@ class ClusterEngine:
     Use as a context manager (or call :meth:`close`) — worker processes and
     shared-memory segments are released deterministically.
     """
+
+    #: the worker fleet's type (a test substitutes an in-memory one).
+    _fleet_class = Fleet
 
     def __init__(self, *, num_workers: int = 2, vnodes: int = DEFAULT_VNODES,
                  queue_limit: int | None = 64,
@@ -297,7 +290,6 @@ class ClusterEngine:
             tracer=Tracer(sample_rate=trace_sample_rate),
             events=EventLog(event_log_path, source="frontend"))
         metrics = self._obs.metrics
-        self._ring = HashRing(vnodes=vnodes)
         self._admission = AdmissionController(queue_limit=queue_limit,
                                               tenant_rate=tenant_rate,
                                               tenant_burst=tenant_burst,
@@ -329,88 +321,41 @@ class ClusterEngine:
             # parent's unlink and warns about "leaked" segments at shutdown.
             from multiprocessing import resource_tracker
             resource_tracker.ensure_running()
-        context = _fork_context()
-        if context is None:  # pragma: no cover - non-POSIX platforms
-            import multiprocessing
-            context = multiprocessing.get_context()
-        self._context = context
         self._lock = threading.Lock()
         #: request_id -> :class:`_Inflight`: admitted solve requests only.
         self._inflight: dict[int, _Inflight] = {}
-        #: request_id -> (worker_id, future) for control round-trips (stats
-        #: probes, drain handshakes): off the request table, so they never
-        #: occupy admission slots and are never redispatched.
-        self._control: dict[int, tuple[str, Future]] = {}
         self._request_ids = itertools.count()
         #: id(matrix) -> (fingerprint, memo payload, weakref); see
         #: :meth:`_prepare_matrix` for why the reference must be weak.
         self._matrix_memo: dict[int, tuple[str, object, weakref.ref]] = {}
-        self._retired: set[str] = set()
-        #: workers mid-planned-recycle: the reaper and supervisor death
-        #: paths must not treat their deliberate exit as a crash.
-        self._planned: set[str] = set()
-        #: requests dispatched to each worker's *current* incarnation —
-        #: the planned-recycling trigger (reset on respawn).
-        self._incarnation_dispatched: dict[str, int] = {}
-        #: (worker, incarnation, fingerprint) triples already sent a
-        #: replica warm-up, so each synthesis warms each replica once.
-        self._warmed: set[tuple] = set()
-        self._last_heard: dict[str, float] = {}
-        self._breakers: dict[str, CircuitBreaker] = {}
         self._closing = threading.Event()
-        self._workers: dict[str, dict] = {}
         self._started_at = time.monotonic()
-        #: worker_id -> monotonic stamp of the last metrics snapshot folded
-        #: into the cluster view (drives the /healthz staleness report).
-        self._metrics_seen: dict[str, float] = {}
-        now = time.monotonic()
         worker_event_path = (None if self._obs.events.path is None
                              else str(self._obs.events.path))
-        for index in range(num_workers):
-            worker_id = f"worker-{index}"
-            config = WorkerConfig(
-                worker_id=worker_id,
+        self._fleet = self._fleet_class(
+            [WorkerConfig(
+                worker_id=f"worker-{index}",
                 local_store_dir=(None if local_store_dir is None
-                                 else str(local_store_dir) + f"/{worker_id}"),
+                                 else f"{local_store_dir}/worker-{index}"),
                 shared_store_dir=(None if shared_store_dir is None
                                   else str(shared_store_dir)),
                 max_batch_size=max_batch_size,
                 threads=threads_per_worker,
                 chaos=chaos,
                 event_log_path=worker_event_path)
-            requests = context.Queue()
-            # one response queue PER worker, not one shared by the fleet: a
-            # multiprocessing.Queue write holds a cross-process feeder lock,
-            # so a worker killed mid-put on a shared queue would leave the
-            # lock held forever and silence every *surviving* sibling — the
-            # exact cascade ("healthy workers look hung, get probed, get
-            # killed") that response isolation makes structurally impossible.
-            responses = context.Queue()
-            process = context.Process(
-                target=worker_main, args=(config, requests, responses),
-                name=f"repro-serving-{worker_id}", daemon=True)
-            self._workers[worker_id] = {"config": config, "requests": requests,
-                                        "responses": responses,
-                                        "process": process,
-                                        "final_stats": None,
-                                        "started_at": now}
-            self._incarnation_dispatched[worker_id] = 0
-            self._last_heard[worker_id] = now
-            self._breakers[worker_id] = CircuitBreaker(
-                failure_threshold=breaker_failure_threshold,
-                reset_timeout=breaker_reset_timeout,
-                listener=self._breaker_listener(worker_id))
-        for worker in self._workers.values():
-            worker["process"].start()
-        for worker_id in self._workers:
-            self._ring.add_worker(worker_id)
+             for index in range(num_workers)],
+            lock=self._lock, closing=self._closing, events=self._obs.events,
+            record=self._record, depth_of=self._depth_of, vnodes=vnodes,
+            breaker_failure_threshold=breaker_failure_threshold,
+            breaker_reset_timeout=breaker_reset_timeout)
+        self._ring = self._fleet.ring
         self._collector = threading.Thread(target=self._collect,
                                            name="repro-cluster-rx", daemon=True)
         self._collector.start()
         self._supervisor: Supervisor | None = None
         if respawn:
             self._supervisor = Supervisor(
-                self, interval=supervisor_interval,
+                self._fleet, interval=supervisor_interval,
                 hang_timeout=hang_timeout,
                 probe_timeout=self.probe_timeout,
                 max_requests_per_incarnation=max_requests_per_incarnation)
@@ -419,10 +364,6 @@ class ClusterEngine:
     # ------------------------------------------------------------------ #
     # observability plumbing
     # ------------------------------------------------------------------ #
-    def _event(self, kind: str, **fields) -> None:
-        """Stamp one lifecycle event on the cluster event log (never raises)."""
-        self._obs.events.emit(kind, **fields)
-
     def _record(self, kind: str, entry_or_trace=None, **fields) -> None:
         """Record one lifecycle transition after it has happened.
 
@@ -438,8 +379,8 @@ class ClusterEngine:
             counter.inc()
         trace = (entry_or_trace.trace if isinstance(entry_or_trace, _Inflight)
                  else entry_or_trace)
-        self._event(kind, trace_id=None if trace is None else trace.trace_id,
-                    **fields)
+        self._obs.events.emit(
+            kind, trace_id=None if trace is None else trace.trace_id, **fields)
         if writes_span and trace is not None:
             trace.add_span(kind, **fields)
 
@@ -459,12 +400,6 @@ class ClusterEngine:
                    if entry.state != "degraded"
                    and (entry.worker_id == worker_id
                         or entry.hedge_worker_id == worker_id))
-
-    def _breaker_listener(self, worker_id: str):
-        """Event-log adapter for one worker's circuit breaker."""
-        def listener(transition: str, **fields) -> None:
-            self._event(f"breaker_{transition}", worker=worker_id, **fields)
-        return listener
 
     @property
     def observability(self) -> Observability:
@@ -530,11 +465,8 @@ class ClusterEngine:
         degrade_reason = None
         worker_id = None
         try:
-            if trace is not None:
-                with trace.span("route", fingerprint=fingerprint[:16]):
-                    replicas = self._ring.route_replicas(
-                        fingerprint, self.replication_factor)
-            else:
+            with (nullcontext() if trace is None else
+                  trace.span("route", fingerprint=fingerprint[:16])):
                 replicas = self._ring.route_replicas(fingerprint,
                                                      self.replication_factor)
         except WorkerUnavailableError:
@@ -548,18 +480,16 @@ class ClusterEngine:
             # prefer the ring primary, but fail over *instantly* to the next
             # live replica when the primary's breaker refuses — replicas
             # are warm, so the detour costs a cache hit, not a recompile.
-            worker_id = select_replica(replicas, breakers=self._breakers,
-                                       retired=self._retired)
+            worker_id = self._fleet.select(replicas)
             if worker_id is None:
                 self._admission.note_breaker_shed()
                 if not self.degraded_fallback:
-                    breaker = self._breakers.get(replicas[0])
                     raise CircuitOpenError(
                         f"worker {replicas[0]!r} breaker is open after "
                         "consecutive failures (and no replica is eligible); "
                         "probe admitted when it half-opens",
-                        retry_after=(None if breaker is None
-                                     else breaker.retry_after()))
+                        retry_after=self._fleet.workers[
+                            replicas[0]].breaker.retry_after())
                 replicas, degrade_reason = (), "breaker_open"
         future: Future = Future()
         future.worker_id = worker_id
@@ -607,8 +537,8 @@ class ClusterEngine:
         still on ``lost_owner``), moves the copy to ``target`` and reads
         the queue.  ``transitions`` are recorded once the put succeeds.  A
         closed queue, or a target retired or respawned by the time the put
-        returns (the reaper and the supervisor swap that state under the
-        lock, so one side always sees the other), loses the copy: a hedge
+        returns (the fleet swaps that state under the lock, so one side
+        always sees the other), loses the copy: a hedge
         copy is dropped, a primary copy goes down the owner-lost ladder.
         """
         with self._lock:
@@ -631,9 +561,9 @@ class ClusterEngine:
                     entry.redispatches += 1
                 entry.worker_id = target
                 entry.future.worker_id = target
-            self._incarnation_dispatched[target] = (
-                self._incarnation_dispatched.get(target, 0) + 1)
-            requests = self._workers[target]["requests"]
+            worker = self._fleet.workers[target]
+            worker.dispatched += 1
+            requests = worker.requests
         params = entry.params
         if entry.trace is not None:
             # stamped per copy so the worker-side queue_wait span measures
@@ -653,8 +583,8 @@ class ClusterEngine:
             for kind, fields in transitions:
                 self._record(kind, entry, **fields)
         with self._lock:
-            lost = (not sent or target in self._retired
-                    or self._workers[target]["requests"] is not requests)
+            lost = (not sent or worker.retired
+                    or worker.requests is not requests)
             if lost and hedge and entry.hedge_worker_id == target:
                 entry.hedge_worker_id = None  # the primary still answers
         if lost and not hedge:  # a redispatch chain is bounded by the budget
@@ -765,9 +695,8 @@ class ClusterEngine:
         """
         primary = entry.worker_id
         draining = set(self._ring.draining)
-        target = select_replica(entry.replicas, breakers=self._breakers,
-                                retired=self._retired, draining=draining,
-                                exclude=(primary,))
+        target = self._fleet.select(entry.replicas, draining=draining,
+                                    exclude=(primary,))
         if target is None:
             # the stored replica set can be *transiently* ineligible: a
             # fresh ring walk may surface the next live worker beyond the
@@ -777,55 +706,13 @@ class ClusterEngine:
                                                   max(len(self._ring), 1))
             except (WorkerUnavailableError, ValueError):
                 return
-            target = select_replica(fresh, breakers=self._breakers,
-                                    retired=self._retired,
-                                    draining=draining, exclude=(primary,))
+            target = self._fleet.select(fresh, draining=draining,
+                                        exclude=(primary,))
             if target is None:
                 return
         self._send(request_id, entry, target, hedge=True, transitions=(
             ("hedge_dispatch", {"worker_primary": primary,
                                 "worker_hedge": target}),))
-
-    def _warm_replicas(self, entry: _Inflight) -> None:
-        """Send this request's synthesis to its other replicas (advisory).
-
-        Runs at settle time, *after* the answering worker's cache has
-        persisted the synthesis through the tiered store — so the replica's
-        :data:`~repro.serving.worker.MSG_WARM` is a disk restore, not a
-        recompile, and a later failover or hedge hits a warm cache.
-        Memoised per (worker, incarnation, fingerprint) so steady traffic
-        warms each replica exactly once per synthesis.
-        """
-        if len(entry.replicas) < 2 or self._closing.is_set():
-            return
-        params = entry.params
-        warm_params = {
-            "epsilon_l": params.get("epsilon_l", 1e-2),
-            "backend": params.get("backend", "auto"),
-            "kappa": params.get("kappa"),
-            "backend_options": params.get("backend_options", {}),
-        }
-        for target in entry.replicas:
-            if target == entry.worker_id:
-                continue
-            with self._lock:
-                worker = self._workers.get(target)
-                if worker is None or target in self._retired:
-                    continue
-                key = (target, worker["config"].incarnation,
-                       entry.fingerprint)
-                if key in self._warmed:
-                    continue
-                if len(self._warmed) > 4096:  # bound the memo, re-warm cheap
-                    self._warmed.clear()
-                self._warmed.add(key)
-                requests = worker["requests"]
-            try:
-                requests.put((MSG_WARM, None, entry.payload, warm_params))
-            except (ValueError, OSError):
-                continue
-            self._event("replica_warm", worker=target,
-                        fingerprint=entry.fingerprint[:16])
 
     # ------------------------------------------------------------------ #
     # response path
@@ -834,25 +721,24 @@ class ClusterEngine:
         """Collector thread: settle, reap and hedge — every timed action.
 
         Waits on the response pipes and on the ``process.sentinel`` of each
-        worker neither retired nor planned (none once closing), so a death
-        wakes it; both are re-read each turn, as a respawn swaps them.  A
+        ``live`` worker (none once closing), so a death wakes it; both are
+        re-read each turn, as a respawn swaps them.  A
         ready sentinel or a wake with no response runs
         :meth:`_reap_dead_workers`, its only caller; the wait ends at the
         :meth:`_scan_hedges` stamp.
         """
         idle = 0.05
         hedge_at = 0.0 if self._hedge_policy is not None else float("inf")
+        workers = self._fleet.workers.values()
         while True:
             closing = self._closing.is_set()
             with self._lock:
-                readers = {worker["responses"]._reader: worker["responses"]
-                           for worker in self._workers.values()}
+                readers = {worker.responses._reader: worker.responses
+                           for worker in workers}
                 # values pin each process, so its sentinel fd stays open
                 sentinels = {} if closing else {
-                    worker["process"].sentinel: worker["process"]
-                    for worker_id, worker in self._workers.items()
-                    if worker_id not in self._retired
-                    and worker_id not in self._planned}
+                    worker.process.sentinel: worker.process
+                    for worker in workers if worker.state == "live"}
             timeout = min(idle, max(0.0, hedge_at - time.monotonic()))
             try:
                 ready = mp_connection.wait([*readers, *sentinels],
@@ -890,38 +776,21 @@ class ClusterEngine:
                     hedge_at = now + idle  # stop the settle loop
 
     def _dispatch(self, response) -> None:
-        """Route one worker response to its future / stats slot."""
+        """Route one worker response: solves settle here, the rest is the
+        fleet's (control replies, events, farewell stats)."""
         worker_id, kind, request_id, *payload = response
-        # every response doubles as a heartbeat and as breaker evidence:
-        # even a worker-side *solve* error proves the process and its loop
-        # are healthy, so only infrastructure failures (deaths, probe
-        # timeouts) are allowed to trip the breaker.
-        with self._lock:
-            self._last_heard[worker_id] = time.monotonic()
-        breaker = self._breakers.get(worker_id)
-        if breaker is not None:
-            breaker.record_success()
+        self._fleet.heard(worker_id)
         if kind == "result":
             self._settle(request_id, SingleSolveRecord(**payload[0]), None,
                          spans=payload[1] if len(payload) > 1 else None,
                          from_worker=worker_id)
         elif kind == "error":
-            name, message = payload[0], payload[1]
             self._settle(request_id, None,
-                         _rebuild_exception(name, message),
+                         _rebuild_exception(payload[0], payload[1]),
                          spans=payload[2] if len(payload) > 2 else None,
                          from_worker=worker_id)
-        elif kind in ("stats", "drained"):
-            self._resolve_control(request_id, payload[0])
-        elif kind == "event":
-            # a worker-side lifecycle/fault event (already on the shared
-            # JSONL file from the worker's own log): fold it into the front
-            # end's memory ring so one process holds the cluster timeline.
-            self._obs.events.ingest(payload[0])
-        elif kind == "shutdown":
-            worker = self._workers.get(worker_id)
-            if worker is not None:
-                worker["final_stats"] = payload[0]
+        else:
+            self._fleet.receive(worker_id, kind, request_id, payload)
 
     def _settle(self, request_id, result, error, *, spans=None,
                 from_worker: str | None = None) -> None:
@@ -976,72 +845,41 @@ class ClusterEngine:
             # the worker that actually answered (hedge wins move it)
             future.worker_id = from_worker
         future.set_result(result)
-        if status == "ok":
+        if status == "ok" and len(entry.replicas) > 1:
             # warm-on-settle: the answering worker's cache has already
             # persisted this synthesis to the store, so replicas can
             # restore it from disk now and failover stays a cache hit.
-            self._warm_replicas(entry)
-
-    def _resolve_control(self, request_id, reply=None,
-                         error: BaseException | None = None) -> None:
-        """Answer (or fail) one control round-trip; idempotent."""
-        with self._lock:
-            slot = self._control.pop(request_id, None)
-        if slot is None:
-            return  # timed out, or already failed by the reaper
-        if error is None:
-            slot[1].set_result(reply)
-        else:
-            slot[1].set_exception(error)
+            self._fleet.warm(entry.replicas, entry.worker_id,
+                             entry.fingerprint, entry.payload, entry.params)
 
     def _reap_dead_workers(self) -> None:
-        """Retire crashed workers: shrink the ring, redispatch their in-flight.
+        """Retire crashed workers and move their in-flight requests.
 
-        Consistent hashing makes this the *only* re-sharding step needed.
-        One ``_lock`` hold retires each newly dead worker, takes it off the
-        ring and snapshots the orphans, so a death counts once and a
-        respawn (which re-rings under the same lock) is never undone.
+        The fleet retires each newly dead worker and takes the orphan
+        snapshot in one lock hold (:meth:`Fleet.reap
+        <repro.serving.fleet.Fleet.reap>`); each orphan then goes down the
+        owner-lost ladder.
         """
-        if self._closing.is_set():
-            return
-        with self._lock:
-            dead = [(worker_id, dict(worker))
-                    for worker_id, worker in self._workers.items()
-                    if worker_id not in self._retired
-                    and worker_id not in self._planned  # recycle, no crash
-                    and not worker["process"].is_alive()]
-            for worker_id, _ in dead:
-                self._retired.add(worker_id)
-                self._ring.remove_worker(worker_id)
-            # orphans of *all* retired owners, every pass: a submit racing
-            # the retirement may register after a one-shot scan.  A degraded
-            # entry is no orphan: its solve is running.
-            orphaned = [(request_id, entry.worker_id) for request_id, entry
-                        in self._inflight.items()
-                        if entry.state != "degraded"
-                        and entry.worker_id in self._retired]
-            # a *hedge* copy on a dead worker is simply dropped: the
-            # primary still answers.
-            for entry in self._inflight.values():
-                if entry.hedge_worker_id in self._retired:
-                    entry.hedge_worker_id = None
-            # a control round-trip to a dead worker can never be answered.
-            dead_control = [request_id for request_id, (worker_id, _)
-                            in self._control.items()
-                            if worker_id in self._retired]
-        for worker_id, worker in dead:
-            self._record("worker_death", worker=worker_id,
-                         incarnation=worker["config"].incarnation,
-                         pid=worker["process"].pid,
-                         exitcode=worker["process"].exitcode,
-                         uptime_s=time.monotonic() - worker["started_at"])
-            # one death = one failure: only a crash loop trips the breaker
-            self._breakers[worker_id].record_failure()
-        for request_id in dead_control:
-            self._resolve_control(request_id, error=WorkerUnavailableError(
-                "worker died before answering a control message"))
-        for request_id, owner in orphaned:
+        for request_id, owner in self._fleet.reap(self._orphans):
             self._handle_owner_lost(request_id, owner)
+
+    def _orphans(self) -> list:
+        """``(request_id, owner)`` of every request on a retired owner.
+
+        Called by the reaper under ``_lock``, every pass and for *all*
+        retired owners: a submit racing the retirement may register after
+        a one-shot scan.  A degraded entry is no orphan (its solve is
+        running), and a *hedge* copy on a retired worker is simply dropped
+        — the primary still answers.
+        """
+        retired = self._fleet.is_retired
+        orphaned = []
+        for request_id, entry in self._inflight.items():
+            if retired(entry.hedge_worker_id):
+                entry.hedge_worker_id = None
+            if entry.state != "degraded" and retired(entry.worker_id):
+                orphaned.append((request_id, entry.worker_id))
+        return orphaned
 
     def _handle_owner_lost(self, request_id: int, owner: str) -> None:
         """An in-flight request's owner died (or its queue was swapped).
@@ -1063,8 +901,8 @@ class ClusterEngine:
                     or entry.state == "degraded"):
                 return  # settled, already redispatched, or degrading
             hedge = entry.hedge_worker_id
-            promoted = (hedge is not None and hedge not in self._retired
-                        and hedge in self._workers)
+            promoted = (hedge is not None
+                        and not self._fleet.is_retired(hedge))
             if promoted:
                 # the hedge copy is live on a replica: promote it to
                 # primary.  No new dispatch needed — failover latency is
@@ -1081,10 +919,8 @@ class ClusterEngine:
         if redispatchable:
             # prefer the request's own replica set (warm by construction)
             # over a fresh ring walk; both exclude the dead owner.
-            new_owner = select_replica(
-                [r for r in entry.replicas if r != owner],
-                breakers=self._breakers, retired=self._retired,
-                draining=draining)
+            new_owner = self._fleet.select(
+                [r for r in entry.replicas if r != owner], draining=draining)
             via_replica = new_owner is not None
             if new_owner is None:
                 try:
@@ -1141,115 +977,7 @@ class ClusterEngine:
         self._settle(request_id, record, None)
 
     # ------------------------------------------------------------------ #
-    # supervision mechanics (policy lives in resilience.Supervisor)
-    # ------------------------------------------------------------------ #
-    def _respawn_worker(self, worker_id: str) -> bool:
-        """Start a fresh incarnation of a retired worker and re-ring it.
-
-        The new process keeps the worker id and the node-local store
-        directory, so it warm-restores compiled-solver state from disk
-        (store hits, not recompiles) and its virtual nodes land on exactly
-        the arcs it owned before — the ring re-converges to the pre-death
-        placement.  The breaker is deliberately *not* reset: a respawn is
-        hope, not evidence, and the first real response closes it.
-        """
-        if self._closing.is_set():
-            return False
-        worker = self._workers.get(worker_id)
-        if worker is None or worker["process"].is_alive():
-            return False
-        config = dataclasses.replace(
-            worker["config"], incarnation=worker["config"].incarnation + 1)
-        requests = self._context.Queue()
-        # fresh response queue as well: the dead incarnation may have left a
-        # truncated frame (or a held feeder lock) in its old pipe, and the
-        # new process must never inherit either.
-        responses = self._context.Queue()
-        process = self._context.Process(
-            target=worker_main, args=(config, requests, responses),
-            name=f"repro-serving-{worker_id}", daemon=True)
-        process.start()
-        now = time.monotonic()
-        with self._lock:
-            old_requests = worker["requests"]
-            worker.update({"config": config, "requests": requests,
-                           "responses": responses,
-                           "process": process, "final_stats": None,
-                           "started_at": now})
-            self._retired.discard(worker_id)
-            self._ring.ensure_worker(worker_id)
-            self._incarnation_dispatched[worker_id] = 0
-            self._last_heard[worker_id] = now
-        self._record("worker_respawn", worker=worker_id,
-                     incarnation=config.incarnation, pid=process.pid,
-                     restarts=config.incarnation)
-        try:
-            old_requests.close()
-        except (ValueError, OSError):  # pragma: no cover - already torn down
-            pass
-        return True
-
-    def _probe_worker(self, worker_id: str,
-                      timeout: float | None = None) -> bool:
-        """Liveness probe: does a stats round-trip complete in ``timeout``?
-
-        Used by the supervisor's hang detection.  The worker answers the
-        probe from its batch loop once the turn it is in has finished
-        sweeping, so a probe sent after ``hang_timeout`` of silence fails
-        only if the worker stays silent ``probe_timeout`` longer — whether
-        it is wedged or busy in one very long sweep.  ``timeout=None`` uses
-        the engine-level :attr:`probe_timeout` — one knob governs every
-        hang-detection probe.
-        """
-        if timeout is None:
-            timeout = self.probe_timeout
-        reply = self._round_trip(MSG_STATS, [worker_id], timeout).get(
-            worker_id)
-        return reply is not None and not isinstance(reply, Exception)
-
-    def _round_trip(self, kind: str, worker_ids, timeout: float) -> dict:
-        """Send one control message to each worker; collect the replies.
-
-        Stats probes and drain handshakes stay off the request table, in
-        :attr:`_control`: they never occupy admission slots, and the reaper
-        fails those of a dead worker.  All workers are asked first, then
-        awaited under one shared ``timeout``.  Returns ``{worker_id:
-        reply}``, the reply being the answer or the exception standing for
-        it; unknown and retired workers are left out.  Every slot is
-        released on return, so polling a wedged worker leaks nothing.
-        """
-        pending: dict[str, tuple[int, Future]] = {}
-        for worker_id in worker_ids:
-            future: Future = Future()
-            request_id = next(self._request_ids)
-            with self._lock:
-                worker = self._workers.get(worker_id)
-                if worker is None or worker_id in self._retired:
-                    continue
-                requests = worker["requests"]
-                self._control[request_id] = (worker_id, future)
-            pending[worker_id] = (request_id, future)
-            try:
-                requests.put((kind, request_id))
-            except (ValueError, OSError) as exc:
-                self._resolve_control(request_id, error=exc)
-        deadline = time.monotonic() + timeout
-        replies = {}
-        try:
-            for worker_id, (_, future) in pending.items():
-                try:
-                    replies[worker_id] = future.result(
-                        timeout=max(0.0, deadline - time.monotonic()))
-                except Exception as exc:  # noqa: BLE001 - reported as reply
-                    replies[worker_id] = exc
-        finally:
-            with self._lock:
-                for request_id, _ in pending.values():
-                    self._control.pop(request_id, None)
-        return replies
-
-    # ------------------------------------------------------------------ #
-    # zero-downtime operations
+    # zero-downtime operations (the fleet's mechanics)
     # ------------------------------------------------------------------ #
     def drain(self, worker_id: str, timeout: float = 30.0) -> bool:
         """Hand a worker's traffic to its replicas; wait for in-flight work.
@@ -1263,40 +991,11 @@ class ClusterEngine:
         within ``timeout``; the worker keeps running either way — drain is
         a routing state, not a shutdown.
         """
-        if worker_id not in self._workers:
-            raise ValueError(f"unknown worker {worker_id!r}")
-        self._ring.set_draining(worker_id, True)
-        self._event("worker_drain", worker=worker_id)
-        with self._lock:
-            already_dead = worker_id in self._retired
-        if already_dead:
-            # nothing can be in flight inside a dead process; the reaper
-            # already moved (or will move) its orphans to replicas.
-            self._event("worker_drain_complete", worker=worker_id,
-                        dead=True)
-            return True
-        deadline = time.monotonic() + timeout
-        reply = self._round_trip(MSG_DRAIN, [worker_id], timeout).get(
-            worker_id)
-        if reply is None or isinstance(reply, Exception):
-            return False  # timed out, or died mid-drain
-        # the worker's pending set is empty; now wait for the front end's
-        # own accounting to settle (responses may still be in the pipe).
-        while time.monotonic() < deadline:
-            with self._lock:
-                quiesced = self._depth_of(worker_id) == 0
-            if quiesced:
-                self._event("worker_drain_complete", worker=worker_id)
-                return True
-            time.sleep(0.005)
-        return False
+        return self._fleet.drain(worker_id, timeout)
 
     def undrain(self, worker_id: str) -> bool:
         """Return a drained worker to normal routing; ``True`` = changed."""
-        changed = self._ring.set_draining(worker_id, False)
-        if changed:
-            self._event("worker_undrain", worker=worker_id)
-        return changed
+        return self._fleet.undrain(worker_id)
 
     def recycle_worker(self, worker_id: str, timeout: float = 30.0) -> bool:
         """Planned zero-downtime restart of one worker: drain → respawn.
@@ -1308,37 +1007,7 @@ class ClusterEngine:
         incarnation warm-restores from the tiered store before the worker
         is undrained back into rotation.
         """
-        if self._closing.is_set():
-            return False
-        with self._lock:
-            if worker_id in self._planned or worker_id not in self._workers:
-                return False
-            self._planned.add(worker_id)
-        try:
-            drained = self.drain(worker_id, timeout=timeout)
-            worker = self._workers[worker_id]
-            process = worker["process"]
-            if process.is_alive():
-                try:
-                    worker["requests"].put((MSG_SHUTDOWN,))
-                except (ValueError, OSError):  # pragma: no cover
-                    pass
-                process.join(max(1.0, timeout / 2))
-                if process.is_alive():  # pragma: no cover - wedged worker
-                    process.terminate()
-                    process.join(1.0)
-            with self._lock:
-                # retire so racing submits/redispatches see the swap; the
-                # reaper skips planned workers, so no death is recorded.
-                self._retired.add(worker_id)
-            respawned = self._respawn_worker(worker_id)
-            self.undrain(worker_id)
-            self._event("worker_recycle", worker=worker_id,
-                        drained=drained, respawned=respawned)
-            return respawned
-        finally:
-            with self._lock:
-                self._planned.discard(worker_id)
+        return self._fleet.recycle(worker_id, timeout)
 
     def rolling_restart(self, timeout: float = 30.0) -> dict:
         """Recycle every worker one at a time under live traffic.
@@ -1349,11 +1018,10 @@ class ClusterEngine:
         zero-downtime deployment primitive.
         """
         outcomes: dict[str, bool] = {}
-        for worker_id in sorted(self._workers):
+        for worker_id in sorted(self._fleet.workers):
             if self._closing.is_set():
                 break
-            outcomes[worker_id] = self.recycle_worker(worker_id,
-                                                      timeout=timeout)
+            outcomes[worker_id] = self.recycle_worker(worker_id, timeout)
         return outcomes
 
     # ------------------------------------------------------------------ #
@@ -1362,38 +1030,24 @@ class ClusterEngine:
     def worker_stats(self, timeout: float = 5.0) -> dict:
         """Per-worker telemetry snapshots (cache, coalescing, queue depth).
 
-        Stats probes are *control* traffic (see :meth:`_round_trip`): they
-        never count against the admission ``queue_limit``, so monitoring
-        cannot shed — or be shed by — solve load, and a probe that times
-        out releases its slot instead of leaking it on every poll of a
-        wedged worker.
+        Stats probes are *control* traffic: they never count against the
+        admission ``queue_limit``, so monitoring cannot shed — or be shed
+        by — solve load, and a probe that times out releases its slot
+        instead of leaking it on every poll of a wedged worker.
         """
-        snapshots = {}
-        for worker_id, reply in self._round_trip(
-                MSG_STATS, list(self._workers), timeout).items():
-            if isinstance(reply, FutureTimeoutError):
-                reply = {"error": "stats probe timed out"}
-            elif isinstance(reply, Exception):
-                reply = {"error": f"{type(reply).__name__}: {reply}"}
-            elif reply.get("metrics") is not None:
-                self._metrics_seen[worker_id] = time.monotonic()
-            snapshots[worker_id] = reply
-        with self._lock:
-            retired = sorted(self._retired)
-        for worker_id in retired:
-            final = self._workers[worker_id]["final_stats"]
-            snapshots[worker_id] = {"retired": True, "final": final}
-        return snapshots
+        return self._fleet.worker_stats(timeout)
 
     def stats(self, *, include_workers: bool = True) -> dict:
         """Cluster snapshot: ring, admission, latency, depths, workers."""
+        workers = self._fleet.workers
         with self._lock:
             depths = {worker_id: self._depth_of(worker_id)
-                      for worker_id in self._workers}
+                      for worker_id in workers}
             inflight = len(self._inflight)
-            restarts = {worker_id: worker["config"].incarnation
-                        for worker_id, worker in self._workers.items()}
-            incarnation_dispatched = dict(self._incarnation_dispatched)
+            restarts = {worker_id: worker.config.incarnation
+                        for worker_id, worker in workers.items()}
+            incarnation_dispatched = {worker_id: worker.dispatched
+                                      for worker_id, worker in workers.items()}
         degraded = int(self._m_requests.value(outcome="degraded"))
         stats = {
             "workers_alive": len(self._ring),
@@ -1414,10 +1068,15 @@ class ClusterEngine:
             "queue_depths": depths,
             "ring": self._ring.stats(),
             "admission": self._admission.stats(),
-            "breakers": {worker_id: breaker.stats()
-                         for worker_id, breaker in self._breakers.items()},
-            "supervisor": (None if self._supervisor is None
-                           else self._supervisor.stats()),
+            "breakers": {worker_id: worker.breaker.stats()
+                         for worker_id, worker in workers.items()},
+            # the supervisor's counts are the registry's: ``respawns`` is
+            # every respawn (crash healing and planned recycles alike).
+            "supervisor": (None if self._supervisor is None else dict(
+                respawns=self._count("worker_respawn"),
+                hang_kills=self._count("worker_hang_kill"),
+                recycles=self._count("worker_recycle"),
+                **self._supervisor.stats())),
             "latency": self._latency.summary(),
             "shared_memory": (None if self._registry is None
                               else self._registry.stats()),
@@ -1472,14 +1131,15 @@ class ClusterEngine:
         alive = len(self._ring)
         now = time.monotonic()
         draining = set(self._ring.draining)
+        workers = self._fleet.workers
         with self._lock:
-            restarts = sum(worker["config"].incarnation
-                           for worker in self._workers.values())
-            ages = {worker_id: (None if worker_id not in self._metrics_seen
-                                else now - self._metrics_seen[worker_id])
-                    for worker_id in self._workers}
+            restarts = sum(worker.config.incarnation
+                           for worker in workers.values())
+            ages = {worker_id: (None if worker.metrics_seen is None
+                                else now - worker.metrics_seen)
+                    for worker_id, worker in workers.items()}
             drain_states = {worker_id: worker_id in draining
-                            for worker_id in self._workers}
+                            for worker_id in workers}
         events = self._obs.events.stats()
         return {"ok": alive > 0 or self.degraded_fallback,
                 "workers_alive": alive,
@@ -1523,33 +1183,18 @@ class ClusterEngine:
             # _closing wakes its loop; join before shutdown so no respawn
             # races the teardown below.
             self._supervisor.join(timeout=2.0)
-        for worker_id, worker in self._workers.items():
-            if worker_id not in self._retired:
-                try:
-                    worker["requests"].put((MSG_SHUTDOWN,))
-                except (ValueError, OSError):  # pragma: no cover
-                    pass
-        deadline = time.monotonic() + timeout
-        for worker in self._workers.values():
-            worker["process"].join(max(0.1, deadline - time.monotonic()))
-            if worker["process"].is_alive():
-                worker["process"].terminate()
-                worker["process"].join(1.0)
+        self._fleet.close(timeout)
         # fail whatever is still unresolved, then let the collector exit.
         with self._lock:
             orphaned = list(self._inflight)
-            control = list(self._control)
         for request_id in orphaned:
             self._settle(request_id, None,
                          WorkerUnavailableError("cluster engine closed"))
-        for request_id in control:
-            self._resolve_control(request_id, error=WorkerUnavailableError(
-                "cluster engine closed"))
         self._collector.join(timeout=2.0)
         if self._registry is not None:
             self._registry.close()
-        self._event("engine_closed",
-                    uptime_s=time.monotonic() - self._started_at)
+        self._obs.events.emit("engine_closed",
+                              uptime_s=time.monotonic() - self._started_at)
         self._obs.events.close()
 
     def __enter__(self) -> "ClusterEngine":
@@ -1610,193 +1255,3 @@ def _rebuild_exception(name: str, message: str) -> BaseException:
         except TypeError:  # pragma: no cover - exotic constructor signature
             pass
     return RuntimeError(f"{name}: {message}")
-
-
-# ---------------------------------------------------------------------- #
-# HTTP front end
-# ---------------------------------------------------------------------- #
-def _jsonable(value):
-    """Recursively convert numpy containers/scalars to JSON-safe values."""
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, np.generic):
-        return value.item()
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
-class ServingHTTPServer:
-    """Minimal stdlib HTTP/JSON surface over a :class:`ClusterEngine`.
-
-    Endpoints::
-
-        POST /solve    {"matrix": [[...]], "rhs": [...],
-                        "epsilon_l"?, "backend"?, "kappa"?,
-                        "tenant"?, "deadline"?}
-                       → 200 {"x": [...], "scaled_residual": ...,
-                              "degraded": false, ...}
-                       → 429 admission rejection (Retry-After set when known)
-                       → 503 no worker available / breaker open (retriable;
-                              Retry-After carries the half-open countdown)
-                       → 504 deadline expired
-                       → 400 solve-level failure (singular matrix, ...)
-        GET  /stats    → 200 cluster stats snapshot
-        GET  /healthz  → 200 {"ok": true, "workers_alive": W,
-                              "worker_deaths": D, "restarts": R,
-                              "uptime_s": ..., "metrics_snapshot_age_s":
-                              {...}, "event_log": {"lag_s": ...}}
-        GET  /metrics  → 200 Prometheus text format 0.0.4 (cluster-merged)
-        GET  /trace    → 200 tracer stats (ring occupancy, slow log)
-        GET  /trace/ID → 200 finished span tree for one request / 404
-
-    Rejections are **bodies, not exceptions**: every response carries
-    ``{"error", "message", "retriable"}`` so clients can retry on
-    ``retriable: true`` without parsing prose.  Bind to port 0 to let the
-    OS pick (see :attr:`address`); the server runs on daemon threads and
-    stops with :meth:`close`.
-    """
-
-    def __init__(self, engine: ClusterEngine, *, host: str = "127.0.0.1",
-                 port: int = 0) -> None:
-        self.engine = engine
-        handler = _make_handler(engine)
-        self._server = ThreadingHTTPServer((host, port), handler)
-        self._server.daemon_threads = True
-        self._thread = threading.Thread(target=self._server.serve_forever,
-                                        name="repro-serving-http", daemon=True)
-        self._thread.start()
-
-    @property
-    def address(self) -> tuple[str, int]:
-        """``(host, port)`` actually bound (port 0 resolves here)."""
-        return self._server.server_address[:2]
-
-    def close(self) -> None:
-        """Stop accepting requests and join the accept loop."""
-        self._server.shutdown()
-        self._server.server_close()
-        self._thread.join(timeout=2.0)
-
-    def __enter__(self) -> "ServingHTTPServer":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-
-def _make_handler(engine: ClusterEngine):
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
-
-        def log_message(self, *args):  # silence per-request stderr noise
-            pass
-
-        def _reply(self, status: int, body: dict,
-                   headers: dict | None = None) -> None:
-            data = json.dumps(_jsonable(body)).encode()
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(data)))
-            for name, value in (headers or {}).items():
-                self.send_header(name, value)
-            self.end_headers()
-            self.wfile.write(data)
-
-        def _reply_text(self, status: int, text: str,
-                        content_type: str) -> None:
-            data = text.encode()
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(data)))
-            self.end_headers()
-            self.wfile.write(data)
-
-        def do_GET(self):
-            if self.path == "/healthz":
-                self._reply(200, engine.healthz())
-            elif self.path == "/stats":
-                self._reply(200, engine.stats())
-            elif self.path == "/metrics":
-                # the version suffix is the Prometheus text-exposition
-                # contract; scrapers key parsing off it.
-                self._reply_text(200, engine.prometheus_metrics(),
-                                 "text/plain; version=0.0.4")
-            elif self.path == "/trace" or self.path == "/trace/":
-                self._reply(200, engine.observability.tracer.stats())
-            elif self.path.startswith("/trace/"):
-                trace_id = self.path[len("/trace/"):]
-                record = engine.trace(trace_id)
-                if record is None:
-                    self._reply(404, {"error": "TraceNotFound",
-                                      "message": trace_id,
-                                      "retriable": False})
-                else:
-                    self._reply(200, record)
-            else:
-                self._reply(404, {"error": "NotFound", "message": self.path,
-                                  "retriable": False})
-
-        def do_POST(self):
-            if self.path != "/solve":
-                self._reply(404, {"error": "NotFound", "message": self.path,
-                                  "retriable": False})
-                return
-            try:
-                length = int(self.headers.get("Content-Length", "0"))
-                request = json.loads(self.rfile.read(length) or b"{}")
-                matrix = np.array(request["matrix"], dtype=float)
-                rhs = np.array(request["rhs"], dtype=float)
-            except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
-                self._reply(400, {"error": type(exc).__name__,
-                                  "message": str(exc), "retriable": False})
-                return
-            kwargs = {key: request[key] for key
-                      in ("epsilon_l", "backend", "kappa", "tenant", "deadline")
-                      if request.get(key) is not None}
-            try:
-                future = engine.submit(matrix, rhs, **kwargs)
-                record = future.result()
-            except WorkerUnavailableError as exc:
-                # includes CircuitOpenError: the service (not the client) is
-                # the problem, so 503 — retriable, the supervisor is healing.
-                headers = ({} if exc.retry_after is None
-                           else {"Retry-After": f"{exc.retry_after:.3f}"})
-                self._reply(503, {"error": type(exc).__name__,
-                                  "message": str(exc), "retriable": True},
-                            headers)
-                return
-            except AdmissionError as exc:
-                headers = ({} if exc.retry_after is None
-                           else {"Retry-After": f"{exc.retry_after:.3f}"})
-                self._reply(429, {"error": type(exc).__name__,
-                                  "message": str(exc), "retriable": True},
-                            headers)
-                return
-            except SolveTimeoutError as exc:
-                self._reply(504, {"error": type(exc).__name__,
-                                  "message": str(exc), "retriable": True})
-                return
-            except ReproError as exc:
-                self._reply(400, {"error": type(exc).__name__,
-                                  "message": str(exc), "retriable": False})
-                return
-            except Exception as exc:  # noqa: BLE001 - no 500-by-traceback
-                self._reply(500, {"error": type(exc).__name__,
-                                  "message": str(exc), "retriable": False})
-                return
-            self._reply(200, {
-                "x": record.x,
-                "scaled_residual": record.scaled_residual,
-                "scale": record.scale,
-                "block_encoding_calls": record.block_encoding_calls,
-                "polynomial_degree": record.polynomial_degree,
-                "wall_time": record.wall_time,
-                "worker": future.worker_id,
-                "degraded": record.degraded,
-                "trace_id": getattr(future, "trace_id", None),
-            })
-
-    return Handler

@@ -27,13 +27,10 @@ results:
   :class:`~repro.serving.worker.WorkerConfig` or the ``REPRO_CHAOS``
   environment variable (JSON), and costs **zero** overhead when disabled —
   the worker holds ``None`` and never calls in.
-* :class:`Supervisor` — the respawn loop of
-  :class:`~repro.serving.frontend.ClusterEngine`.  It watches for worker
-  death (reaper signal) and heartbeat staleness (a worker with queued work
-  that has gone silent is probed; a probe timeout means *hung*, and a hung
-  worker is killed so the death path can heal it), then respawns the
-  process under exponential backoff and re-adds it to the hash ring —
-  the fleet re-converges to full capacity instead of shrinking forever.
+
+The policy that uses them to heal the fleet — the
+:class:`~repro.serving.fleet.Supervisor` — lives with the worker records
+it reads, in :mod:`repro.serving.fleet`.
 """
 
 from __future__ import annotations
@@ -44,11 +41,10 @@ import os
 import random
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 from ..exceptions import (
     AdmissionError,
-    CircuitOpenError,
     QueueFullError,
     QuotaExceededError,
     WorkerUnavailableError,
@@ -56,7 +52,7 @@ from ..exceptions import (
 from ..obs.trace import current_trace
 
 __all__ = ["RetryPolicy", "CircuitBreaker", "ChaosSpec", "ChaosPolicy",
-           "Supervisor", "HedgePolicy", "select_replica", "CHAOS_ENV_VAR"]
+           "HedgePolicy", "select_replica", "CHAOS_ENV_VAR"]
 
 #: environment variable carrying a JSON :class:`ChaosSpec` for worker
 #: processes (the config field takes precedence when both are set).
@@ -312,8 +308,9 @@ def select_replica(candidates, *, breakers=None, draining=None,
     else the nearest live replica" — the instant-failover selection rule.
 
     A candidate is skipped when it is in ``exclude`` (e.g. the worker a
-    hedge is doubling), in ``draining`` or ``retired``, or when its
-    :class:`CircuitBreaker` in ``breakers`` refuses :meth:`~CircuitBreaker.allow`.
+    hedge is doubling), in ``draining`` or ``retired``, or when its gate in
+    ``breakers`` refuses ``allow()`` — a :class:`CircuitBreaker`, or a
+    fleet's worker record, whose gate also refuses a retired worker.
     ``allow()`` is only consulted after cheaper checks and only until the
     first eligible candidate, so at most one half-open probe slot is
     claimed per selection.
@@ -439,19 +436,7 @@ class ChaosSpec:
         return cls(**spec)
 
     def to_json(self) -> str:
-        return json.dumps({
-            "seed": self.seed,
-            "crash_points": [list(point) for point in self.crash_points],
-            "crash_rate": self.crash_rate,
-            "hang_rate": self.hang_rate,
-            "hang_seconds": self.hang_seconds,
-            "slow_rate": self.slow_rate,
-            "slow_seconds": self.slow_seconds,
-            "stall_rate": self.stall_rate,
-            "stall_seconds": self.stall_seconds,
-            "corrupt_store_rate": self.corrupt_store_rate,
-            "workers": list(self.workers),
-        })
+        return json.dumps(asdict(self))  # tuples serialise as lists
 
 
 def _derive_rng(spec_seed: int, worker_id: str, incarnation: int,
@@ -579,182 +564,3 @@ class ChaosPolicy:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"ChaosPolicy(worker={self.worker_id!r}, "
                 f"incarnation={self.incarnation}, enabled={self.enabled})")
-
-
-# ---------------------------------------------------------------------- #
-# supervisor
-# ---------------------------------------------------------------------- #
-class Supervisor:
-    """Respawn loop: watch the fleet, heal deaths, unstick hangs.
-
-    Owned by :class:`~repro.serving.frontend.ClusterEngine` (which passes
-    itself in); the engine provides the mechanics (``_respawn_worker``,
-    ``_probe_worker``) and the supervisor provides the policy:
-
-    * **death** — the engine's collector sees a death through the process
-      sentinel and retires the worker (ring shrink + orphan redispatch);
-      each pass respawns retired workers under exponential backoff
-      (``backoff_base`` doubling up to ``backoff_cap`` per
-      consecutive short-lived incarnation; an incarnation that survives
-      ``stable_after`` seconds resets the schedule), so a crash-looping
-      worker cannot turn the supervisor into a fork bomb;
-    * **hang** — a worker with queued work whose last response (its
-      heartbeat) is older than ``hang_timeout`` is sent a stats probe that
-      must be answered within ``probe_timeout``.  The worker serves from
-      one synchronous loop, so a worker busy in a sweep answers the probe
-      only when that sweep ends: "hung" therefore means silent for
-      ``hang_timeout + probe_timeout``, whatever the cause — a wedged
-      loop, a chaos hang, or one synthesis that runs that long.  The
-      process is terminated, which converts the hang into a death the
-      collector retires and a later pass heals.  ``hang_timeout=None``
-      disables hang detection.
-    * **planned recycling** — distinct from crash healing: when
-      ``max_requests_per_incarnation`` is set, a worker whose current
-      incarnation has dispatched that many requests is *drained* (ring
-      hands its arcs to replicas, in-flight completes) and then respawned
-      via :meth:`~repro.serving.frontend.ClusterEngine.recycle_worker`.
-      One worker recycles at a time, and a worker mid-recycle is ignored
-      by the death path — a planned exit must not be double-healed or
-      counted as a crash.
-    """
-
-    def __init__(self, engine, *, interval: float = 0.2,
-                 hang_timeout: float | None = 10.0,
-                 probe_timeout: float = 2.0, backoff_base: float = 0.05,
-                 backoff_cap: float = 2.0, stable_after: float = 5.0,
-                 max_requests_per_incarnation: int | None = None) -> None:
-        if interval <= 0.0:
-            raise ValueError("interval must be > 0")
-        if probe_timeout <= 0.0:
-            raise ValueError("probe_timeout must be > 0")
-        if (max_requests_per_incarnation is not None
-                and max_requests_per_incarnation < 1):
-            raise ValueError("max_requests_per_incarnation must be >= 1")
-        self._engine = engine
-        self.interval = float(interval)
-        self.hang_timeout = None if hang_timeout is None else float(hang_timeout)
-        self.probe_timeout = float(probe_timeout)
-        self.backoff_base = float(backoff_base)
-        self.backoff_cap = float(backoff_cap)
-        self.stable_after = float(stable_after)
-        self.max_requests_per_incarnation = max_requests_per_incarnation
-        self._lock = threading.Lock()
-        #: worker_id -> (consecutive short-lived incarnations, next allowed at)
-        self._backoff: dict[str, tuple[int, float]] = {}
-        self._respawns = 0
-        self._hang_kills = 0
-        self._recycles = 0
-        self._recycling: threading.Thread | None = None
-        self._thread = threading.Thread(target=self._run,
-                                        name="repro-serving-supervisor",
-                                        daemon=True)
-
-    # ------------------------------------------------------------------ #
-    def start(self) -> None:
-        self._thread.start()
-
-    def join(self, timeout: float | None = None) -> None:
-        if self._thread.is_alive():
-            self._thread.join(timeout)
-
-    def _run(self) -> None:
-        closing = self._engine._closing
-        while not closing.wait(self.interval):
-            try:
-                self.tick()
-            except Exception:  # noqa: BLE001 - supervision must outlive bugs
-                pass
-
-    # ------------------------------------------------------------------ #
-    def tick(self) -> None:
-        """One supervision pass (public so tests can drive it directly)."""
-        engine = self._engine
-        now = time.monotonic()
-        for worker_id in list(engine._workers):
-            if engine._closing.is_set():
-                return
-            info = engine._workers[worker_id]
-            process = info["process"]
-            if worker_id in engine._planned:
-                continue  # recycle_worker owns this worker's lifecycle
-            if worker_id in engine._retired:
-                self._maybe_respawn(worker_id, info, now)
-            elif self.hang_timeout is not None and process.is_alive():
-                with engine._lock:
-                    busy = engine._depth_of(worker_id) > 0
-                    silent_s = now - engine._last_heard.get(worker_id, now)
-                if (busy and silent_s > self.hang_timeout
-                        and not engine._probe_worker(
-                            worker_id, timeout=self.probe_timeout)):
-                    with self._lock:
-                        self._hang_kills += 1
-                    engine._event("worker_hang_kill", worker=worker_id,
-                                  silent_s=silent_s)
-                    process.terminate()  # retired, then healed, as a death
-        if self.max_requests_per_incarnation is not None:
-            self._maybe_recycle()
-
-    def _maybe_recycle(self) -> None:
-        """Start a planned recycle for one over-quota worker, if any.
-
-        Serialised: at most one recycle thread at a time, and none while
-        any worker is still mid-recycle — a rolling restart effect rather
-        than a simultaneous fleet bounce.
-        """
-        engine = self._engine
-        with self._lock:
-            if self._recycling is not None and self._recycling.is_alive():
-                return
-            self._recycling = None
-        if engine._planned:
-            return
-        candidate = None
-        for worker_id in sorted(engine._workers):
-            served = engine._incarnation_dispatched.get(worker_id, 0)
-            if served >= self.max_requests_per_incarnation:
-                candidate = worker_id
-                break
-        if candidate is None:
-            return
-        thread = threading.Thread(target=self._recycle, args=(candidate,),
-                                  name=f"repro-recycle-{candidate}",
-                                  daemon=True)
-        with self._lock:
-            self._recycling = thread
-            self._recycles += 1
-        thread.start()
-
-    def _recycle(self, worker_id: str) -> None:
-        try:
-            self._engine.recycle_worker(worker_id)
-        except Exception:  # noqa: BLE001 - supervision must outlive bugs
-            pass
-
-    def _maybe_respawn(self, worker_id: str, info: dict, now: float) -> None:
-        with self._lock:
-            consecutive, not_before = self._backoff.get(worker_id, (0, 0.0))
-            if now < not_before:
-                return
-            lifetime = now - info.get("started_at", now)
-            consecutive = 0 if lifetime >= self.stable_after else consecutive + 1
-            delay = min(self.backoff_cap,
-                        self.backoff_base * (2.0 ** max(0, consecutive - 1)))
-            self._backoff[worker_id] = (consecutive, now + delay)
-        self._engine._respawn_worker(worker_id)
-        with self._lock:
-            self._respawns += 1
-
-    def stats(self) -> dict:
-        with self._lock:
-            return {"respawns": self._respawns,
-                    "hang_kills": self._hang_kills,
-                    "recycles": self._recycles,
-                    "interval": self.interval,
-                    "hang_timeout": self.hang_timeout,
-                    "probe_timeout": self.probe_timeout,
-                    "max_requests_per_incarnation":
-                        self.max_requests_per_incarnation}
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"Supervisor(respawns={self._respawns}, "
-                f"hang_kills={self._hang_kills})")

@@ -97,8 +97,9 @@ def make_inner_solver():
     return _inner_solver
 
 
-#: a ``ClusterEngine``'s lifecycle counters: event kind, ``stats()`` key,
-#: ``healthz()`` key (``None`` = not reported there), ``/metrics`` family.
+#: a ``ClusterEngine``'s lifecycle counters: event kind, ``stats()`` key
+#: (dotted when nested), ``healthz()`` key (``None`` = not reported there),
+#: ``/metrics`` family.
 _FRONTEND_COUNTERS = (
     ("failover", "failovers", "failovers", "repro_cluster_failovers_total"),
     ("redispatch", "redispatched", None, "repro_cluster_redispatched_total"),
@@ -109,12 +110,26 @@ _FRONTEND_COUNTERS = (
      "repro_cluster_worker_deaths_total"),
     ("worker_respawn", "restarts", "restarts",
      "repro_cluster_restarts_total"),
+    ("worker_hang_kill", "supervisor.hang_kills", None,
+     "repro_cluster_hang_kills_total"),
+    ("worker_recycle", "supervisor.recycles", None,
+     "repro_cluster_recycles_total"),
 )
 
 
 def _total(value):
     """A per-worker ``{worker: n}`` report summed, a scalar as is."""
     return sum(value.values()) if isinstance(value, dict) else value
+
+
+def _lookup(report: dict, key: str):
+    """``report`` at a dotted ``key`` (``None`` below a ``None`` level: the
+    ``supervisor`` block of an engine built with ``respawn=False``)."""
+    for part in key.split("."):
+        if report is None:
+            return None
+        report = report[part]
+    return report
 
 
 @pytest.fixture()
@@ -132,10 +147,24 @@ def assert_counters_match_events():
         metrics = cluster.metrics_snapshot(worker_snapshots={})
         for kind, stats_key, health_key, family in _FRONTEND_COUNTERS:
             expected = counts.get(kind, 0)
-            assert _total(stats[stats_key]) == expected, kind
+            reported = _lookup(stats, stats_key)
+            if reported is not None:
+                assert _total(reported) == expected, kind
             if health_key is not None:
                 assert _total(health[health_key]) == expected, kind
             assert sum(metrics[family]["series"].values()) == expected, kind
         return counts
 
     return check
+
+
+@pytest.fixture()
+def kill_worker():
+    """Kill one worker of a ``ClusterEngine`` the way a crash would:
+    terminate its process, then wait until it has exited."""
+    def kill(cluster, worker_id: str) -> None:
+        process = cluster._fleet.workers[worker_id].process
+        process.terminate()
+        process.join(5.0)
+
+    return kill

@@ -45,8 +45,12 @@ from repro.obs.trace import (
     span,
     trace_is_sampled,
 )
-from repro.serving.frontend import ClusterEngine, ServingHTTPServer
-from repro.serving.resilience import ChaosSpec, CircuitBreaker
+from repro.serving import (
+    ChaosSpec,
+    CircuitBreaker,
+    ClusterEngine,
+    ServingHTTPServer,
+)
 from repro.utils import LatencyHistogram
 
 
@@ -411,11 +415,11 @@ class TestServingTracePropagation:
             assert counts["redispatch"] >= 1
 
     def test_degraded_fallback_trace_is_complete(
-            self, assert_counters_match_events):
+            self, assert_counters_match_events, kill_worker):
         with ClusterEngine(num_workers=1, respawn=False, max_redispatch=0,
                            trace_sample_rate=1.0,
                            event_log_path=False) as engine:
-            engine._workers["worker-0"]["process"].terminate()
+            kill_worker(engine, "worker-0")
             _wait_until(lambda: len(engine.workers_alive) == 0,
                         message="death never detected")
             matrix, rhs = _spd_system(8, 4.0, 23)

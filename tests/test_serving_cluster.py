@@ -416,7 +416,7 @@ class TestClusterEngine:
             assert cluster.solve(matrix, rhs, epsilon_l=1e-2, backend="ideal",
                                  kappa=4.0).scaled_residual < 1e-2
 
-    def test_worker_death_is_contained_and_retriable(self):
+    def test_worker_death_is_contained_and_retriable(self, kill_worker):
         # respawn=False pins PR 6's shrink-only contract; the self-healing
         # behaviour (fleet returns to full strength) lives in
         # test_serving_resilience.py.
@@ -424,7 +424,7 @@ class TestClusterEngine:
         with ClusterEngine(num_workers=2, respawn=False,
                            degraded_fallback=False) as cluster:
             victim = cluster.route(matrix)
-            cluster._workers[victim]["process"].terminate()
+            kill_worker(cluster, victim)
             # requests racing the death either complete or fail retriably —
             # never hang, never raise anything but WorkerUnavailableError.
             future = cluster.submit(matrix, rhs, epsilon_l=1e-2,
@@ -460,7 +460,7 @@ class TestClusterEngine:
             reference = cluster.solve(matrix, rhs, epsilon_l=1e-2,
                                       backend="ideal", kappa=4.0)
             assert cluster.stats(include_workers=False)["completed"] == 1
-            cluster._workers[owner]["requests"].close()
+            cluster._fleet.workers[owner].requests.close()
             future = cluster.submit(matrix, rhs, epsilon_l=1e-2,
                                     backend="ideal", kappa=4.0)
             record = future.result(timeout=30.0)
@@ -616,6 +616,39 @@ class TestServingHTTP:
         body = json.load(excinfo.value)
         assert body["retriable"] is True
         assert body["error"] == "QuotaExceededError"
+
+    def test_expired_deadline_maps_to_504(self, served):
+        _, base = served
+        matrix, rhs = _spd_system(8, 4.0, 37)
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            self._post(base, {"matrix": matrix.tolist(), "rhs": rhs.tolist(),
+                              "epsilon_l": 1e-2, "backend": "ideal",
+                              "kappa": 4.0, "deadline": 0.0})
+        assert excinfo.value.code == 504
+        body = json.load(excinfo.value)
+        assert body["retriable"] is True
+        assert body["error"] == "SolveTimeoutError"
+
+    def test_no_live_worker_maps_to_503(self, kill_worker):
+        matrix, rhs = _spd_system(8, 4.0, 39)
+        with ClusterEngine(num_workers=2, respawn=False,
+                           degraded_fallback=False) as cluster:
+            with ServingHTTPServer(cluster) as server:
+                host, port = server.address
+                for worker_id in ("worker-0", "worker-1"):
+                    kill_worker(cluster, worker_id)
+                deadline = time.monotonic() + 10.0
+                while cluster.workers_alive:
+                    assert time.monotonic() < deadline, "deaths not reaped"
+                    time.sleep(0.05)
+                with pytest.raises(urllib.error.HTTPError) as excinfo:
+                    self._post(f"http://{host}:{port}",
+                               {"matrix": matrix.tolist(),
+                                "rhs": rhs.tolist()})
+                assert excinfo.value.code == 503
+                body = json.load(excinfo.value)
+                assert body["retriable"] is True
+                assert body["error"] == "WorkerUnavailableError"
 
     def test_malformed_and_unknown_requests(self, served):
         _, base = served

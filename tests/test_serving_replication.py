@@ -301,7 +301,7 @@ class TestFailoverCorrectness:
             assert counts["hedge_dispatch"] == counts["hedge_win"] == 1
 
     def test_hedge_storm_with_a_kill_settles_every_request_once(
-            self, assert_counters_match_events):
+            self, assert_counters_match_events, kill_worker):
         # a 1 ms hedge deadline doubles nearly every request while four
         # client threads submit and one worker is killed mid-traffic; a
         # short switch interval widens every race between submit, hedge,
@@ -328,7 +328,7 @@ class TestFailoverCorrectness:
                 for thread in clients:
                     thread.start()
                 time.sleep(0.2)
-                cluster._workers["worker-0"]["process"].terminate()
+                kill_worker(cluster, "worker-0")
                 for thread in clients:
                     thread.join(timeout=30.0)
                     assert not thread.is_alive()
@@ -375,7 +375,7 @@ class TestZeroDowntimeOps:
             assert events.events(kind="worker_drain_complete")
             assert events.events(kind="worker_undrain")
 
-    def test_drain_of_a_worker_that_dies_returns_promptly(self):
+    def test_drain_of_a_worker_that_dies_returns_promptly(self, kill_worker):
         # the handshake waits on a worker wedged in a hang; once it is
         # killed the reaper fails the drain's round-trip, so drain answers
         # False within a reaper pass or two, not at its 30 s timeout, and
@@ -397,7 +397,7 @@ class TestZeroDowntimeOps:
             thread.start()
             time.sleep(0.3)
             killed_at = time.monotonic()
-            cluster._workers["worker-0"]["process"].terminate()
+            kill_worker(cluster, "worker-0")
             thread.join(timeout=10.0)
             assert outcome.get("drained") is False
             assert outcome["at"] - killed_at < 5.0

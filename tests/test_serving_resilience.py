@@ -29,6 +29,8 @@ The resilience layer's contract, clause by clause:
 from __future__ import annotations
 
 import json
+import multiprocessing
+import sys
 import threading
 import time
 import urllib.request
@@ -321,7 +323,7 @@ class TestStoreQuarantine:
 # (e) supervisor: respawn, ring re-convergence, warm restore
 # ---------------------------------------------------------------------- #
 class TestSelfHealing:
-    def test_respawn_restores_ring_and_warm_state(self, tmp_path):
+    def test_respawn_restores_ring_and_warm_state(self, tmp_path, kill_worker):
         matrix, rhs = _spd_system(8, 4.0, 51)
         with ClusterEngine(num_workers=2, supervisor_interval=0.05,
                            local_store_dir=str(tmp_path / "local"),
@@ -332,7 +334,7 @@ class TestSelfHealing:
                                   backend="ideal", kappa=4.0)
             assert first.scaled_residual < 1e-2 and not first.degraded
 
-            cluster._workers[victim]["process"].terminate()
+            kill_worker(cluster, victim)
             _wait_until(lambda: cluster.stats(include_workers=False)
                         ["restarts"][victim] == 1,
                         message="supervisor never respawned the victim")
@@ -356,7 +358,7 @@ class TestSelfHealing:
             assert snapshot["cache"]["compiles"] == 0
             assert snapshot["chaos_enabled"] is False
 
-    def test_three_kills_mid_traffic_drop_nothing(self, tmp_path):
+    def test_three_kills_mid_traffic_drop_nothing(self, tmp_path, kill_worker):
         # the ISSUE's satellite scenario: kill the same worker three times
         # while traffic flows; every future settles (result or typed
         # retriable error), the ring returns to full arc_shares each time,
@@ -377,7 +379,7 @@ class TestSelfHealing:
                 futures = [cluster.submit(matrix, rhs, epsilon_l=1e-2,
                                           backend="ideal", kappa=4.0)
                            for matrix, rhs in systems for _ in range(3)]
-                cluster._workers[victim]["process"].terminate()
+                kill_worker(cluster, victim)
                 for future in futures:
                     try:
                         record = future.result(timeout=30.0)
@@ -469,14 +471,14 @@ class TestSelfHealing:
                            supervisor_interval=0.05, hang_timeout=0.3,
                            probe_timeout=2.0, chaos=chaos) as cluster:
             probes = []
-            probe = cluster._probe_worker
+            probe = cluster._fleet.probe
 
             def counting_probe(worker_id, timeout=None):
                 answered = probe(worker_id, timeout=timeout)
                 probes.append(answered)
                 return answered
 
-            cluster._probe_worker = counting_probe
+            cluster._fleet.probe = counting_probe
             record = cluster.submit(matrix, rhs, epsilon_l=1e-2,
                                     backend="ideal",
                                     kappa=4.0).result(timeout=30.0)
@@ -492,7 +494,7 @@ class TestSelfHealing:
         # that retires the worker records the death and charges its breaker.
         with ClusterEngine(num_workers=2, respawn=False, hedging=False,
                            event_log_path=False) as cluster:
-            process = cluster._workers["worker-0"]["process"]
+            process = cluster._fleet.workers["worker-0"].process
             reapers = [threading.Thread(target=cluster._reap_dead_workers)
                        for _ in range(2)]
             with cluster._lock:
@@ -507,26 +509,62 @@ class TestSelfHealing:
             assert stats["worker_deaths"] == 1
             assert stats["breakers"]["worker-0"]["consecutive_failures"] == 1
 
-    def test_respawn_right_after_retirement_stays_on_the_ring(self):
+    def test_racing_respawns_of_one_dead_worker_fork_once(
+            self, kill_worker, assert_counters_match_events):
+        # the supervisor and a recycle can both reach one dead worker: the
+        # respawn claims the next incarnation under the lock before it
+        # forks, so of four racing callers exactly one forks, and no second
+        # process outlives close().
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ClusterEngine(num_workers=2, respawn=False, hedging=False,
+                               event_log_path=False) as cluster:
+                kill_worker(cluster, "worker-0")
+                _wait_until(lambda: "worker-0" not in cluster.workers_alive,
+                            message="death never detected")
+                barrier = threading.Barrier(4)
+                outcomes = []
+
+                def respawn():
+                    barrier.wait()
+                    outcomes.append(cluster._fleet.respawn("worker-0"))
+
+                racers = [threading.Thread(target=respawn) for _ in range(4)]
+                for thread in racers:
+                    thread.start()
+                for thread in racers:
+                    thread.join(timeout=30.0)
+                assert sorted(outcomes) == [False, False, False, True]
+                stats = cluster.stats(include_workers=False)
+                assert stats["restarts"]["worker-0"] == 1
+                assert_counters_match_events(cluster)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not [child for child in multiprocessing.active_children()
+                    if child.name == "repro-serving-worker-0"]
+
+    def test_respawn_right_after_retirement_stays_on_the_ring(
+            self, kill_worker):
         # a respawn that lands as soon as the worker is retired (here from
         # inside its death record) must not be undone by the reaper taking
         # the worker off the ring afterwards.
         with ClusterEngine(num_workers=2, respawn=False, hedging=False,
                            event_log_path=False) as cluster:
-            record = cluster._record
+            record = cluster._fleet.record
 
             def respawn_on_death(kind, *args, **fields):
                 record(kind, *args, **fields)
                 if kind == "worker_death":
-                    cluster._respawn_worker(fields["worker"])
+                    cluster._fleet.respawn(fields["worker"])
 
-            cluster._record = respawn_on_death
-            cluster._workers["worker-0"]["process"].terminate()
+            cluster._fleet.record = respawn_on_death
+            kill_worker(cluster, "worker-0")
             _wait_until(lambda: cluster.stats(include_workers=False)
                         ["restarts"]["worker-0"] == 1,
                         message="the death record never respawned")
-            assert cluster._workers["worker-0"]["process"].is_alive()
-            assert "worker-0" not in cluster._retired
+            assert cluster._fleet.workers["worker-0"].process.is_alive()
+            assert not cluster._fleet.workers["worker-0"].retired
             _wait_until(lambda: "worker-0" in cluster.workers_alive,
                         timeout=2.0,
                         message="the live incarnation is off the ring")
@@ -536,10 +574,10 @@ class TestSelfHealing:
 # (f) graceful degradation + breaker at the front door
 # ---------------------------------------------------------------------- #
 class TestDegradation:
-    def test_empty_ring_degrades_with_classical_parity(self):
+    def test_empty_ring_degrades_with_classical_parity(self, kill_worker):
         matrix, rhs = _spd_system(8, 4.0, 81)
         with ClusterEngine(num_workers=1, respawn=False) as cluster:
-            cluster._workers["worker-0"]["process"].terminate()
+            kill_worker(cluster, "worker-0")
             _wait_until(lambda: len(cluster.workers_alive) == 0,
                         message="death never detected")
             record = cluster.solve(matrix, rhs)
@@ -550,7 +588,7 @@ class TestDegradation:
             assert record.scaled_residual < 1e-10
             assert cluster.stats(include_workers=False)["degraded"] >= 1
 
-    def test_owner_lost_fallback_solves_once(self, monkeypatch):
+    def test_owner_lost_fallback_solves_once(self, monkeypatch, kill_worker):
         # a classical fallback still running when the reaper passes again
         # must not be started a second time: the entry it owns is no
         # orphan.  The wrapper makes each solve outlive several passes.
@@ -571,7 +609,7 @@ class TestDegradation:
                                            slow_seconds=5.0)) as cluster:
             future = cluster.submit(matrix, rhs)
             time.sleep(0.3)
-            cluster._workers["worker-0"]["process"].terminate()
+            kill_worker(cluster, "worker-0")
             record = future.result(timeout=30.0)
             assert record.degraded
             time.sleep(0.3)  # further reaper passes find nothing to degrade
@@ -583,11 +621,11 @@ class TestDegradation:
             assert stats["submitted"] == stats["completed"] == 1
             assert stats["degraded"] == 1 and stats["inflight"] == 0
 
-    def test_empty_ring_without_fallback_raises_typed_error(self):
+    def test_empty_ring_without_fallback_raises_typed_error(self, kill_worker):
         matrix, rhs = _spd_system(8, 4.0, 82)
         with ClusterEngine(num_workers=1, respawn=False,
                            degraded_fallback=False) as cluster:
-            cluster._workers["worker-0"]["process"].terminate()
+            kill_worker(cluster, "worker-0")
             _wait_until(lambda: len(cluster.workers_alive) == 0,
                         message="death never detected")
             with pytest.raises(WorkerUnavailableError):
@@ -596,7 +634,7 @@ class TestDegradation:
     def test_open_breaker_degrades_and_counts_the_shed(self):
         matrix, rhs = _spd_system(8, 4.0, 83)
         with ClusterEngine(num_workers=1, respawn=False) as cluster:
-            breaker = cluster._breakers["worker-0"]
+            breaker = cluster._fleet.workers["worker-0"].breaker
             for _ in range(breaker.failure_threshold):
                 breaker.record_failure()
             assert breaker.state == "open"
@@ -611,7 +649,7 @@ class TestDegradation:
         with ClusterEngine(num_workers=1, respawn=False,
                            degraded_fallback=False,
                            breaker_reset_timeout=30.0) as cluster:
-            breaker = cluster._breakers["worker-0"]
+            breaker = cluster._fleet.workers["worker-0"].breaker
             for _ in range(breaker.failure_threshold):
                 breaker.record_failure()
             with pytest.raises(CircuitOpenError) as excinfo:
@@ -619,7 +657,7 @@ class TestDegradation:
             assert excinfo.value.retriable is True
             assert 0.0 < excinfo.value.retry_after <= 30.0
 
-    def test_retry_policy_rides_out_a_respawn_window(self):
+    def test_retry_policy_rides_out_a_respawn_window(self, kill_worker):
         # two retry layers, by design: the engine-level policy absorbs
         # *synchronous* rejections (empty ring while the supervisor heals),
         # while ``execute`` wraps the blocking call so in-flight deaths —
@@ -633,7 +671,7 @@ class TestDegradation:
             first = cluster.solve(matrix, rhs, epsilon_l=1e-2,
                                   backend="ideal", kappa=4.0)
             assert first.scaled_residual < 1e-2
-            cluster._workers["worker-0"]["process"].terminate()
+            kill_worker(cluster, "worker-0")
             # submit immediately: may land in the dying worker's queue (an
             # in-flight loss) or hit the worker-less window (a sync
             # rejection); either way the retries outlast the respawn.
@@ -645,13 +683,13 @@ class TestDegradation:
 
 
 class TestResilientHTTP:
-    def test_degraded_answer_and_enriched_healthz(self):
+    def test_degraded_answer_and_enriched_healthz(self, kill_worker):
         matrix, rhs = _spd_system(8, 4.0, 91)
         with ClusterEngine(num_workers=1, respawn=False) as cluster:
             with ServingHTTPServer(cluster) as server:
                 host, port = server.address
                 base = f"http://{host}:{port}"
-                cluster._workers["worker-0"]["process"].terminate()
+                kill_worker(cluster, "worker-0")
                 _wait_until(lambda: len(cluster.workers_alive) == 0,
                             message="death never detected")
                 request = urllib.request.Request(
