@@ -17,7 +17,7 @@ Measures the PR-5 claims of the structured-operator layer
   produce identical solutions to 1e-12, and the matrix-free QSVT route of
   the ideal backend matches the dense SVD route to 1e-12;
 * **kernels** — the vectorised wide-batch ``CSROperator.matmat`` (one
-  ``reduceat`` contraction) against the pre-vectorisation per-column loop
+  pass of scipy's CSR kernel) against the pre-vectorisation per-column loop
   at ``N = 65536``, ``B = 64``; must be ≥ 5x faster;
 * **scale** — the ``poisson-2d`` scenario end-to-end at ``N ≥ 32768``
   (``grid_points = 182``, ``N = 33124``) through the engine — a size where

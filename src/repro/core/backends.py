@@ -651,9 +651,11 @@ class CircuitQSVTBackend(QSVTBackend):
 
         The whole batch replays the compiled
         :class:`~repro.qsp.qsvt_circuit.QSVTProgram`, so every fused
-        contraction updates all ``B`` states at once — the per-state cost
-        collapses to roughly ``1/B`` of ``B`` single-row sweeps at paper
-        scale.
+        contraction updates all ``B`` states at once.  That saves the
+        per-op Python and dispatch overhead ``B - 1`` times, which is most
+        of a sweep on small registers; on large registers each op streams
+        ``B`` states' amplitudes, so a batch costs about as much per state
+        as single-row sweeps.
         """
         if not self._prepared:
             raise BackendError("call prepare() before apply_inverse_batch()")
@@ -766,6 +768,13 @@ class CircuitQSVTBackend(QSVTBackend):
 # ---------------------------------------------------------------------- #
 # ideal polynomial backend
 # ---------------------------------------------------------------------- #
+#: byte budget of one column block of the matrix-free Clenshaw recurrence
+#: (a quarter of a 2 MiB per-core L2): the block width is the number of
+#: float64 columns of the ``(N, B)`` batch (``(2N, B)`` on the dilation)
+#: that fit, and at least one.
+CLENSHAW_BLOCK_BYTES = 512 * 1024
+
+
 class IdealPolynomialBackend(QSVTBackend):
     """Noiseless singular-value transformation by the Eq.-(4) polynomial.
 
@@ -782,12 +791,15 @@ class IdealPolynomialBackend(QSVTBackend):
     Ritz values for symmetric — including indefinite — spectra, Golub–Kahan
     singular-value bounds for non-symmetric ones).  ``apply_inverse``
     evaluates the very same Eq.-(4) Chebyshev polynomial through a Clenshaw
-    recurrence over ``matvec`` calls — ``degree × O(nnz)`` work and
-    ``O(nnz)`` memory.  For a symmetric matrix the two routes compute the
-    same transformation (``V P(Σ/α) W† = P(A/α)`` because the polynomial is
-    odd); non-symmetric operators run the dilation ``[[0, A], [Aᵀ, 0]]``,
-    whose odd-polynomial action reproduces the dense SVD route exactly (see
-    :meth:`_transform_matrix_free`).  The dense fallback is preserved
+    recurrence over ``matmat`` calls — ``degree × O(nnz)`` work and
+    ``O(nnz)`` memory.  A batch of right-hand sides runs in column blocks:
+    each block holds as many columns as fit :data:`CLENSHAW_BLOCK_BYTES`
+    (at least one), so a wide batch of large ``N`` costs about as much per
+    column as a loop of single solves.  For a symmetric matrix the two
+    routes compute the same transformation (``V P(Σ/α) W† = P(A/α)``
+    because the polynomial is odd); non-symmetric operators run the
+    dilation ``[[0, A], [Aᵀ, 0]]``, whose odd-polynomial action reproduces
+    the dense SVD route exactly (see :meth:`_transform_matrix_free`).  The dense fallback is preserved
     bit-for-bit: ndarray inputs take the exact pre-existing SVD code path.
     """
 
@@ -856,21 +868,38 @@ class IdealPolynomialBackend(QSVTBackend):
         ``p`` gives ``p(H/α) [b; 0] = [0; V p(Σ/α) Wᵀ b]`` — the bottom
         block is *exactly* what the dense route computes from the SVD of
         ``A†``, at twice the matvec cost and still O(nnz) memory.
+
+        The recurrence runs over column blocks whose ``(rows, width)`` slab
+        fits :data:`CLENSHAW_BLOCK_BYTES` (``rows`` is ``N``, or ``2N`` on
+        the dilation), so its buffers stay cache-resident across the
+        ``degree`` terms instead of streaming a wide batch through memory
+        once per term.  Columns never mix, so blocking only regroups the
+        same per-column arithmetic.
         """
         operator = self.matrix
         inv_alpha = 1.0 / self.alpha
         coefficients = self.polynomial.coefficients
-        if not self._dilated:
-            return evaluate_chebyshev_operator(
-                coefficients, lambda w: inv_alpha * operator.matmat(w),
-                normalized)
         n = operator.shape[0]
+        dilated = self._dilated
 
         def apply(w):
-            return inv_alpha * np.vstack(
-                [operator.matmat(w[n:]), operator.rmatmat(w[:n])])
-        stacked = np.vstack([normalized, np.zeros_like(normalized)])
-        return evaluate_chebyshev_operator(coefficients, apply, stacked)[n:]
+            out = (np.vstack([operator.matmat(w[n:]), operator.rmatmat(w[:n])])
+                   if dilated else operator.matmat(w))
+            out *= inv_alpha
+            return out
+
+        rows = 2 * n if dilated else n
+        width = max(1, CLENSHAW_BLOCK_BYTES // (rows * normalized.itemsize))
+        result = np.empty_like(normalized)
+        for start in range(0, normalized.shape[1], width):
+            columns = slice(start, start + width)
+            block = np.ascontiguousarray(normalized[:, columns])
+            if dilated:
+                block = np.vstack([block, np.zeros_like(block)])
+            # the last n rows: the whole block, or the dilation's lower half
+            result[:, columns] = evaluate_chebyshev_operator(
+                coefficients, apply, block)[-n:]
+        return result
 
     def apply_inverse(self, rhs) -> BackendApplication:
         return self.apply_inverse_batch(as_vector(rhs, name="rhs")[None])[0]
@@ -881,8 +910,9 @@ class IdealPolynomialBackend(QSVTBackend):
         Dense route: the Chebyshev transform of the singular values is
         evaluated once and the whole batch is pushed through
         ``V diag(P(Σ/α)) W†`` as a single matrix-matrix product.  Matrix-free
-        route: one Clenshaw recurrence over ``matmat`` calls updates all
-        ``B`` columns per Chebyshev term.
+        route: one Clenshaw recurrence over ``matmat`` calls per column
+        block (see :meth:`_transform_matrix_free`) updates all of the
+        block's columns per Chebyshev term.
         """
         if not self._prepared:
             raise BackendError("call prepare() before apply_inverse_batch()")

@@ -39,9 +39,10 @@ import json
 import os
 
 import numpy as np
+from scipy.linalg import solve_banded
+from scipy.sparse import csr_matrix
 
 from ..exceptions import DimensionError
-from .tridiagonal import thomas_solve
 
 __all__ = [
     "StructuredOperator",
@@ -172,7 +173,9 @@ class StructuredOperator(abc.ABC):
         """Apply the operator to column-stacked vectors of shape ``(N, B)``.
 
         The default loops over :meth:`matvec`; subclasses vectorise.  The
-        float64 dtype contract of :meth:`matvec` applies column-wise.
+        float64 dtype contract of :meth:`matvec` applies column-wise.  The
+        result is always a new array the caller owns: the Clenshaw route and
+        :class:`DiagonalShiftOperator` scale it in place.
         """
         block = np.asarray(x, dtype=np.float64)
         return np.column_stack([self.matvec(block[:, j])
@@ -439,6 +442,12 @@ class BandedOperator(StructuredOperator):
                     f"got shape {arr.shape}")
             frozen[k] = arr
         self._bands = dict(sorted(frozen.items()))
+        # the value of every constant (Toeplitz) band, ``None`` for the
+        # others: found once here, read by every application and by
+        # ``toeplitz_stencil`` (which each fingerprint reaches).
+        self._band_constants = {
+            k: float(d[0]) if np.all(d == d[0]) else None
+            for k, d in self._bands.items()}
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -485,38 +494,39 @@ class BandedOperator(StructuredOperator):
 
     def toeplitz_stencil(self) -> dict | None:
         """``offset -> constant`` when every band is constant, else ``None``."""
-        stencil = {}
-        for k, d in self._bands.items():
-            if d.size and np.any(d != d[0]):
-                return None
-            stencil[k] = float(d[0]) if d.size else 0.0
-        return stencil
+        if any(c is None for c in self._band_constants.values()):
+            return None
+        return dict(self._band_constants)
 
     # ------------------------------------------------------------------ #
     def _band_apply(self, x: np.ndarray, *, transpose: bool = False
                     ) -> np.ndarray:
         """Shared band contraction for 1-D/2-D operands and ``Aᵀ``.
 
-        One fused ``y[sl] += d * x[sl']`` per stored diagonal; constant
-        (Toeplitz) bands multiply by the scalar directly, so wide batches
-        avoid materialising the broadcast ``d[:, None] * block`` product.
+        One ``y[sl] += d * x[sl']`` per stored diagonal, the product formed
+        in one scratch buffer reused by every band; constant (Toeplitz)
+        bands multiply by their scalar (found at construction), so wide
+        batches never materialise the broadcast ``d[:, None] * block``.
         The transpose mirrors each offset: the entries of band ``k`` land on
         band ``-k`` of ``Aᵀ`` with unchanged values.
         """
         block = np.asarray(x, dtype=np.float64)
         y = np.zeros_like(block)
+        scratch = np.empty_like(block)
         n = self._n
         wide = block.ndim == 2
         for k, d in self._bands.items():
-            if d.size and np.all(d == d[0]):
-                coeff = d[0]
-            else:
+            coeff = self._band_constants[k]
+            if coeff is None:
                 coeff = d[:, None] if wide else d
+            m = n - abs(k)
             if (k >= 0) != transpose or k == 0:
-                dst, src = slice(0, n - abs(k)), slice(abs(k), n)
+                dst, src = slice(0, m), slice(abs(k), n)
             else:
-                dst, src = slice(abs(k), n), slice(0, n - abs(k))
-            y[dst] += coeff * block[src]
+                dst, src = slice(abs(k), n), slice(0, m)
+            product = scratch[:m]
+            np.multiply(coeff, block[src], out=product)
+            y[dst] += product
         return y
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
@@ -585,27 +595,13 @@ class BandedOperator(StructuredOperator):
         rhs = np.asarray(b, dtype=np.float64)
         nl = -min(min(self._bands), 0)
         nu = max(max(self._bands), 0)
-        try:
-            from scipy.linalg import solve_banded
-        except ImportError:  # pragma: no cover - scipy is a baked-in dep
-            solve_banded = None
-        if solve_banded is not None:
-            ab = np.zeros((nl + nu + 1, self._n))
-            for k, d in self._bands.items():
-                if k >= 0:
-                    ab[nu - k, k:] = d
-                else:
-                    ab[nu - k, :self._n + k] = d
-            return solve_banded((nl, nu), ab, rhs)
-        if nl <= 1 and nu <= 1:
-            zero = np.zeros(self._n - 1)
-            diags = (self._bands.get(-1, zero), self._bands[0],
-                     self._bands.get(1, zero))
-            if rhs.ndim == 1:
-                return thomas_solve(diags, rhs)
-            return np.column_stack([thomas_solve(diags, rhs[:, j])
-                                    for j in range(rhs.shape[1])])
-        return super().solve(b)
+        ab = np.zeros((nl + nu + 1, self._n))
+        for k, d in self._bands.items():
+            if k >= 0:
+                ab[nu - k, k:] = d
+            else:
+                ab[nu - k, :self._n + k] = d
+        return solve_banded((nl, nu), ab, rhs)
 
 
 # ---------------------------------------------------------------------- #
@@ -638,6 +634,7 @@ class CSROperator(StructuredOperator):
             raise DimensionError("column indices out of range")
         self._symmetric = symmetric
         self._row_cache: np.ndarray | None = None
+        self._sparse_cache = None
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -679,56 +676,42 @@ class CSROperator(StructuredOperator):
                                         np.diff(self._indptr))
         return self._row_cache
 
-    def _scipy_matrix(self):
-        """scipy CSR view *sharing* the frozen arrays (no copy); None without scipy.
+    def _scipy_matrix(self, *, transpose: bool = False):
+        """scipy CSR matrix of the operator (or its CSC transpose), built on
+        first use and kept.
 
-        The numpy kernels below are memory-bandwidth-bound (every gathered
-        ``x[indices]`` materialises an ``(nnz, B)`` block); scipy's single-pass
-        C kernel avoids the intermediate entirely.  Wrapping costs ~microseconds
-        because the three canonical arrays are handed over by reference.
+        scipy's single-pass C kernels avoid the ``(nnz, B)`` gather a NumPy
+        CSR product would materialise.  Building the wrapper is not free:
+        scipy re-casts the frozen int64 ``indices``/``indptr`` to int32
+        copies, and at ``N = 16384`` that costs about one matvec; even the
+        transpose view costs half of one.  So both are built once per
+        operator.  They are a derived cache: pickling and :meth:`to_state`
+        leave them out.
         """
-        try:
-            from scipy.sparse import csr_matrix
-        except ImportError:  # pragma: no cover - scipy is a baked-in dep
-            return None
-        return csr_matrix((self._data, self._indices, self._indptr),
-                          shape=(self._n, self._n))
+        cache = self._sparse_cache
+        if cache is None:
+            sparse = csr_matrix((self._data, self._indices, self._indptr),
+                                shape=(self._n, self._n))
+            cache = self._sparse_cache = (sparse, sparse.T)
+        return cache[1] if transpose else cache[0]
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_row_cache"] = None
+        state["_sparse_cache"] = None
+        return state
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        # both routes accumulate in float64, which is exactly the operator's
+        # scipy accumulates in float64, which is exactly the operator's
         # dtype contract: any real input promotes to float64.
-        vec = np.asarray(x, dtype=np.float64)
-        sparse = self._scipy_matrix()
-        if sparse is not None:
-            return sparse @ vec
-        return np.bincount(self._rows, weights=self._data * vec[self._indices],
-                           minlength=self._n)
+        return self._scipy_matrix() @ np.asarray(x, dtype=np.float64)
 
     def matmat(self, x: np.ndarray) -> np.ndarray:
-        """Wide-batch product without a per-column Python loop.
-
-        Dispatches to scipy's single-pass C kernel when available (it reads
-        the frozen CSR arrays in place), else falls back to one
-        ``np.add.reduceat`` contraction over the gathered
-        ``data ⊙ x[indices]`` block.  ``reduceat`` has one wart: a start
-        index with an empty segment returns the *element* at that index
-        instead of zero (and an index equal to ``nnz`` is out of range), so
-        empty rows are clamped and zeroed afterwards.
-        """
+        """Wide-batch product through scipy's single-pass C kernel."""
         block = np.asarray(x, dtype=np.float64)
         if block.shape[1] == 0 or self.nnz == 0:
             return np.zeros((self._n, block.shape[1]))
-        sparse = self._scipy_matrix()
-        if sparse is not None:
-            return np.asarray(sparse @ block)
-        contrib = self._data[:, None] * block[self._indices]
-        counts = np.diff(self._indptr)
-        if counts.min() > 0:
-            return np.add.reduceat(contrib, self._indptr[:-1], axis=0)
-        starts = np.minimum(self._indptr[:-1], self.nnz - 1)
-        out = np.add.reduceat(contrib, starts, axis=0)
-        out[counts == 0] = 0.0
-        return out
+        return np.asarray(self._scipy_matrix() @ block)
 
     def _matmat_loop(self, x: np.ndarray) -> np.ndarray:
         """The pre-vectorisation per-column kernel (benchmark baseline)."""
@@ -740,26 +723,14 @@ class CSROperator(StructuredOperator):
             for j in range(block.shape[1])])
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
-        vec = np.asarray(x, dtype=np.float64)
-        sparse = self._scipy_matrix()
-        if sparse is not None:
-            return sparse.T @ vec
-        return np.bincount(self._indices,
-                           weights=self._data * vec[self._rows],
-                           minlength=self._n)
+        return (self._scipy_matrix(transpose=True)
+                @ np.asarray(x, dtype=np.float64))
 
     def rmatmat(self, x: np.ndarray) -> np.ndarray:
         block = np.asarray(x, dtype=np.float64)
-        b = block.shape[1]
-        if b == 0 or self.nnz == 0:
-            return np.zeros((self._n, b))
-        sparse = self._scipy_matrix()
-        if sparse is not None:
-            return np.asarray(sparse.T @ block)
-        contrib = (self._data[:, None] * block[self._rows]).ravel()
-        flat = self._indices[:, None] * b + np.arange(b, dtype=np.int64)
-        return np.bincount(flat.ravel(), weights=contrib,
-                           minlength=self._n * b).reshape(self._n, b)
+        if block.shape[1] == 0 or self.nnz == 0:
+            return np.zeros((self._n, block.shape[1]))
+        return np.asarray(self._scipy_matrix(transpose=True) @ block)
 
     # ------------------------------------------------------------------ #
     @property
@@ -1022,7 +993,10 @@ class DiagonalShiftOperator(StructuredOperator):
 
     def matmat(self, x: np.ndarray) -> np.ndarray:
         block = np.asarray(x, dtype=np.float64)
-        return self._scale * self._base.matmat(block) + self._shift * block
+        out = self._base.matmat(block)
+        out *= self._scale
+        out += self._shift * block
+        return out
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
         vec = np.asarray(x, dtype=np.float64)

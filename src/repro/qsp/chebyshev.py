@@ -42,6 +42,12 @@ def evaluate_chebyshev_operator(coefficients, apply, vector) -> np.ndarray:
     applying ``P`` to the eigenvalues, which is exactly the singular-value
     transformation the ideal backend performs — see
     :meth:`repro.core.backends.IdealPolynomialBackend`.
+
+    The recurrence ``b_k = c_k v + 2 M b_{k+1} - b_{k+2}`` runs in place on
+    buffers owned by this function (the two recurrence terms, ``c_k v`` and
+    ``2 M b``), performing the same floating-point operations in the same
+    order as the textbook expression.  ``apply``'s result is only read, so
+    ``apply`` may return a view of its argument or of its own storage.
     """
     coeffs = np.asarray(coefficients, dtype=float)
     v = np.asarray(vector, dtype=float)
@@ -49,9 +55,19 @@ def evaluate_chebyshev_operator(coefficients, apply, vector) -> np.ndarray:
         return coeffs[0] * v
     b1 = np.zeros_like(v)
     b2 = np.zeros_like(v)
+    scaled = np.empty_like(v)
+    doubled = np.empty_like(v)
     for k in range(coeffs.shape[0] - 1, 0, -1):
-        b1, b2 = coeffs[k] * v + 2.0 * apply(b1) - b2, b1
-    return coeffs[0] * v + apply(b1) - b2
+        np.multiply(coeffs[k], v, out=scaled)
+        np.multiply(2.0, apply(b1), out=doubled)
+        scaled += doubled
+        # b_k overwrites b_{k+2}, which the step no longer needs
+        np.subtract(scaled, b2, out=b2)
+        b1, b2 = b2, b1
+    np.multiply(coeffs[0], v, out=scaled)
+    scaled += apply(b1)
+    scaled -= b2
+    return scaled
 
 
 def chebyshev_nodes(count: int) -> np.ndarray:

@@ -22,10 +22,13 @@ two: an :class:`ExecutionPlan` is a flat sequence of contraction ops
 * **control-sliced blocks** — controlled gates too wide to expand densely keep
   the slice-the-control-axes kernel of the per-gate simulator.
 
-Plans are shape-polymorphic: the same compiled op sequence runs on a single
-``2**n`` amplitude vector (:meth:`ExecutionPlan.apply`) and on a ``(B, 2**n)``
-batch (:meth:`ExecutionPlan.apply_batched`) — the batch axis is just one more
-leading tensor axis.
+Plans are shape-polymorphic: the same compiled op sequence runs on a
+``(B, 2**n)`` batch (:meth:`ExecutionPlan.apply_batched`) and on a single
+``2**n`` amplitude vector (:meth:`ExecutionPlan.apply`, a batch of one).  The
+replay tensor is ``(2,)*n + (B,)``: the batch axis is one more *trailing*
+tensor axis, so an op on the leading (ancilla) qubits contracts a contiguous
+``(2**k, 2**(n-k)·B)`` view with no transpose copy, exactly as it would on
+one state.
 
 Compilation is cached process-wide in a small LRU (:func:`plan_cache`) keyed
 on the exact gate bytes (:func:`circuit_plan_fingerprint`), so rebuilding an
@@ -144,46 +147,31 @@ class PlanOp:
             total += self.diagonal.nbytes
         return total
 
-    def apply(self, tensor: np.ndarray, offset: int) -> np.ndarray:
-        """Apply the op to a state tensor (``offset`` leading batch axes)."""
+    def apply(self, tensor: np.ndarray) -> np.ndarray:
+        """Apply the op to a ``(2,)*n + (B,)`` state tensor (batch axis last)."""
         if self.kind == "diagonal":
             # ``qubits`` is sorted (fusion emits sorted blocks), so the diag
             # axes already appear in register order; interleaving singleton
             # axes makes the factor broadcast against the state tensor.
             targeted = set(self.qubits)
-            view_shape = [2 if (axis - offset) in targeted else 1
+            view_shape = [2 if axis in targeted else 1
                           for axis in range(tensor.ndim)]
             return tensor * self.diagonal.reshape(view_shape)
         if self.kind == "unitary":
-            return _contract(tensor, self.matrix,
-                             [q + offset for q in self.qubits])
-        if self.kind == "shift":
-            if not self.controls:
-                return self._roll(tensor, [q + offset for q in self.qubits])
-            tensor = tensor.copy()
-            index: list = [slice(None)] * tensor.ndim
-            for qubit, state_bit in zip(self.controls, self.control_states):
-                index[qubit + offset] = 1 if state_bit else 0
-            sub = tensor[tuple(index)]
-            controls_sorted = sorted(self.controls)
-            axes = [q + offset - sum(1 for c in controls_sorted if c < q)
-                    for q in self.qubits]
-            tensor[tuple(index)] = self._roll(sub, axes)
-            return tensor
-        # controlled: slice the activated sub-block, contract, write back
+            return _contract(tensor, self.matrix, self.qubits)
+        if self.kind == "shift" and not self.controls:
+            return self._roll(tensor, self.qubits)
+        # controlled ops: slice the activated sub-block, transform, write back
         tensor = tensor.copy()
-        index = [slice(None)] * tensor.ndim
+        index: list = [slice(None)] * tensor.ndim
         for qubit, state_bit in zip(self.controls, self.control_states):
-            index[qubit + offset] = 1 if state_bit else 0
+            index[qubit] = 1 if state_bit else 0
         sub = tensor[tuple(index)]
-        controls_sorted = sorted(self.controls)
-
-        def shifted(q: int) -> int:
-            return q + offset - sum(1 for c in controls_sorted if c < q)
-
-        new_sub = _contract(sub, self.matrix,
-                            [shifted(q) for q in self.qubits])
-        tensor[tuple(index)] = new_sub
+        axes = [q - sum(1 for c in self.controls if c < q) for q in self.qubits]
+        if self.kind == "shift":
+            tensor[tuple(index)] = self._roll(sub, axes)
+        else:
+            tensor[tuple(index)] = _contract(sub, self.matrix, axes)
         return tensor
 
     def _roll(self, sub: np.ndarray, axes: Sequence[int]) -> np.ndarray:
@@ -261,19 +249,22 @@ class ExecutionPlan:
 
     # ------------------------------------------------------------------ #
     def apply(self, data) -> np.ndarray:
-        """Run the plan on one amplitude vector (length ``2**n``)."""
+        """Run the plan on one amplitude vector (length ``2**n``): a batch of
+        one through :meth:`apply_batched`."""
         arr = np.asarray(data, dtype=complex).reshape(-1)
         if arr.shape[0] != self.dimension:
             raise DimensionError(
                 f"state has dimension {arr.shape[0]} but the plan expects "
                 f"{self.dimension}")
-        tensor = arr.reshape((2,) * self.num_qubits)
-        for op in self.ops:
-            tensor = op.apply(tensor, 0)
-        return tensor.reshape(-1)
+        return self.apply_batched(arr[None, :])[0]
 
     def apply_batched(self, states) -> np.ndarray:
-        """Run the plan on a ``(B, 2**n)`` amplitude stack (one sweep for all)."""
+        """Run the plan on a ``(B, 2**n)`` amplitude stack (one sweep for all).
+
+        The sweep runs on the ``(2,)*n + (B,)`` tensor (batch axis last, see
+        the module docstring); the result is handed back as a C-contiguous
+        ``(B, 2**n)`` stack.
+        """
         arr = np.asarray(states, dtype=complex)
         if arr.ndim != 2:
             raise DimensionError(
@@ -282,10 +273,11 @@ class ExecutionPlan:
             raise DimensionError(
                 f"states have dimension {arr.shape[1]} but the plan expects "
                 f"{self.dimension}")
-        tensor = arr.reshape((arr.shape[0],) + (2,) * self.num_qubits)
+        batch = arr.shape[0]
+        tensor = arr.T.reshape((2,) * self.num_qubits + (batch,))
         for op in self.ops:
-            tensor = op.apply(tensor, 1)
-        return tensor.reshape(arr.shape[0], -1)
+            tensor = op.apply(tensor)
+        return np.ascontiguousarray(tensor.reshape(self.dimension, batch).T)
 
 
 # ---------------------------------------------------------------------- #

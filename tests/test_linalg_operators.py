@@ -335,3 +335,40 @@ def test_generic_registry_behaviour():
         registry["aa"]
     assert registry.unregister("a") and not registry.unregister("a")
     assert dict(registry) == {"b": builder}
+
+
+def test_pickled_csr_operator_never_ships_its_scipy_wrapper():
+    import pickle
+
+    rng = np.random.default_rng(5)
+    dense = np.where(rng.random((40, 40)) < 0.1,
+                     rng.standard_normal((40, 40)), 0.0)
+    operator = CSROperator.from_dense(dense)
+    cold = pickle.dumps(operator)
+    block = rng.standard_normal((40, 3))
+    product = operator.matmat(block)
+    adjoint = operator.rmatmat(block)
+    assert operator._sparse_cache is not None     # the wrapper is cached
+    warm = pickle.dumps(operator)
+    assert len(warm) <= len(cold)
+    restored = pickle.loads(warm)
+    assert restored._sparse_cache is None
+    assert np.array_equal(restored.matmat(block), product)
+    assert np.array_equal(restored.rmatmat(block), adjoint)
+    # the transport state is the three canonical arrays, nothing derived
+    _, arrays = operator.to_state()
+    assert len(arrays) == 3
+
+
+def test_banded_constants_found_once_cover_mixed_bands():
+    rng = np.random.default_rng(6)
+    bands = {0: np.full(9, 3.0), 1: rng.standard_normal(8), -2: np.full(7, -0.5)}
+    operator = BandedOperator(9, bands)
+    assert operator.toeplitz_stencil() is None
+    dense = operator.to_dense()
+    block = rng.standard_normal((9, 4))
+    np.testing.assert_allclose(operator.matmat(block), dense @ block, atol=1e-13)
+    np.testing.assert_allclose(operator.rmatvec(block[:, 0]),
+                               dense.T @ block[:, 0], atol=1e-13)
+    toeplitz = BandedOperator.toeplitz(9, {0: 3.0, 1: -1.0, -1: -1.0})
+    assert toeplitz.toeplitz_stencil() == {-1: -1.0, 0: 3.0, 1: -1.0}

@@ -34,7 +34,7 @@ from repro.problems.base import check_dense_assembly
 def _random_sparse_dense(gen, n, density=0.08):
     dense = np.where(gen.random((n, n)) < density,
                      gen.standard_normal((n, n)), 0.0)
-    dense[n // 3] = 0.0  # keep an empty row in play (reduceat's wart)
+    dense[n // 3] = 0.0  # keep an empty row in play
     return dense
 
 
@@ -45,7 +45,7 @@ def _diag_dominant_nonsym(gen, n):
 
 
 class TestBatchKernels:
-    def test_csr_matmat_matches_dense_and_loop(self, monkeypatch):
+    def test_csr_matmat_matches_dense_and_loop(self):
         gen = np.random.default_rng(7)
         n, batch = 57, 9
         dense = _random_sparse_dense(gen, n)
@@ -56,15 +56,6 @@ class TestBatchKernels:
         np.testing.assert_allclose(op._matmat_loop(block), expected, atol=1e-12)
         np.testing.assert_allclose(op.rmatmat(block), dense.T @ block,
                                    atol=1e-12)
-        # the numpy fallback (no scipy) must agree bit-for-tolerance too
-        monkeypatch.setattr(CSROperator, "_scipy_matrix", lambda self: None)
-        np.testing.assert_allclose(op.matmat(block), expected, atol=1e-12)
-        np.testing.assert_allclose(op.rmatmat(block), dense.T @ block,
-                                   atol=1e-12)
-        np.testing.assert_allclose(op.matvec(block[:, 0]), expected[:, 0],
-                                   atol=1e-12)
-        np.testing.assert_allclose(op.rmatvec(block[:, 0]),
-                                   dense.T @ block[:, 0], atol=1e-12)
 
     def test_banded_matmat_matches_dense(self):
         gen = np.random.default_rng(11)
@@ -93,6 +84,39 @@ class TestBatchKernels:
         np.testing.assert_allclose(y, op.matvec(x32.astype(np.float64)),
                                    atol=1e-14)
         np.testing.assert_allclose(y, op.matvec(x64), atol=1e-5)
+
+
+class TestClenshawColumnBlocks:
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_blocked_matches_unblocked(self, monkeypatch, symmetric):
+        from repro.core import backends
+
+        gen = np.random.default_rng(8)
+        n, batch = 48, 5
+        if symmetric:
+            operator = BandedOperator.toeplitz(n, {0: 4.0, 1: -1.0, -1: -1.0})
+        else:
+            operator = CSROperator.from_dense(_diag_dominant_nonsym(gen, n))
+        backend = IdealPolynomialBackend()
+        backend.prepare(operator, epsilon_l=1e-2)
+        assert backend._dilated is not symmetric
+        normalized = gen.standard_normal((n, batch))
+        normalized /= np.linalg.norm(normalized, axis=0)
+        calls = []
+        matmat = operator.matmat
+        monkeypatch.setattr(operator, "matmat",
+                            lambda w: calls.append(w.shape[1]) or matmat(w))
+        rows = n if symmetric else 2 * n
+        # a budget below N x B forces blocks of 2, 2 and 1 columns
+        monkeypatch.setattr(backends, "CLENSHAW_BLOCK_BYTES", 2 * rows * 8)
+        blocked = backend._transform_matrix_free(normalized)
+        assert sorted(set(calls)) == [1, 2]
+        terms = len(calls) // 3
+        calls.clear()
+        monkeypatch.setattr(backends, "CLENSHAW_BLOCK_BYTES", 1 << 40)
+        whole = backend._transform_matrix_free(normalized)
+        assert calls == [batch] * terms
+        np.testing.assert_allclose(blocked, whole, atol=1e-12)
 
 
 class TestBandedPlanCircuitRoute:

@@ -15,7 +15,12 @@ from repro.qsp import (
     truncate_series,
     window_inverse_polynomial,
 )
-from repro.qsp.chebyshev import chebyshev_nodes, enforce_parity, max_abs_on_interval
+from repro.qsp.chebyshev import (
+    chebyshev_nodes,
+    enforce_parity,
+    evaluate_chebyshev_operator,
+    max_abs_on_interval,
+)
 
 
 class TestEvaluation:
@@ -33,6 +38,44 @@ class TestEvaluation:
     def test_nodes_count_validation(self):
         with pytest.raises(ValueError):
             chebyshev_nodes(0)
+
+
+class TestOperatorClenshaw:
+    """The in-place matrix-free Clenshaw recurrence."""
+
+    COEFFS = np.array([0.3, -0.7, 0.2, 0.45, -0.1, 0.05])
+
+    def test_diagonal_operator_matches_chebval(self):
+        rng = np.random.default_rng(3)
+        eigenvalues = rng.uniform(-1.0, 1.0, 20)
+        block = rng.standard_normal((20, 3))
+        original = block.copy()
+        got = evaluate_chebyshev_operator(
+            self.COEFFS, lambda w: eigenvalues[:, None] * w, block)
+        expected = (np.polynomial.chebyshev.chebval(eigenvalues, self.COEFFS)
+                    [:, None] * block)
+        np.testing.assert_allclose(got, expected, atol=1e-13)
+        assert np.array_equal(block, original)
+        vector = evaluate_chebyshev_operator(
+            self.COEFFS, lambda w: eigenvalues * w, block[:, 0])
+        np.testing.assert_allclose(vector, expected[:, 0], atol=1e-13)
+
+    def test_identity_apply_returning_its_argument(self):
+        # P(I) v = P(1) v.  An ``apply`` handing back its own argument
+        # aliases the recurrence buffer it was given: writing into
+        # ``apply``'s result would corrupt the recurrence.
+        v = np.random.default_rng(4).standard_normal(16)
+        original = v.copy()
+        got = evaluate_chebyshev_operator(self.COEFFS, lambda w: w, v)
+        expected = np.polynomial.chebyshev.chebval(1.0, self.COEFFS) * original
+        np.testing.assert_allclose(got, expected, atol=1e-13)
+        assert np.array_equal(v, original)
+        assert got is not v
+
+    def test_single_coefficient_is_a_scaling(self):
+        v = np.arange(4.0)
+        np.testing.assert_array_equal(
+            evaluate_chebyshev_operator([2.5], lambda w: w, v), 2.5 * v)
 
 
 class TestCoefficientExtraction:

@@ -14,6 +14,11 @@ import numpy as np
 import pytest
 
 from repro.applications import random_workload
+from repro.blockencoding import build_block_encoding
+from repro.blockencoding.banded import (
+    BandedPlanBlockEncoding,
+    compile_banded_qsvt_program,
+)
 from repro.core import MixedPrecisionRefinement, QSVTLinearSolver
 from repro.core.backends import CircuitQSVTBackend
 from repro.engine import BatchedStatevector, CompiledSolverCache
@@ -22,10 +27,13 @@ from repro.quantum import QuantumCircuit, Statevector, apply_circuit
 from repro.quantum.plan import (
     DEFAULT_MAX_FUSED_QUBITS,
     ExecutionPlan,
+    PlanOp,
     compile_plan,
     circuit_plan_fingerprint,
     plan_cache,
 )
+from repro.quantum.statevector import basis_state, circuit_unitary
+from repro.qsp import solve_qsp_phases
 from repro.qsp.qsvt_circuit import compile_qsvt_program
 
 
@@ -99,6 +107,78 @@ class TestFusedPlansMatchReference:
         assert np.max(np.abs(fused.data - reference.data)) < 1e-12
         replayed = batch.apply_plan(circuit.compile())
         assert np.max(np.abs(replayed.data - reference.data)) < 1e-12
+
+
+class TestBatchLastReplay:
+    """``apply_batched`` sweeps a ``(2,)*n + (B,)`` tensor and ``apply`` is
+    its batch of one.  Where one row and ``B`` rows run the same contraction
+    kernel, every row of a batch is the single-state replay bit for bit."""
+
+    PHASES = solve_qsp_phases(np.array([0.0, 0.4, 0.0, 0.25, 0.0, 0.2])).phases
+
+    @staticmethod
+    def _replays(plan: ExecutionPlan, batch: int, seed: int):
+        rng = np.random.default_rng(seed)
+        states = (rng.normal(size=(batch, plan.dimension))
+                  + 1j * rng.normal(size=(batch, plan.dimension)))
+        original = states.copy()
+        rows = plan.apply_batched(states)
+        assert rows.shape == states.shape and rows.flags.c_contiguous
+        assert np.array_equal(states, original)
+        return rows, np.stack([plan.apply(state) for state in states])
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_banded_plan_rows_are_single_replays(self, batch):
+        encoding = BandedPlanBlockEncoding(4, diagonal=2.5, off_diagonal=-1.0)
+        plan = compile_banded_qsvt_program(encoding, self.PHASES).plans[0]
+        kinds = {(op.kind, bool(op.controls)) for op in plan.ops}
+        assert kinds == {("unitary", False), ("shift", True),
+                         ("diagonal", False)}
+        rows, singles = self._replays(plan, batch, seed=batch)
+        assert np.array_equal(rows, singles)
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_every_op_kind_rows_are_single_replays(self, batch):
+        # real 4x4 payloads, as in the banded encoding, so one row and a
+        # batch round every product the same way
+        reflection = np.eye(4) - 0.5 * np.ones((4, 4))
+        plan = ExecutionPlan(5, [
+            PlanOp(kind="unitary", qubits=(0, 1),
+                   matrix=reflection.astype(complex)),
+            PlanOp(kind="shift", qubits=(2, 3, 4), shift=1),
+            PlanOp(kind="shift", qubits=(2, 3, 4), controls=(0, 1),
+                   control_states=(1, 0), shift=-1),
+            PlanOp(kind="controlled", qubits=(1, 4),
+                   matrix=reflection[::-1].astype(complex),
+                   controls=(0, 3), control_states=(1, 0)),
+            PlanOp(kind="diagonal", qubits=(0, 2),
+                   diagonal=np.exp(1j * np.arange(4.0))),
+        ], source_gate_count=5, fusion="none", max_fused_qubits=0)
+        rows, singles = self._replays(plan, batch, seed=10 + batch)
+        assert np.array_equal(rows, singles)
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_fused_dense_program_rows_match_single_replays(self, batch):
+        rng = np.random.default_rng(12)
+        matrix = rng.normal(size=(8, 8)) + 8.0 * np.eye(8)
+        block = build_block_encoding(matrix.T, "dilation")
+        plan = compile_qsvt_program(block, self.PHASES).plans[0]
+        assert [op.kind for op in plan.ops] == ["unitary"]
+        rows, singles = self._replays(plan, batch, seed=20 + batch)
+        if batch == 1:
+            assert np.array_equal(rows, singles)
+        else:
+            # one op spans the whole register: one state contracts as a
+            # BLAS matrix-vector product, a batch as a matrix-matrix
+            # product, and the two kernels round complex sums differently.
+            assert np.max(np.abs(rows - singles)) < 1e-13
+
+    def test_circuit_unitary_is_one_batched_replay(self, rng):
+        circuit = _random_circuit(3, 10, rng)
+        unitary = circuit_unitary(circuit)
+        for j in range(8):
+            column = apply_circuit(circuit, basis_state(3, j), fusion="none")
+            assert np.max(np.abs(unitary[:, j] - column.data)) < 1e-12
 
 
 class TestFusionPass:
