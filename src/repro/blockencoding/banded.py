@@ -352,38 +352,34 @@ def compile_banded_qsvt_program(encoding: BandedPlanBlockEncoding, wx_phases,
 
     Mirrors :func:`repro.qsp.qsvt_circuit.compile_qsvt_program` — same
     temporal order (``U, phase(φ_d), U†, phase(φ_{d-1}), …``), same
-    ``±θ`` averaging for the real part, same ``e^{-iπd/2}`` global phase —
-    but builds the :class:`~repro.quantum.plan.ExecutionPlan`\\ s directly
-    from the encoding's op sequences instead of lowering a gate circuit,
-    so no ``2^q x 2^q`` array is ever formed.
+    ``±θ`` average for the real part, same ``e^{-iπd/2}`` global phase —
+    but builds the :class:`~repro.quantum.plan.ExecutionPlan` directly from
+    the encoding's op sequences instead of lowering a gate circuit, so no
+    ``2^q x 2^q`` array is ever formed.  The encoding is real by
+    construction (a real PREPARE reflection, ``±1`` branch signs and
+    payload-free shifts), so only the ``+θ`` plan is built and the ``-θ``
+    run of the real part is conjugate-derived (see
+    :mod:`repro.qsp.qsvt_circuit`).
     """
     from ..qsp.qsvt_circuit import (QSVTProgram, projector_phase_gate,
                                     wx_to_circuit_phases)
 
-    theta = np.asarray(wx_phases, dtype=float)
-    sign_list = [1.0, -1.0] if real_part else [1.0]
+    phases, global_phase = wx_to_circuit_phases(wx_phases)
+    d = phases.shape[0]
     ancilla_register = tuple(range(encoding.num_ancillas))
-    plans = []
-    global_phases = []
-    calls_per_run = 0
-    for sign in sign_list:
-        phases, global_phase = wx_to_circuit_phases(sign * theta)
-        d = phases.shape[0]
-        calls_per_run = d
-        ops: list[PlanOp] = []
-        for step in range(d):
-            ops.extend(encoding.plan_ops(adjoint=(step % 2 == 1)))
-            angle = float(phases[d - 1 - step])
-            diag = np.diag(projector_phase_gate(encoding.num_ancillas, angle))
-            ops.append(PlanOp(kind="diagonal", qubits=ancilla_register,
-                              diagonal=np.ascontiguousarray(diag)))
-        plans.append(ExecutionPlan(encoding.num_qubits, ops,
-                                   source_gate_count=len(ops),
-                                   fusion="structured", max_fused_qubits=0))
-        global_phases.append(global_phase)
+    ops: list[PlanOp] = []
+    for step in range(d):
+        ops.extend(encoding.plan_ops(adjoint=(step % 2 == 1)))
+        angle = float(phases[d - 1 - step])
+        diag = np.diag(projector_phase_gate(encoding.num_ancillas, angle))
+        ops.append(PlanOp(kind="diagonal", qubits=ancilla_register,
+                          diagonal=np.ascontiguousarray(diag)))
+    plan = ExecutionPlan(encoding.num_qubits, ops, source_gate_count=len(ops),
+                         fusion="structured", max_fused_qubits=0)
     return QSVTProgram(num_qubits=encoding.num_qubits,
                        num_ancillas=encoding.num_ancillas,
                        dimension=encoding.dimension,
-                       plans=plans, global_phases=global_phases,
-                       block_encoding_calls_per_run=calls_per_run,
-                       circuit_depth=plans[0].num_contractions)
+                       plans=[plan], global_phases=[global_phase],
+                       block_encoding_calls_per_run=d,
+                       circuit_depth=plan.num_contractions,
+                       conjugate_run=real_part)

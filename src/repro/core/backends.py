@@ -410,6 +410,7 @@ def _export_program(program: QSVTProgram, arrays: dict) -> dict:
         "dimension": int(program.dimension),
         "block_encoding_calls_per_run": int(program.block_encoding_calls_per_run),
         "circuit_depth": int(program.circuit_depth),
+        "conjugate_run": bool(program.conjugate_run),
         "plans": plans_meta,
     }
 
@@ -444,7 +445,8 @@ def _import_program(meta: dict, arrays: dict) -> QSVTProgram:
         plans=plans,
         global_phases=[complex(p) for p in np.asarray(arrays["global_phases"])],
         block_encoding_calls_per_run=int(meta["block_encoding_calls_per_run"]),
-        circuit_depth=int(meta["circuit_depth"]))
+        circuit_depth=int(meta["circuit_depth"]),
+        conjugate_run=bool(meta["conjugate_run"]))
 
 
 # ---------------------------------------------------------------------- #
@@ -651,7 +653,10 @@ class CircuitQSVTBackend(QSVTBackend):
 
         The whole batch replays the compiled
         :class:`~repro.qsp.qsvt_circuit.QSVTProgram`, so every fused
-        contraction updates all ``B`` states at once.  That saves the
+        contraction updates all ``B`` states at once.  The right-hand sides
+        are real, so on a real block-encoding (every construction of a real
+        matrix, and the banded-plan route) that is one sweep of the ``+θ``
+        plan: the modeled ``-θ`` run is its conjugate.  That saves the
         per-op Python and dispatch overhead ``B - 1`` times, which is most
         of a sweep on small registers; on large registers each op streams
         ``B`` states' amplitudes, so a batch costs about as much per state

@@ -54,7 +54,9 @@ __all__ = ["SynthesisStore", "TieredSynthesisStore", "default_store_path",
            "FORMAT_VERSION"]
 
 #: bump when the payload layout changes; mismatched entries are plain misses.
-FORMAT_VERSION = 1
+#: (2: compiled QSVT programs record whether their ``-θ`` run is
+#: conjugate-derived.)
+FORMAT_VERSION = 2
 
 #: environment variable overriding the default on-disk location.
 STORE_ENV_VAR = "REPRO_SYNTHESIS_STORE"

@@ -32,6 +32,23 @@ post-selected vectors implements the *real part* of the polynomial exactly —
 which is what the linear solver needs, because the solver's target (Eq. (4))
 is a real polynomial and only its real part can be represented by a single
 QSP product.
+
+The ``-θ`` run need not be simulated when the block-encoding is *real* (no
+gate matrix has a nonzero imaginary part).  Its circuit phases are
+``φ' = -φ - π``, so every projector phase is ``e^{iφ'(2Π-I)} =
+-conj(e^{iφ(2Π-I)})`` and, with ``U = conj(U)``, the whole ``-θ`` circuit is
+``(-1)^d · conj`` of the ``+θ`` one.  Both runs share the global phase
+``g = e^{-iπd/2}`` and ``conj(g)·(-1)^d = g``, hence for every data vector
+``v``
+
+    conj(g) · P_{-θ}(v) = conj( conj(g) · P_{+θ}(conj(v)) ),
+
+and for a real ``v`` the ``±θ`` average is exactly ``Re(conj(g)·P_{+θ}(v))``.
+:func:`compile_qsvt_program` therefore compiles only the ``+θ`` plan for a
+real encoding and :class:`QSVTProgram` derives the ``-θ`` run by conjugation
+(one sweep for real data, a second sweep of the same plan on ``conj(v)`` for
+complex data).  The *modeled* device still runs both circuits: ``num_runs``
+is 2 and ``block_encoding_calls`` is ``2d``.
 """
 
 from __future__ import annotations
@@ -207,21 +224,28 @@ class QSVTApplication:
 
 class QSVTProgram:
     """Compiled QSVT application: one :class:`~repro.quantum.plan.ExecutionPlan`
-    per phase sign, replayable against any right-hand side.
+    per simulated phase sign, replayable against any right-hand side.
 
     Built by :func:`compile_qsvt_program`.  Compilation (circuit assembly +
     gate fusion) happens once; :meth:`apply` and :meth:`apply_batch` only
     replay the fused contraction sequences — this is the object
     :class:`repro.core.backends.CircuitQSVTBackend` stores at ``prepare()``
     time and the compiled-solver cache keeps alive across requests.
+
+    ``conjugate_run`` is set by compilation for a real block-encoding: the
+    ``-θ`` run is then derived from the single ``+θ`` plan by conjugation
+    (see the module docstring) instead of being compiled and replayed.
     """
 
     def __init__(self, *, num_qubits: int, num_ancillas: int, dimension: int,
                  plans: Sequence[ExecutionPlan],
                  global_phases: Sequence[complex],
-                 block_encoding_calls_per_run: int, circuit_depth: int) -> None:
+                 block_encoding_calls_per_run: int, circuit_depth: int,
+                 conjugate_run: bool = False) -> None:
         if len(plans) != len(global_phases):
             raise DimensionError("one global phase is required per plan")
+        if conjugate_run and len(plans) != 1:
+            raise DimensionError("a conjugate-derived run needs exactly one plan")
         self.num_qubits = int(num_qubits)
         self.num_ancillas = int(num_ancillas)
         self.dimension = int(dimension)
@@ -229,12 +253,14 @@ class QSVTProgram:
         self.global_phases = tuple(complex(p) for p in global_phases)
         self.block_encoding_calls_per_run = int(block_encoding_calls_per_run)
         self.circuit_depth = int(circuit_depth)
+        self.conjugate_run = bool(conjugate_run)
 
     # ------------------------------------------------------------------ #
     @property
     def num_runs(self) -> int:
-        """Circuit runs per application (2 when the real part is taken)."""
-        return len(self.plans)
+        """Modeled circuit runs per application (2 when the real part is
+        taken, whether or not the ``-θ`` run is conjugate-derived)."""
+        return len(self.plans) + int(self.conjugate_run)
 
     @property
     def block_encoding_calls(self) -> int:
@@ -243,12 +269,14 @@ class QSVTProgram:
 
     @property
     def contractions_per_sweep(self) -> int:
-        """Tensor contractions one application performs (all runs)."""
+        """Tensor contractions one application to real data performs (all
+        compiled plans; a conjugate-derived run replays none)."""
         return sum(plan.num_contractions for plan in self.plans)
 
     @property
     def source_gates_per_sweep(self) -> int:
-        """Circuit gates the unfused per-gate loop would apply (all runs)."""
+        """Circuit gates the unfused per-gate loop would apply (all compiled
+        plans)."""
         return sum(plan.source_gate_count for plan in self.plans)
 
     def payload_bytes(self) -> int:
@@ -283,8 +311,20 @@ class QSVTProgram:
             block_encoding_calls=batch.block_encoding_calls,
             circuit_depth=batch.circuit_depth)
 
+    def _run(self, plan: ExecutionPlan, global_phase: complex,
+             data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One sweep of ``plan`` on ``|0^a> ⊗ data_i``: the post-selected
+        rows with the global phase undone, and their success probabilities."""
+        full = np.zeros((data.shape[0], 2**self.num_qubits), dtype=complex)
+        full[:, : self.dimension] = data
+        projected, probs = postselect_batched(
+            plan.apply_batched(full), list(range(self.num_ancillas)), 0,
+            renormalize=False)
+        return np.conj(global_phase) * projected, probs
+
     def apply_batch(self, data_vectors) -> QSVTBatchApplication:
-        """Replay the compiled plans on a ``(B, N)`` stack in one sweep per run."""
+        """Replay the compiled plans on a ``(B, N)`` stack in one sweep per
+        compiled plan (plus one for complex data on a conjugate-derived run)."""
         data = np.asarray(data_vectors, dtype=complex)
         if data.ndim != 2:
             raise DimensionError(
@@ -292,19 +332,23 @@ class QSVTProgram:
         if data.shape[0] < 1:
             raise DimensionError("data_vectors must contain at least one vector")
         data = self._normalised(data)
-        batch_size = data.shape[0]
-        accumulated = np.zeros((batch_size, self.dimension), dtype=complex)
-        probabilities = np.zeros(batch_size)
-        ancilla_qubits = list(range(self.num_ancillas))
+        accumulated = np.zeros(data.shape, dtype=complex)
+        probabilities = np.zeros(data.shape[0])
         for plan, global_phase in zip(self.plans, self.global_phases):
-            # initial batch |0^a> ⊗ data_i, one row per vector
-            full = np.zeros((batch_size, 2**self.num_qubits), dtype=complex)
-            full[:, : self.dimension] = data
-            output = plan.apply_batched(full)
-            projected, probs = postselect_batched(output, ancilla_qubits, 0,
-                                                  renormalize=False)
-            accumulated += np.conj(global_phase) * projected
+            projected, probs = self._run(plan, global_phase, data)
+            accumulated += projected
             probabilities += probs
+        if self.conjugate_run:
+            # conj(g)·P_{-θ}(v) = conj(conj(g)·P_{+θ}(conj v)) (module
+            # docstring): for real data that is the conjugate of the +θ run
+            # accumulated above, so only complex data needs another sweep.
+            minus, minus_probs = accumulated, probabilities
+            if np.any(data.imag):
+                minus, minus_probs = self._run(self.plans[0],
+                                               self.global_phases[0],
+                                               data.conj())
+            accumulated += minus.conj()
+            probabilities += minus_probs
         accumulated /= self.num_runs
         probabilities /= self.num_runs
         return QSVTBatchApplication(vectors=accumulated,
@@ -320,36 +364,43 @@ def compile_qsvt_program(block: BlockEncoding, wx_phases, *,
                          max_fused_qubits: int | None = None) -> QSVTProgram:
     """Compile the QSVT application for ``(block, wx_phases)`` into a program.
 
-    One circuit is assembled per phase sign (both signs when ``real_part`` is
-    on, see the module docstring) and lowered to a fused
-    :class:`~repro.quantum.plan.ExecutionPlan`; the QSVT alternation of
-    block-encoding layers and ancilla-diagonal projector phases collapses
-    into far fewer contractions than gates.  ``fusion``/``max_fused_qubits``
-    are forwarded to :func:`repro.quantum.plan.compile_plan` (``"none"``
-    keeps one op per gate — the reference the fused program is tested
-    against).
+    One circuit is assembled per simulated phase sign and lowered to a fused
+    :class:`~repro.quantum.plan.ExecutionPlan`: ``+θ`` only, unless the real
+    part is taken of a block-encoding with a complex gate, which also needs
+    the ``-θ`` plan (a real encoding's ``-θ`` run is conjugate-derived, see
+    the module docstring).  The QSVT alternation of block-encoding layers
+    and ancilla-diagonal projector phases collapses into far fewer
+    contractions than gates.  ``fusion``/``max_fused_qubits`` are forwarded
+    to :func:`repro.quantum.plan.compile_plan` (``"none"`` keeps one op per
+    gate — the reference the fused program is tested against).
     """
     theta = np.asarray(wx_phases, dtype=float)
-    sign_list = [1.0, -1.0] if real_part else [1.0]
-    plans: list[ExecutionPlan] = []
-    global_phases: list[complex] = []
-    depth = 0
-    calls_per_run = 0
-    for sign in sign_list:
+
+    def lower(sign: float):
         phases, global_phase = wx_to_circuit_phases(sign * theta)
         circuit = build_qsvt_circuit(block, phases,
                                      dense_block_encoding=dense_block_encoding)
-        depth = max(depth, circuit.depth())
-        calls_per_run = phases.shape[0]
-        plans.append(circuit.compile(fusion=fusion,
-                                     max_fused_qubits=max_fused_qubits))
+        plan = circuit.compile(fusion=fusion, max_fused_qubits=max_fused_qubits)
+        return circuit, plan, global_phase
+
+    circuit, plan, global_phase = lower(1.0)
+    plans, global_phases = [plan], [global_phase]
+    # exact test: the encoding is real when no gate but the projector phases
+    # has an entry with a nonzero imaginary part
+    conjugate_run = real_part and not any(
+        np.any(np.imag(gate.matrix)) for gate in circuit
+        if gate.name != "proj_phase")
+    if real_part and not conjugate_run:
+        _, plan, global_phase = lower(-1.0)
+        plans.append(plan)
         global_phases.append(global_phase)
     return QSVTProgram(num_qubits=block.num_qubits,
                        num_ancillas=block.num_ancillas,
                        dimension=block.dimension,
                        plans=plans, global_phases=global_phases,
-                       block_encoding_calls_per_run=calls_per_run,
-                       circuit_depth=depth)
+                       block_encoding_calls_per_run=theta.shape[0] - 1,
+                       circuit_depth=circuit.depth(),
+                       conjugate_run=conjugate_run)
 
 
 def apply_qsvt_to_vector(block: BlockEncoding, wx_phases, data_vector, *,
@@ -362,7 +413,9 @@ def apply_qsvt_to_vector(block: BlockEncoding, wx_phases, data_vector, *,
     through the QSVT circuit, and the ancillas are post-selected on
     ``|0..0>``.  When ``real_part`` is ``True`` the procedure is repeated with
     negated phases and the two (unnormalised) outcomes are averaged, which
-    realises the real part of the polynomial exactly (see module docstring).
+    realises the real part of the polynomial exactly; for a real
+    block-encoding the negated run is derived by conjugation instead of
+    being simulated (see module docstring).
 
     The execution compiles a :class:`QSVTProgram` and replays it; thanks to
     the process-wide plan cache a repeated call with the same block and
@@ -422,8 +475,9 @@ def apply_qsvt_to_vectors(block: BlockEncoding, wx_phases, data_vectors, *,
     Batched analogue of :func:`apply_qsvt_to_vector`: the ``B`` (normalised)
     data vectors are stacked into a ``(B, 2**q)`` amplitude array next to
     ``|0^a>`` ancillas and the compiled :class:`QSVTProgram` sweeps the whole
-    stack once per phase sign — every fused contraction updates all ``B``
-    states — before row-wise ancilla post-selection
+    stack once per compiled plan (once in all for a real block-encoding and
+    real data) — every fused contraction updates all ``B`` states — before
+    row-wise ancilla post-selection
     (:func:`~repro.quantum.measurement.postselect_batched`).  This is the
     engine behind the multi-right-hand-side solve of
     :meth:`repro.core.backends.CircuitQSVTBackend.apply_inverse_batch`: one

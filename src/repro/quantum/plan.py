@@ -20,7 +20,8 @@ two: an :class:`ExecutionPlan` is a flat sequence of contraction ops
   (projector phases, ``rz``/``p``/``z`` runs) are applied as a broadcast
   elementwise multiply instead of a ``tensordot``;
 * **control-sliced blocks** — controlled gates too wide to expand densely keep
-  the slice-the-control-axes kernel of the per-gate simulator.
+  the slice-the-control-axes kernel of the per-gate simulator, rewriting the
+  activated sub-block in place (a replay copies its input once, up front).
 
 Plans are shape-polymorphic: the same compiled op sequence runs on a
 ``(B, 2**n)`` batch (:meth:`ExecutionPlan.apply_batched`) and on a single
@@ -32,8 +33,9 @@ one state.
 
 Compilation is cached process-wide in a small LRU (:func:`plan_cache`) keyed
 on the exact gate bytes (:func:`circuit_plan_fingerprint`), so rebuilding an
-identical circuit — e.g. the ``±θ`` QSVT circuits reconstructed per solve —
-hits the cache instead of re-running the fusion pass.
+identical circuit — e.g. the QSVT circuit rebuilt for an unchanged
+block-encoding and phase vector — hits the cache instead of re-running the
+fusion pass.
 
 ``fusion="none"`` lowers one op per gate with no fusion and no diagonal
 detection; it performs exactly the contractions of the legacy per-gate loop
@@ -148,7 +150,12 @@ class PlanOp:
         return total
 
     def apply(self, tensor: np.ndarray) -> np.ndarray:
-        """Apply the op to a ``(2,)*n + (B,)`` state tensor (batch axis last)."""
+        """Apply the op to a ``(2,)*n + (B,)`` state tensor (batch axis last).
+
+        Controlled ops rewrite their activated sub-block of ``tensor`` in
+        place and return it; the other kinds return a new tensor.  Callers
+        must own ``tensor`` (:meth:`ExecutionPlan.apply_batched` does).
+        """
         if self.kind == "diagonal":
             # ``qubits`` is sorted (fusion emits sorted blocks), so the diag
             # axes already appear in register order; interleaving singleton
@@ -161,8 +168,8 @@ class PlanOp:
             return _contract(tensor, self.matrix, self.qubits)
         if self.kind == "shift" and not self.controls:
             return self._roll(tensor, self.qubits)
-        # controlled ops: slice the activated sub-block, transform, write back
-        tensor = tensor.copy()
+        # controlled ops: slice the activated sub-block, transform, and write
+        # it back in place — the replay owns its tensor (see apply_batched)
         index: list = [slice(None)] * tensor.ndim
         for qubit, state_bit in zip(self.controls, self.control_states):
             index[qubit] = 1 if state_bit else 0
@@ -263,9 +270,11 @@ class ExecutionPlan:
 
         The sweep runs on the ``(2,)*n + (B,)`` tensor (batch axis last, see
         the module docstring); the result is handed back as a C-contiguous
-        ``(B, 2**n)`` stack.
+        ``(B, 2**n)`` stack.  ``states`` is copied once into a tensor the
+        call owns, so controlled ops rewrite their slice in place and the
+        caller's array is never written.
         """
-        arr = np.asarray(states, dtype=complex)
+        arr = np.array(states, dtype=complex)
         if arr.ndim != 2:
             raise DimensionError(
                 f"batched states must be a (B, 2**n) array, got shape {arr.shape}")
