@@ -2,11 +2,12 @@
 
 Measures the three boundaries the zero-copy serving layer eliminates:
 
-* **process boundary** — ``ScenarioRunner(mode="process")`` with the
+* **process boundary** — ``ScenarioRunner(mode="process")``, whose inner
+  solves go to the worker processes of a ``ClusterEngine``, with the
   shared-memory hand-off (one segment per distinct matrix, fingerprint
-  handles in the jobs) vs per-job pickling of the full ``N x N`` payload, on
-  repeated-matrix workloads with a warm synthesis store (so both sides skip
-  synthesis and the hand-off itself is what differs);
+  handles in the requests) vs per-request pickling of the full ``N x N``
+  payload, on repeated-matrix workloads with a warm synthesis store (so both
+  sides skip synthesis and the hand-off itself is what differs);
 * **run/process lifetime boundary** — cold compile (block-encoding +
   polynomial + QSP phases + plan fusion, then spilled to the
   :class:`~repro.engine.store.SynthesisStore`) vs warm restore of the same
@@ -82,7 +83,7 @@ def _best_of(repeats, fn):
 
 
 # ---------------------------------------------------------------------- #
-# (1) shared-memory hand-off vs per-job pickling
+# (1) shared-memory hand-off vs per-request pickling
 # ---------------------------------------------------------------------- #
 def _measure_sharedmem(dimension: int, num_jobs: int, *, workers: int,
                        repeats: int) -> dict:

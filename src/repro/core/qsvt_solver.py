@@ -56,7 +56,7 @@ from .backends import CircuitQSVTBackend, IdealPolynomialBackend, QSVTBackend, m
 from .normalization import recover_scale
 from .results import SingleSolveRecord
 
-__all__ = ["QSVTLinearSolver", "auto_backend_name"]
+__all__ = ["QSVTLinearSolver", "auto_backend_name", "default_kappa"]
 
 #: polynomial degree above which the ``"auto"`` backend falls back to the
 #: ideal-polynomial backend (phase solving beyond this degree is slow and the
@@ -84,6 +84,26 @@ def auto_backend_name(kappa: float, epsilon_l: float, dimension: int) -> str:
     if expected_degree <= _AUTO_DEGREE_LIMIT and dimension <= _AUTO_DIMENSION_LIMIT:
         return "circuit"
     return "ideal"
+
+
+def default_kappa(matrix) -> float:
+    """κ for the inverse polynomial when the caller did not pin one.
+
+    Dense matrices keep the exact SVD condition number (the ``O(N³)``
+    classical preprocessing of the paper).  Structured operators stay
+    matrix-free end-to-end: exact ``condition_bound`` values win, and
+    operators without one (indefinite Helmholtz, non-symmetric
+    convection–diffusion) fall back to safety-widened Lanczos /
+    Golub–Kahan estimates instead of densifying for an SVD.  The solver
+    and the multi-process runner both measure κ through this function, so
+    a κ measured in one process and pinned in another synthesises the
+    same polynomial.
+    """
+    if is_linear_operator(matrix):
+        from ..linalg.cond import estimate_operator_condition
+
+        return estimate_operator_condition(matrix, rng=0)
+    return condition_number(matrix)
 
 
 class QSVTLinearSolver:
@@ -125,7 +145,8 @@ class QSVTLinearSolver:
             raise ValueError("epsilon_l must be in (0, 1)")
         self.epsilon_l = float(epsilon_l)
         self._user_kappa = None if kappa is None else float(kappa)
-        self.kappa = self._user_kappa if kappa is not None else self._default_kappa()
+        self.kappa = (self._user_kappa if kappa is not None
+                      else default_kappa(self.matrix))
         self.scale_recovery = scale_recovery
         self.backend = self._resolve_backend(backend, backend_options)
         self._compile()
@@ -145,22 +166,6 @@ class QSVTLinearSolver:
         if name == "circuit":
             return CircuitQSVTBackend(**backend_options)
         return IdealPolynomialBackend(**backend_options)
-
-    def _default_kappa(self) -> float:
-        """κ for the polynomial when the caller did not pin one.
-
-        Dense matrices keep the exact SVD condition number (the ``O(N³)``
-        classical preprocessing of the paper).  Structured operators stay
-        matrix-free end-to-end: exact ``condition_bound`` values win, and
-        operators without one (indefinite Helmholtz, non-symmetric
-        convection–diffusion) fall back to safety-widened Lanczos /
-        Golub–Kahan estimates instead of densifying for an SVD.
-        """
-        if is_linear_operator(self.matrix):
-            from ..linalg.cond import estimate_operator_condition
-
-            return estimate_operator_condition(self.matrix, rng=0)
-        return condition_number(self.matrix)
 
     # ------------------------------------------------------------------ #
     # synthesis lifecycle
@@ -196,7 +201,7 @@ class QSVTLinearSolver:
         ``solver.recompile().solve(rhs)``.
         """
         self.kappa = (self._user_kappa if self._user_kappa is not None
-                      else self._default_kappa())
+                      else default_kappa(self.matrix))
         self._compile()
         return self
 

@@ -16,16 +16,18 @@ Algorithm 2 along three independent axes:
   eviction (``max_bytes``);
 * **parallelism** — :class:`~repro.engine.runner.ScenarioRunner` fans
   independent :class:`~repro.engine.runner.SolveJob` requests out across a
-  thread or process pool, with per-worker caches and per-job fault isolation.
+  thread pool, with per-job fault isolation; in process mode each job's
+  Algorithm 2 runs in the caller and its inner solves go to the worker
+  processes of a :class:`~repro.serving.frontend.ClusterEngine`.
 
 On top of the three axes sits the **zero-copy serving layer**, which keeps
 the compile-once / solve-many advantage intact across process and run
 boundaries:
 
 * **shared-memory hand-off** — :mod:`repro.engine.sharedmem` publishes each
-  distinct matrix into a shared segment once; process-mode jobs carry a
-  fingerprint handle instead of the ``N x N`` payload and workers attach
-  zero-copy read-only views;
+  distinct matrix into a shared segment once; requests to worker processes
+  carry a fingerprint handle instead of the ``N x N`` payload and workers
+  attach zero-copy read-only views;
 * **persistent synthesis store** — :class:`~repro.engine.store.SynthesisStore`
   spills compiled payloads (phases, polynomial, fused plan gate bytes) to
   disk keyed by matrix fingerprint, so fresh processes and repeated runs

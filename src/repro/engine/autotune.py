@@ -313,31 +313,26 @@ class Autotuner:
         contract — those keep both fields and only have their backend tuned.
         """
         tuned = []
-        measured: dict[object, float] = {}
+        measured: dict[int, float] = {}
         chosen: dict[tuple, TunedConfig] = {}
         issued: dict[str, set[float]] = {}
         for job in jobs:
             kappa = job.kappa
             if kappa is None:
-                # resolve_matrix also attaches shared-memory handles, so
-                # zero-copy process-mode jobs tune like in-line ones; the
-                # O(N³) measurement is memoised per matrix object/handle so
-                # a chain or multi-RHS stream pays for one SVD, not one per
+                # the O(N³) measurement is memoised per matrix object so a
+                # chain or multi-RHS stream pays for one SVD, not one per
                 # job.
-                memo_key = (job.shared.fingerprint if job.shared is not None
-                            else id(job.matrix))
-                kappa = measured.get(memo_key)
+                kappa = measured.get(id(job.matrix))
                 if kappa is None:
-                    matrix, _ = job.resolve_matrix()
                     from ..linalg import condition_number
                     from ..utils import is_linear_operator
 
                     # structured operators report exact bound-derived κ (or
                     # densify behind the operator's own size wall)
-                    kappa = (float(condition_number(matrix))
-                             if is_linear_operator(matrix)
-                             else float(np.linalg.cond(matrix, 2)))
-                    measured[memo_key] = kappa
+                    kappa = (float(condition_number(job.matrix))
+                             if is_linear_operator(job.matrix)
+                             else float(np.linalg.cond(job.matrix, 2)))
+                    measured[id(job.matrix)] = kappa
             dimension = int(job.rhs.shape[-1])
             if job.target_accuracy is None:
                 tuned.append(replace(

@@ -22,8 +22,8 @@ count (an entry-count cap ``maxsize`` remains available).  ``hits`` /
 ``misses`` / ``compiles`` counters and the byte totals make the reuse
 observable through :meth:`CompiledSolverCache.stats` (the throughput
 benchmark and the engine tests assert on them).  The cache is thread-safe
-and is what :class:`repro.engine.runner.ScenarioRunner` workers consult
-before paying for a synthesis.
+and is what :class:`repro.engine.runner.ScenarioRunner` threads and serving
+workers consult before paying for a synthesis.
 
 Two serving-layer extensions ride on the same keys:
 

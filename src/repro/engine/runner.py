@@ -5,61 +5,64 @@ independent requests — different matrices, different right-hand sides,
 different accuracy targets.  Each request is CPU-bound dense simulation with
 no shared state beyond the compiled synthesis, which makes the workload
 embarrassingly parallel.  :class:`ScenarioRunner` models it as a queue of
-:class:`SolveJob` descriptions executed by a ``concurrent.futures`` pool:
+:class:`SolveJob` descriptions, each run to completion by
+:func:`execute_job`:
 
 * ``mode="serial"`` — run in the calling thread (the reference semantics the
   tests compare the parallel modes against);
 * ``mode="thread"`` — a :class:`~concurrent.futures.ThreadPoolExecutor`;
   numpy releases the GIL inside its kernels, so threads already overlap the
   heavy contractions and share one :class:`~repro.engine.cache.CompiledSolverCache`;
-* ``mode="process"`` — a :class:`~concurrent.futures.ProcessPoolExecutor`
-  (fork start method when available) for full CPU parallelism; each worker
-  process keeps its own compiled-solver cache, so jobs hitting the same
-  matrix still compile at most once *per worker*.
+* ``mode="process"`` — the same thread pool, but every inner solve runs on
+  a :class:`~repro.serving.frontend.ClusterEngine` worker process.
 
-The process mode is built not to throw away the compile-once / solve-many
-advantage at the process boundary:
+Process mode is the paper's Fig. 1 split.  Algorithm 2 runs in the caller —
+the fp64 residuals, the convergence tests and the Theorem III.1 bound — and
+each ε_l-accurate QSVT solve is one ``submit`` to the cluster, the "device".
+The cluster is the one multi-process execution backend of the package, so
+process mode inherits everything it does:
 
 * **shared-memory hand-off** (default) — each distinct matrix is published
-  once into a :class:`~repro.engine.sharedmem.SharedMatrixRegistry` segment
-  and jobs carry a fingerprint handle instead of the array, so ``N x N``
-  payloads cross the boundary once per *matrix* instead of once per *job*
-  (and workers skip re-hashing the bytes: the handle carries the
-  fingerprint).  Segments are refcounted and unlinked deterministically —
-  use the runner as a context manager to share them across several ``run``
-  calls, or let each ``run`` clean up after itself;
-* **persistent synthesis store** (``store=``) — worker caches spill and
-  restore compiled payloads via :class:`~repro.engine.store.SynthesisStore`,
-  so fresh worker processes (and fresh *runs*) skip synthesis for matrices
-  any previous process already compiled;
+  once into a shared segment and requests carry a fingerprint handle, so
+  ``N x N`` payloads cross the process boundary once per *matrix*;
+* **persistent synthesis store** (``store=``) — workers spill and restore
+  compiled payloads through it, so fresh worker processes (and fresh *runs*)
+  skip synthesis for matrices any previous process already compiled;
 * **thread pinning** (``threads_per_worker``, default 1) — worker BLAS /
   OpenMP pools are capped so ``max_workers`` processes times the BLAS thread
-  count cannot oversubscribe the machine.
+  count cannot oversubscribe the machine;
+* **coalescing and supervision** — same-matrix solves queued together share
+  one fused sweep, and a worker that dies is respawned while its requests
+  are redispatched, so a crash costs time, not the run.
 
-Jobs are plain data (numpy arrays + strings), hence picklable; results come
-back as :class:`JobResult` records in submission order, with per-job failures
-captured in ``error`` instead of aborting the whole run.  :meth:`ScenarioRunner.run`
-returns a :class:`RunReport` — a plain ``list`` of results with an attached
-``summary`` aggregating throughput and the per-worker cache/store telemetry
-that previously died inside the worker processes.
+Jobs are plain data (numpy arrays + strings); results come back as
+:class:`JobResult` records in submission order, with per-job failures
+captured in ``error`` instead of aborting the whole run.
+:meth:`ScenarioRunner.run` returns a :class:`RunReport` — a plain ``list`` of
+results with an attached ``summary`` aggregating throughput and the
+per-worker cache/store telemetry.
 """
 
 from __future__ import annotations
 
-import contextlib
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..core.qsvt_solver import default_kappa
 from ..core.refinement import MixedPrecisionRefinement
 from ..quantum.plan import plan_cache
 from .cache import CompiledSolverCache
-from .sharedmem import SharedMatrixHandle, SharedMatrixRegistry, attach_matrix
 
 __all__ = ["SolveJob", "JobResult", "RunReport", "execute_job", "ScenarioRunner"]
+
+#: caller threads per cluster worker in process mode.  Each thread drives one
+#: job's Algorithm 2 and blocks on its solves, so a few per worker keep every
+#: worker queue fed (and coalescing) without one thread per job.
+_CALLERS_PER_WORKER = 4
 
 
 @dataclass
@@ -71,12 +74,7 @@ class SolveJob:
     name:
         Identifier echoed into the matching :class:`JobResult`.
     matrix / rhs:
-        The system ``A x = b``.  ``matrix`` may be ``None`` when ``shared``
-        carries a shared-memory handle instead (the zero-copy process-mode
-        hand-off); :meth:`resolve_matrix` returns whichever is present.
-    shared:
-        Optional :class:`~repro.engine.sharedmem.SharedMatrixHandle`
-        replacing the in-line matrix for process workers.
+        The system ``A x = b`` (a dense array or a structured operator).
     epsilon_l:
         Inner (single-solve) accuracy of the QSVT solver.
     target_accuracy:
@@ -103,21 +101,6 @@ class SolveJob:
     kappa: float | None = None
     backend_options: dict = field(default_factory=dict)
     metadata: dict = field(default_factory=dict)
-    shared: SharedMatrixHandle | None = None
-
-    def resolve_matrix(self) -> tuple[np.ndarray, str | None]:
-        """Return ``(matrix, fingerprint-or-None)`` for this job.
-
-        An in-line matrix wins (its fingerprint is unknown and will be
-        hashed by the cache); otherwise the shared segment is attached —
-        zero-copy, with the publish-time fingerprint riding along.
-        """
-        if self.matrix is not None:
-            return self.matrix, None
-        if self.shared is not None:
-            return attach_matrix(self.shared), self.shared.fingerprint
-        raise ValueError(
-            f"job {self.name!r} carries neither a matrix nor a shared handle")
 
 
 @dataclass
@@ -126,9 +109,8 @@ class JobResult:
 
     ``error`` is ``None`` on success; on failure it holds the exception
     rendered as ``"TypeName: message"`` and the numeric fields are zeroed.
-    ``worker`` is filled by process-mode execution with the executing
-    worker's pid and a cache-stats snapshot (the raw material of
-    :attr:`RunReport.summary`).
+    ``worker`` is filled by process-mode execution as ``{"worker": id}``,
+    the cluster worker that answered the job's last solve.
     """
 
     name: str
@@ -153,9 +135,9 @@ class RunReport(list):
 
     A plain ``list`` of :class:`JobResult` (so existing indexing/iteration
     code keeps working) with a :attr:`summary` dict aggregating the run:
-    throughput (``jobs_per_sec``), per-worker compiled-solver cache stats,
-    process-wide plan-cache stats, persistent-store hits and shared-memory
-    segment accounting.
+    throughput (``jobs_per_sec``), compiled-solver cache stats (per worker
+    in process mode), process-wide plan-cache stats, persistent-store hits
+    and shared-memory segment accounting.
     """
 
     #: aggregate telemetry of the run; populated by :meth:`ScenarioRunner.run`.
@@ -166,137 +148,36 @@ class RunReport(list):
         self.summary = summary if summary is not None else {}
 
 
-#: per-process default cache used by :func:`execute_job` when the caller does
-#: not supply one; worker processes each materialise their own copy on first
-#: use, so repeated matrices compile at most once per worker.
-_WORKER_CACHE: CompiledSolverCache | None = None
+def execute_job(job: SolveJob, cache) -> JobResult:
+    """Run one job to completion.
 
-#: persistent-store directory the pool initializer propagates to workers
-#: (``None`` = no store); consumed when the per-process cache is built.
-_WORKER_STORE_PATH: str | None = None
-
-
-def _default_cache() -> CompiledSolverCache:
-    global _WORKER_CACHE
-    if _WORKER_CACHE is None:
-        store = None
-        if _WORKER_STORE_PATH is not None:
-            from .store import SynthesisStore
-
-            store = SynthesisStore(_WORKER_STORE_PATH)
-        _WORKER_CACHE = CompiledSolverCache(store=store)
-    return _WORKER_CACHE
-
-
-#: environment variables that cap the BLAS/OpenMP pools of a worker process.
-_THREAD_ENV_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-    "VECLIB_MAXIMUM_THREADS",
-)
-
-#: keeps the optional threadpoolctl limiter alive for the worker's lifetime
-#: (dropping it would restore the pre-cap pool sizes).
-_THREADPOOL_LIMITER = None
-
-
-def _limit_worker_threads(threads: int | None) -> None:
-    """Pin this process's BLAS/OpenMP thread pools to ``threads``.
-
-    Sets the standard environment knobs (authoritative for libraries loaded
-    after this call — the spawn start method, lazily loaded backends) and,
-    when ``threadpoolctl`` is importable, additionally caps the pools of
-    already-loaded libraries, which is what matters under the fork start
-    method where numpy's BLAS is live before the worker exists.
-    """
-    if threads is None:
-        return
-    for var in _THREAD_ENV_VARS:
-        os.environ[var] = str(threads)
-    try:  # runtime cap for already-initialised pools (optional dependency)
-        import threadpoolctl
-
-        global _THREADPOOL_LIMITER
-        _THREADPOOL_LIMITER = threadpoolctl.threadpool_limits(limits=threads)
-    except ImportError:
-        pass
-
-
-@contextlib.contextmanager
-def _pinned_thread_env(threads: int | None):
-    """Temporarily export the thread-cap variables in the *parent*.
-
-    Worker processes inherit the parent environment at creation, so wrapping
-    pool start-up in this context pins BLAS pools even for start methods
-    that re-import numpy from scratch (spawn); the in-worker initializer
-    covers the rest.
-    """
-    if threads is None:
-        yield
-        return
-    saved = {var: os.environ.get(var) for var in _THREAD_ENV_VARS}
-    os.environ.update({var: str(threads) for var in _THREAD_ENV_VARS})
-    try:
-        yield
-    finally:
-        for var, value in saved.items():
-            if value is None:
-                os.environ.pop(var, None)
-            else:
-                os.environ[var] = value
-
-
-def _init_worker(threads_per_worker: int | None, store_path: str | None) -> None:
-    """Process-pool initializer: thread caps + store wiring + fresh cache.
-
-    The fork start method makes children inherit the parent's module globals,
-    including a possibly populated ``_WORKER_CACHE``; resetting it here keeps
-    worker telemetry honest (each worker reports only its own compiles) and
-    attaches the persistent store to the cache the worker will actually use.
-    """
-    global _WORKER_CACHE, _WORKER_STORE_PATH
-    _WORKER_CACHE = None
-    _WORKER_STORE_PATH = store_path
-    _limit_worker_threads(threads_per_worker)
-
-
-def execute_job(job: SolveJob, cache: CompiledSolverCache | None = None) -> JobResult:
-    """Run one job to completion (module-level so process pools can pickle it).
-
-    The compiled solver is fetched through ``cache`` (default: the
-    per-process cache), so a batch of jobs against one matrix pays for a
-    single synthesis; jobs carrying a shared-memory handle resolve the
-    matrix zero-copy and hand the cache the precomputed fingerprint.
-    Exceptions are captured into ``JobResult.error``.
+    The solver comes from ``cache.solver(...)`` — a
+    :class:`~repro.engine.cache.CompiledSolverCache`, so a batch of jobs
+    against one matrix pays for a single synthesis, or process mode's
+    cluster adapter with the same signature.  Exceptions are captured into
+    ``JobResult.error``.
     """
     start = time.perf_counter()
     try:
-        matrix, fingerprint = job.resolve_matrix()
-        solver = (cache if cache is not None else _default_cache()).solver(
-            matrix, epsilon_l=job.epsilon_l, backend=job.backend,
-            kappa=job.kappa, fingerprint=fingerprint, **job.backend_options)
+        solver = cache.solver(
+            job.matrix, epsilon_l=job.epsilon_l, backend=job.backend,
+            kappa=job.kappa, **job.backend_options)
         if job.target_accuracy is not None:
             result = MixedPrecisionRefinement(
                 solver, target_accuracy=job.target_accuracy).solve(job.rhs)
-            return JobResult(
-                name=job.name, x=result.x,
+            outcome = dict(
+                x=result.x,
                 scaled_residual=float(result.history[-1].scaled_residual),
                 converged=bool(result.converged),
                 iterations=int(result.iterations),
-                block_encoding_calls=int(result.total_block_encoding_calls),
-                wall_time=time.perf_counter() - start,
-                metadata=dict(job.metadata))
-        record = solver.solve(job.rhs)
-        return JobResult(
-            name=job.name, x=record.x,
-            scaled_residual=float(record.scaled_residual),
-            converged=bool(record.scaled_residual <= job.epsilon_l),
-            iterations=0,
-            block_encoding_calls=int(record.block_encoding_calls),
-            wall_time=time.perf_counter() - start,
-            metadata=dict(job.metadata))
+                block_encoding_calls=int(result.total_block_encoding_calls))
+        else:
+            record = solver.solve(job.rhs)
+            outcome = dict(
+                x=record.x, scaled_residual=float(record.scaled_residual),
+                converged=bool(record.scaled_residual <= job.epsilon_l),
+                iterations=0,
+                block_encoding_calls=int(record.block_encoding_calls))
     except Exception as exc:  # noqa: BLE001 - per-job fault isolation
         return JobResult(
             name=job.name, x=None, scaled_residual=float("nan"),
@@ -304,19 +185,59 @@ def execute_job(job: SolveJob, cache: CompiledSolverCache | None = None) -> JobR
             wall_time=time.perf_counter() - start,
             error=f"{type(exc).__name__}: {exc}",
             metadata=dict(job.metadata))
+    return JobResult(name=job.name, wall_time=time.perf_counter() - start,
+                     metadata=dict(job.metadata),
+                     worker=dict(getattr(solver, "worker", {})), **outcome)
 
 
-def _execute_job_traced(job: SolveJob) -> JobResult:
-    """Process-worker entry point: run the job, attach worker telemetry.
+class _ClusterSolvers:
+    """Process mode's solver source: :meth:`CompiledSolverCache.solver`'s
+    signature, returning a :class:`_ClusterSolver` over ``cluster``."""
 
-    The snapshot rides home on the result because the worker's cache object
-    itself never crosses the pickle boundary — aggregating the *last*
-    snapshot per pid reconstructs the end-of-run state of every worker.
+    def __init__(self, cluster) -> None:
+        self.cluster = cluster
+
+    def solver(self, matrix, **params) -> "_ClusterSolver":
+        return _ClusterSolver(self.cluster, matrix, **params)
+
+
+class _ClusterSolver:
+    """An ε_l-accurate inner solver whose solves run on cluster workers.
+
+    It offers what :class:`~repro.core.refinement.MixedPrecisionRefinement`
+    reads from a :class:`~repro.core.qsvt_solver.QSVTLinearSolver`.  κ is
+    measured here, once per job, when the job does not pin it, and then
+    pinned on every request, so no worker measures it again.  The achieved
+    ε_l does not cross the wire, so the driver bounds its iterations with
+    the nominal ε_l.  ``worker`` names the worker that answered the last
+    solve.
     """
-    cache = _default_cache()
-    result = execute_job(job, cache)
-    result.worker = {"pid": os.getpid(), "cache": cache.stats()}
-    return result
+
+    def __init__(self, cluster, matrix, *, epsilon_l: float = 1e-2,
+                 backend: str = "auto", kappa: float | None = None,
+                 fingerprint: str | None = None, **backend_options) -> None:
+        self.cluster = cluster
+        self.matrix = matrix
+        self.epsilon_l = float(epsilon_l)
+        self.kappa = float(default_kappa(matrix) if kappa is None else kappa)
+        self.dimension = int(matrix.shape[0])
+        self.backend_name = backend
+        self.backend_options = backend_options
+        self.worker: dict = {}
+
+    def solve(self, rhs):
+        return self.solve_batch([rhs])[0]
+
+    def solve_batch(self, rhs_batch) -> list:
+        """One request per row, submitted together so the owning worker
+        coalesces them into one fused sweep."""
+        futures = [self.cluster.submit(
+            self.matrix, rhs, epsilon_l=self.epsilon_l,
+            backend=self.backend_name, kappa=self.kappa,
+            **self.backend_options) for rhs in rhs_batch]
+        records = [future.result() for future in futures]
+        self.worker = {"worker": futures[-1].worker_id}
+        return records
 
 
 class ScenarioRunner:
@@ -327,30 +248,33 @@ class ScenarioRunner:
     mode:
         ``"serial"``, ``"thread"`` or ``"process"`` (see module docstring).
     max_workers:
-        Pool size; defaults to ``os.cpu_count()`` capped at 8 (dense
+        Pool size — threads in thread mode, cluster worker processes in
+        process mode; defaults to ``os.cpu_count()`` capped at 8 (dense
         simulation saturates memory bandwidth before it saturates many cores).
     cache:
         Compiled-solver cache shared by the serial and thread modes (process
-        workers keep per-process caches).  A fresh cache is created when
+        workers keep their own caches).  A fresh cache is created when
         omitted — wired to ``store`` if one is given.
     store:
-        Optional :class:`~repro.engine.store.SynthesisStore`; process workers
-        attach it to their per-process caches (spill + restore compiled
-        payloads across processes and runs), and it backs the default cache
-        of the serial/thread modes.
+        Optional :class:`~repro.engine.store.SynthesisStore` (or its
+        directory): it backs the default cache of the serial/thread modes,
+        and process-mode workers share it as their store directory (spill +
+        restore compiled payloads across processes and runs).
     use_shared_memory:
         Process mode only: hand matrices to workers through shared-memory
         segments (one copy per distinct matrix) instead of pickling them per
-        job.  Default on; turn off to fall back to the pure-pickle path
+        request.  Default on; turn off to fall back to the pure-pickle path
         (platforms without ``/dev/shm``-style shared memory).
     threads_per_worker:
         BLAS/OpenMP thread cap applied to each worker process (default ``1`` —
         ``max_workers`` ≈ core count with multi-threaded BLAS oversubscribes
         badly).  ``None`` leaves the library defaults untouched.
 
-    Use the runner as a context manager in process mode to keep published
-    shared-memory segments alive across several :meth:`run` calls; otherwise
-    each run publishes and unlinks its own segments.
+    In process mode, use the runner as a context manager to keep one warm
+    cluster (worker caches and shared-memory segments) across several
+    :meth:`run` calls; otherwise each run starts and closes its own.  A
+    run's summary then reports the cluster's lifetime counters, as thread
+    mode's shared cache does.
     """
 
     _MODES = ("serial", "thread", "process")
@@ -374,101 +298,81 @@ class ScenarioRunner:
         self.threads_per_worker = (None if threads_per_worker is None
                                    else int(threads_per_worker))
         self.cache = cache if cache is not None else CompiledSolverCache(store=store)
-        self._registry: SharedMatrixRegistry | None = None
+        self._cluster = None
 
     # ------------------------------------------------------------------ #
-    # shared-memory segment lifecycle
+    # the process-mode cluster
     # ------------------------------------------------------------------ #
     def __enter__(self) -> "ScenarioRunner":
-        if (self.mode == "process" and self.use_shared_memory
-                and self._registry is None):
-            self._registry = SharedMatrixRegistry()
+        if self.mode == "process" and self._cluster is None:
+            self._cluster = self._open_cluster()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
     def close(self) -> None:
-        """Unlink any shared-memory segments this runner still owns."""
-        if self._registry is not None:
-            self._registry.close()
-            self._registry = None
+        """Stop the warm cluster, if any: its workers and its segments."""
+        if self._cluster is not None:
+            self._cluster.close()
+            self._cluster = None
+
+    def _open_cluster(self):
+        """A cluster that never sheds or silently degrades a runner job.
+
+        One owner per matrix (no replicas, so no hedging), no admission
+        bound, and no classical fallback: a solve the fleet cannot answer
+        becomes that job's ``error``.
+        """
+        from ..serving.frontend import ClusterEngine
+
+        return ClusterEngine(
+            num_workers=self.max_workers, replication_factor=1,
+            queue_limit=None, degraded_fallback=False,
+            use_shared_memory=self.use_shared_memory,
+            threads_per_worker=self.threads_per_worker,
+            shared_store_dir=(None if self.store is None else
+                              str(getattr(self.store, "path", self.store))))
 
     # ------------------------------------------------------------------ #
     def run(self, jobs) -> RunReport:
         """Execute every job and return results in submission order.
 
-        Individual failures are recorded in ``JobResult.error``; the run
-        itself only raises for infrastructure problems (e.g. a worker process
-        dying).  The returned :class:`RunReport` behaves as the familiar
-        ``list[JobResult]`` and carries the aggregate telemetry in
+        Individual failures are recorded in ``JobResult.error``, including
+        solves a dead cluster could not answer; the run itself does not
+        raise for them.  The returned :class:`RunReport` behaves as the
+        familiar ``list[JobResult]`` and carries the aggregate telemetry in
         ``report.summary``.
         """
         jobs = list(jobs)
         start = time.perf_counter()
-        registry_stats = None
-        if not jobs:
-            results = []
-        elif self.mode == "serial":
+        if self.mode == "serial" or not jobs:
             results = [execute_job(job, self.cache) for job in jobs]
-        elif self.mode == "thread":
-            with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-                futures = [pool.submit(execute_job, job, self.cache)
-                           for job in jobs]
-                results = [future.result() for future in futures]
-        else:
-            results, registry_stats = self._run_process(jobs)
-        wall_time = time.perf_counter() - start
-        return RunReport(results,
-                         summary=self._summarise(results, wall_time,
-                                                 registry_stats))
-
-    def _run_process(self, jobs) -> tuple[list[JobResult], dict | None]:
-        """Process-pool execution with the zero-copy matrix hand-off."""
-        registry = self._registry
-        ephemeral = None
-        if self.use_shared_memory and registry is None:
-            registry = ephemeral = SharedMatrixRegistry()
+            return self._report(results, start)
+        if self.mode == "thread":
+            return self._report(self._pool(jobs, self.cache, self.max_workers),
+                                start)
+        cluster = self._cluster or self._open_cluster()
         try:
-            if registry is not None:
-                # one shared segment per distinct matrix; jobs now cross the
-                # pickle boundary as fingerprints instead of N x N payloads.
-                # The identity memo keeps the publish itself cheap: scenario
-                # builders reuse one array object across jobs, which must not
-                # cost one content hash per job (equal-bytes *copies* still
-                # deduplicate inside the registry, at hashing price).
-                handles: dict[int, SharedMatrixHandle] = {}
-
-                def to_shared(job: SolveJob) -> SolveJob:
-                    if job.matrix is None:
-                        return job
-                    handle = handles.get(id(job.matrix))
-                    if handle is None:
-                        handle = registry.publish(job.matrix)
-                        handles[id(job.matrix)] = handle
-                    return replace(job, matrix=None, shared=handle)
-
-                jobs = [to_shared(job) for job in jobs]
-            store_path = (None if self.store is None
-                          else str(getattr(self.store, "path", self.store)))
-            with _pinned_thread_env(self.threads_per_worker):
-                with ProcessPoolExecutor(
-                        max_workers=self.max_workers,
-                        mp_context=_fork_context(),
-                        initializer=_init_worker,
-                        initargs=(self.threads_per_worker, store_path)) as pool:
-                    results = list(pool.map(_execute_job_traced, jobs))
-            registry_stats = registry.stats() if registry is not None else None
+            results = self._pool(jobs, _ClusterSolvers(cluster),
+                                 _CALLERS_PER_WORKER * self.max_workers)
+            return self._report(results, start, cluster)
         finally:
-            if ephemeral is not None:
-                ephemeral.close()
-        return results, registry_stats
+            if cluster is not self._cluster:
+                cluster.close()
+
+    @staticmethod
+    def _pool(jobs, cache, threads: int) -> list[JobResult]:
+        with ThreadPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
+            return list(pool.map(lambda job: execute_job(job, cache), jobs))
 
     # ------------------------------------------------------------------ #
     # telemetry
     # ------------------------------------------------------------------ #
-    def _summarise(self, results, wall_time: float,
-                   registry_stats: dict | None) -> dict:
+    def _report(self, results, start: float, cluster=None) -> RunReport:
+        """The :class:`RunReport` of ``results``; in process mode the
+        summary reads the cluster's per-worker and shared-memory stats."""
+        wall_time = time.perf_counter() - start
         ok = sum(1 for result in results if result.ok)
         summary = {
             "mode": self.mode,
@@ -480,47 +384,18 @@ class ScenarioRunner:
             "wall_time_s": wall_time,
             "jobs_per_sec": (len(results) / wall_time) if wall_time > 0 else 0.0,
             "plan_cache": plan_cache().stats(),
-            "shared_memory": registry_stats,
+            "shared_memory": None,
         }
-        if self.mode == "process":
-            summary.update(self._aggregate_worker_stats(results))
+        if cluster is not None:
+            summary["shared_memory"] = cluster.stats(
+                include_workers=False)["shared_memory"]
+            summary.update(_fold_worker_stats(cluster.worker_stats()))
+        elif self.mode == "process":  # no jobs, so no cluster was started
+            summary.update(_fold_worker_stats({}))
         else:
             summary["cache"] = self.cache.stats()
             summary["workers"] = 1 if self.mode == "serial" else self.max_workers
-        return summary
-
-    @staticmethod
-    def _aggregate_worker_stats(results) -> dict:
-        """Fold per-job worker snapshots into end-of-run per-worker stats.
-
-        Cache counters are monotonic within a worker and ``pool.map``
-        preserves submission order per worker, so the *last* snapshot seen
-        for a pid is that worker's final state; summing those yields the
-        run-wide totals that previously died with the worker processes.
-        """
-        last_by_pid: dict[int, dict] = {}
-        for result in results:
-            if result.worker:
-                last_by_pid[result.worker["pid"]] = result.worker["cache"]
-        aggregated = {"hits": 0, "misses": 0, "compiles": 0, "store_hits": 0}
-        store_totals: dict | None = None
-        for snapshot in last_by_pid.values():
-            for counter in aggregated:
-                aggregated[counter] += snapshot.get(counter, 0)
-            store_stats = snapshot.get("store")
-            if store_stats is not None:
-                if store_totals is None:
-                    store_totals = {"hits": 0, "misses": 0, "stores": 0,
-                                    "corrupt": 0, "errors": 0}
-                for counter in store_totals:
-                    store_totals[counter] += store_stats.get(counter, 0)
-        if store_totals is not None:
-            aggregated["store"] = store_totals
-        return {
-            "cache": aggregated,
-            "workers": len(last_by_pid),
-            "worker_cache_stats": last_by_pid,
-        }
+        return RunReport(results, summary=summary)
 
     def run_scenario(self, name: str, **params) -> RunReport:
         """Build a registered scenario (see :mod:`repro.engine.registry`) and run it."""
@@ -534,12 +409,33 @@ class ScenarioRunner:
                 f"use_shared_memory={self.use_shared_memory})")
 
 
-def _fork_context():
-    """Fork start method when the platform offers it (workers inherit
-    ``sys.path`` and the imported package), ``None`` → platform default."""
-    import multiprocessing
+def _fold_worker_stats(worker_stats: dict) -> dict:
+    """Run-wide totals from ``ClusterEngine.worker_stats()``.
 
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return None
+    ``worker_cache_stats`` maps each worker id to its cache snapshot (a
+    retired worker's farewell snapshot, when it sent one), ``cache`` sums
+    them, and ``sweeps`` sums the requests the workers served and the fused
+    sweeps (one cache lookup each) that answered them.
+    """
+    snapshots = {}
+    for worker_id, stats in worker_stats.items():
+        stats = stats.get("final") if stats.get("retired") else stats
+        if stats and "cache" in stats:
+            snapshots[worker_id] = stats
+    caches = {worker_id: stats["cache"]
+              for worker_id, stats in snapshots.items()}
+    cache = {counter: sum(stats.get(counter, 0) for stats in caches.values())
+             for counter in ("hits", "misses", "compiles", "store_hits")}
+    stores = [stats["store"] for stats in caches.values() if "store" in stats]
+    if stores:
+        cache["store"] = {
+            counter: sum(store.get(counter, 0) for store in stores)
+            for counter in ("hits", "misses", "stores", "corrupt", "errors")}
+    return {
+        "cache": cache,
+        "workers": len(caches),
+        "worker_cache_stats": caches,
+        "sweeps": {counter: sum(stats[counter]
+                                for stats in snapshots.values())
+                   for counter in ("requests", "batches")},
+    }

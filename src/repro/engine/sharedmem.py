@@ -1,12 +1,14 @@
 """Zero-copy matrix hand-off to worker processes via shared memory.
 
-``ScenarioRunner(mode="process")`` used to pickle every job's full ``N x N``
-matrix through the executor pipe — once *per job*, even when a thousand jobs
-share one matrix.  This module replaces the per-job copy with a per-*matrix*
-copy: the parent publishes each distinct matrix (by content fingerprint) into
-a :mod:`multiprocessing.shared_memory` segment exactly once, jobs carry a
-tiny :class:`SharedMatrixHandle` instead of the array, and workers attach
-read-only views backed by the same physical pages.
+Pickling a request's full ``N x N`` matrix through a worker's queue costs
+one copy *per request*, even when a thousand requests share one matrix.
+This module replaces the per-request copy with a per-*matrix* copy: the
+front end (:class:`~repro.serving.frontend.ClusterEngine`, which also serves
+``ScenarioRunner(mode="process")``) publishes each distinct matrix (by
+content fingerprint) into a :mod:`multiprocessing.shared_memory` segment
+exactly once, requests carry a tiny :class:`SharedMatrixHandle` instead of
+the array, and workers attach read-only views backed by the same physical
+pages.
 
 Lifecycle is deterministic rather than garbage-collector-driven:
 
@@ -20,12 +22,12 @@ Lifecycle is deterministic rather than garbage-collector-driven:
   read-only, so a buggy worker cannot corrupt the matrix under its siblings.
   The handle also carries the publish-time **fingerprint**, which the
   compiled-solver cache accepts directly — workers skip re-hashing the bytes
-  on every job on top of skipping the copy.
+  on every request on top of skipping the copy.
 
 POSIX note: the registry unlinks segment *names*; attached mappings stay
 valid until each process drops them (exactly like unlinking an open file),
-so ``close()`` never races a still-running worker.  The runner uses the
-``fork`` start method, so worker processes share the parent's resource
+so ``close()`` never races a still-running worker.  The worker fleet uses
+the ``fork`` start method, so worker processes share the parent's resource
 tracker and the parent's unlink is the single point of cleanup (on
 Python ≥ 3.13 attachments additionally opt out of tracking via
 ``track=False``).

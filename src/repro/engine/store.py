@@ -1,9 +1,9 @@
 """Persistent synthesis store: spill compiled solvers to disk, keyed by matrix.
 
 The in-memory :class:`~repro.engine.cache.CompiledSolverCache` makes repeated
-requests within one process free, but every *fresh process* — a new worker of
-:class:`~repro.engine.runner.ScenarioRunner`, a restarted service, the next
-benchmark run — still pays the full synthesis (block-encoding, Eq.-(4)
+requests within one process free, but every *fresh process* — a new or
+respawned serving worker, a restarted service, the next benchmark run —
+still pays the full synthesis (block-encoding, Eq.-(4)
 polynomial, QSP phases, plan fusion) from scratch.  :class:`SynthesisStore`
 closes that gap: the compiled payload of a solver
 (:meth:`repro.core.qsvt_solver.QSVTLinearSolver.export_payload` — phase

@@ -80,7 +80,7 @@ def solved_workloads(name: str, matrix, rhs_list, kappa: float,
     """Package ``(A, b_i)`` pairs with their classical exact solutions.
 
     All workloads share the *same matrix object* (so downstream consumers —
-    the runner's publish memo, the compiled-solver cache — treat them as one
+    the cluster's publish memo, the compiled-solver cache — treat them as one
     problem, which they are) and the exact solutions come from a single
     factorisation of the stacked right-hand-side block.  Structured
     operators solve through their own structure-exploiting route (Thomas /

@@ -189,7 +189,7 @@ class HeatEquationChainFamily(ProblemFamily):
     ``(I + Δt α L) u_{k+1} = u_k`` — ``T`` ordered right-hand sides against
     one fixed matrix.  This is the ideal compile-once / solve-many workload:
     one synthesis, ``T − 1`` compiled-solver cache hits, and a single
-    shared-memory segment in process mode.
+    shared-memory segment when served by worker processes.
     """
 
     name = "heat-chain"

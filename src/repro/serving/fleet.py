@@ -38,7 +38,6 @@ import threading
 import time
 from concurrent.futures import Future, TimeoutError as FutureTimeoutError
 
-from ..engine.runner import _fork_context
 from ..exceptions import WorkerUnavailableError
 from .resilience import CircuitBreaker, select_replica
 from .router import DEFAULT_VNODES, HashRing
@@ -117,9 +116,14 @@ class Fleet:
                  vnodes: int = DEFAULT_VNODES,
                  breaker_failure_threshold: int = 3,
                  breaker_reset_timeout: float = 1.0, context=None) -> None:
-        # fork where the platform offers it, so workers inherit the imports
-        self._context = (context or _fork_context()
-                         or multiprocessing.get_context())
+        if context is None:
+            # fork where the platform offers it, so workers inherit the
+            # imports; the platform default otherwise.
+            try:
+                context = multiprocessing.get_context("fork")
+            except ValueError:  # pragma: no cover - non-POSIX platforms
+                context = multiprocessing.get_context()
+        self._context = context
         self.lock = lock
         self.closing = closing
         self.events = events
@@ -168,7 +172,8 @@ class Fleet:
         queues and process, the per-incarnation fields reset, then under
         the lock the worker enters ``state`` and (re-)joins the ring.  The
         worker keeps its id, so its virtual nodes land on exactly the arcs
-        it owned before.  Returns the new process.
+        it owned before.  A respawn (incarnation above 0) is recorded
+        before the ring join.
         """
         requests = self._context.Queue()
         # one response queue PER worker, and a fresh one per incarnation: a
@@ -181,6 +186,12 @@ class Fleet:
             target=worker_main, args=(config, requests, responses),
             name=f"repro-serving-{config.worker_id}", daemon=True)
         process.start()
+        if config.incarnation:
+            # counted before the worker rejoins the ring: whoever sees it
+            # back in service also sees its respawn counted.
+            self.record("worker_respawn", worker=config.worker_id,
+                        incarnation=config.incarnation, pid=process.pid,
+                        restarts=config.incarnation)
         now = time.monotonic()
         with self.lock:
             old_requests = worker.requests
@@ -197,7 +208,6 @@ class Fleet:
                 old_requests.close()
             except (ValueError, OSError):  # pragma: no cover - torn down
                 pass
-        return process
 
     def reap(self, orphans) -> list:
         """Retire the live workers whose process has exited.
@@ -257,10 +267,7 @@ class Fleet:
             worker.state = "spawning"
             config = dataclasses.replace(
                 worker.config, incarnation=worker.config.incarnation + 1)
-        process = self._start(worker, config, state)
-        self.record("worker_respawn", worker=worker_id,
-                    incarnation=config.incarnation, pid=process.pid,
-                    restarts=config.incarnation)
+        self._start(worker, config, state)
         return True
 
     # ------------------------------------------------------------------ #

@@ -328,6 +328,7 @@ class ClusterEngine:
         #: id(matrix) -> (fingerprint, memo payload, weakref); see
         #: :meth:`_prepare_matrix` for why the reference must be weak.
         self._matrix_memo: dict[int, tuple[str, object, weakref.ref]] = {}
+        self._memo_lock = threading.Lock()
         self._closing = threading.Event()
         self._started_at = time.monotonic()
         worker_event_path = (None if self._obs.events.path is None
@@ -601,42 +602,56 @@ class ClusterEngine:
         :class:`~repro.engine.sharedmem.SharedMatrixHandle` — published once
         per distinct content, attached zero-copy by the owning worker.
 
-        The memo keys on ``id(matrix)`` but, unlike the runner's publish memo
-        (whose jobs list pins every array for the scope of one run), this
-        memo is engine-lifetime while the caller's arrays are not — an HTTP
-        request's matrix dies when the handler returns, and CPython reuses
-        ids.  The entry therefore holds only a *weak* reference whose
-        callback evicts it during the array's deallocation: a recycled id can
-        never resurrect another matrix's fingerprint, and the memo stays
-        bounded by the set of live client arrays.  Objects without weakref
-        support are simply re-hashed per call — correctness never depends on
-        the memo because :meth:`SharedMatrixRegistry.publish` dedups by
-        content fingerprint.
+        The memo keys on ``id(matrix)``, but it is engine-lifetime while the
+        caller's arrays are not — an HTTP request's matrix dies when the
+        handler returns, and CPython reuses ids.  The entry therefore holds
+        only a *weak* reference whose callback evicts it during the array's
+        deallocation: a recycled id can never resurrect another matrix's
+        fingerprint, and the memo stays bounded by the set of live client
+        arrays.  Objects without weakref support are simply re-hashed per
+        call — correctness never depends on the memo because
+        :meth:`SharedMatrixRegistry.publish` dedups by content fingerprint.
+
+        A hit reads the memo without a lock (the serving hot path).  A miss
+        is single-flight: it re-checks under ``_memo_lock``, so concurrent
+        first submits of one matrix hash and publish it once.
         """
-        key = id(matrix)
-        memo = self._matrix_memo.get(key)
-        if memo is not None:
-            fingerprint, memo_payload, ref = memo
-            if ref() is matrix:
-                return fingerprint, (matrix if memo_payload is None
-                                     else memo_payload)
-        if self._registry is not None:
-            handle = self._registry.publish(matrix)
-            fingerprint, payload, memo_payload = (handle.fingerprint,
-                                                  handle, handle)
-        else:
-            # payload is the matrix itself (pickled per request); memoise
-            # only the fingerprint so the memo never pins the array alive.
-            fingerprint, payload, memo_payload = (matrix_fingerprint(matrix),
-                                                  matrix, None)
-        try:
-            ref = weakref.ref(
-                matrix,
-                lambda _ref, pop=self._matrix_memo.pop, key=key: pop(key, None))
-        except TypeError:  # weakref-less input (e.g. a plain nested list)
+        hit = self._memo_lookup(matrix)
+        if hit is not None:
+            return hit
+        with self._memo_lock:
+            hit = self._memo_lookup(matrix)
+            if hit is not None:
+                return hit
+            if self._registry is not None:
+                handle = self._registry.publish(matrix)
+                fingerprint, payload, memo_payload = (handle.fingerprint,
+                                                      handle, handle)
+            else:
+                # payload is the matrix itself (pickled per request);
+                # memoise only the fingerprint so the memo never pins the
+                # array alive.
+                fingerprint, payload, memo_payload = (
+                    matrix_fingerprint(matrix), matrix, None)
+            key = id(matrix)
+            try:
+                ref = weakref.ref(
+                    matrix, lambda _ref, pop=self._matrix_memo.pop,
+                    key=key: pop(key, None))
+            except TypeError:  # weakref-less input (e.g. a nested list)
+                return fingerprint, payload
+            self._matrix_memo[key] = (fingerprint, memo_payload, ref)
             return fingerprint, payload
-        self._matrix_memo[key] = (fingerprint, memo_payload, ref)
-        return fingerprint, payload
+
+    def _memo_lookup(self, matrix) -> tuple[str, object] | None:
+        """The memoised ``(fingerprint, payload)`` of a live ``matrix``."""
+        memo = self._matrix_memo.get(id(matrix))
+        if memo is None:
+            return None
+        fingerprint, memo_payload, ref = memo
+        if ref() is not matrix:
+            return None
+        return fingerprint, (matrix if memo_payload is None else memo_payload)
 
     # ------------------------------------------------------------------ #
     # hedging
@@ -725,7 +740,9 @@ class ClusterEngine:
         re-read each turn, as a respawn swaps them.  A
         ready sentinel or a wake with no response runs
         :meth:`_reap_dead_workers`, its only caller; the wait ends at the
-        :meth:`_scan_hedges` stamp.
+        :meth:`_scan_hedges` stamp.  Once closing, it returns as soon as
+        every worker's farewell has been read, or its process had exited
+        before the turn's wait (so the turn drained its pipe).
         """
         idle = 0.05
         hedge_at = 0.0 if self._hedge_policy is not None else float("inf")
@@ -739,6 +756,8 @@ class ClusterEngine:
                 sentinels = {} if closing else {
                     worker.process.sentinel: worker.process
                     for worker in workers if worker.state == "live"}
+            exited = ({worker for worker in workers
+                       if not worker.process.is_alive()} if closing else ())
             timeout = min(idle, max(0.0, hedge_at - time.monotonic()))
             try:
                 ready = mp_connection.wait([*readers, *sentinels],
@@ -764,7 +783,8 @@ class ClusterEngine:
                         self._dispatch(response)
                     except Exception:  # noqa: BLE001 - one bad response must
                         pass           # not kill the loop and hang the rest
-            if not got_any and closing and not self._inflight:
+            if closing and all(worker.final_stats is not None
+                               or worker in exited for worker in workers):
                 return
             if died or not got_any:
                 self._reap_dead_workers()

@@ -52,7 +52,6 @@ from dataclasses import dataclass
 
 from ..engine.aio import GroupSweeper, SolveGroup
 from ..engine.cache import CompiledSolverCache
-from ..engine.runner import _limit_worker_threads
 from ..engine.sharedmem import SharedMatrixHandle, attach_matrix
 from ..engine.store import SynthesisStore, TieredSynthesisStore
 from ..obs.events import EventLog
@@ -83,6 +82,42 @@ MSG_WARM = "warm"
 RECORD_FIELDS = ("x", "direction", "scale", "scaled_residual",
                  "block_encoding_calls", "polynomial_degree",
                  "success_probability", "shots", "wall_time")
+
+
+#: environment variables that cap the BLAS/OpenMP pools of a worker process.
+_THREAD_ENV_VARS = (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+)
+
+#: keeps the optional threadpoolctl limiter alive for the worker's lifetime
+#: (dropping it would restore the pre-cap pool sizes).
+_THREADPOOL_LIMITER = None
+
+
+def _limit_worker_threads(threads: int | None) -> None:
+    """Pin this process's BLAS/OpenMP thread pools to ``threads``.
+
+    Sets the standard environment knobs (authoritative for libraries loaded
+    after this call — the spawn start method, lazily loaded backends) and,
+    when ``threadpoolctl`` is importable, additionally caps the pools of
+    already-loaded libraries, which is what matters under the fork start
+    method where numpy's BLAS is live before the worker exists.
+    """
+    if threads is None:
+        return
+    for var in _THREAD_ENV_VARS:
+        os.environ[var] = str(threads)
+    try:  # runtime cap for already-initialised pools (optional dependency)
+        import threadpoolctl
+
+        global _THREADPOOL_LIMITER
+        _THREADPOOL_LIMITER = threadpoolctl.threadpool_limits(limits=threads)
+    except ImportError:
+        pass
 
 
 @dataclass(frozen=True)

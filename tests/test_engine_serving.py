@@ -18,6 +18,7 @@ answers, only costs:
 from __future__ import annotations
 
 import asyncio
+import itertools
 import os
 import pathlib
 import sys
@@ -40,10 +41,10 @@ from repro.engine import (
     detach_all,
     default_store_path,
 )
-from repro.engine import runner as runner_module
 from repro.engine import store as store_module
 from repro.engine.aio import GroupSweeper, SolveGroup
 from repro.exceptions import BackendError, DimensionError
+from repro.serving import worker as worker_module
 from repro.linalg import random_matrix_with_condition_number, random_rhs
 
 
@@ -123,7 +124,7 @@ def test_runner_shared_memory_matches_pickle_and_serial():
     with ScenarioRunner(mode="process", max_workers=2,
                         use_shared_memory=True) as runner:
         shared = runner.run(jobs)
-        names = runner._registry.segment_names()
+        names = runner._cluster._registry.segment_names()
         assert len(names) == 3                     # one segment per matrix
     pickled = ScenarioRunner(mode="process", max_workers=2,
                              use_shared_memory=False).run(jobs)
@@ -148,13 +149,17 @@ def test_runner_without_context_cleans_up_per_run():
     stats = report.summary["shared_memory"]
     assert stats["segments"] == 1 and stats["copies"] == 1
     assert stats["publishes"] == 1
-    assert runner._registry is None
+    assert runner._cluster is None
 
 
 def test_solve_job_requires_matrix_or_handle():
-    job = SolveJob(name="empty", matrix=None, rhs=np.ones(4))
-    result = ScenarioRunner(mode="serial").run([job])[0]
-    assert not result.ok and "ValueError" in result.error
+    empty = SolveJob(name="empty", matrix=None, rhs=np.ones(4))
+    good = SolveJob(name="good", matrix=np.eye(4) * 2.0, rhs=np.ones(4),
+                    backend="exact")
+    bad, fine = ScenarioRunner(mode="serial").run([empty, good])
+    # a missing matrix fails its own job only
+    assert not bad.ok and bad.error and bad.x is None
+    assert fine.ok
 
 
 # ---------------------------------------------------------------------- #
@@ -495,41 +500,79 @@ def test_run_report_summary_process_mode_aggregates_workers():
                           epsilon_l=5e-2, backend="ideal", rng=31).jobs
     report = ScenarioRunner(mode="process", max_workers=2).run(jobs)
     summary = report.summary
-    assert 1 <= summary["workers"] <= 2
+    assert summary["workers"] == 2
     aggregated = summary["cache"]
-    # every job is exactly one lookup in some worker's cache
-    assert aggregated["hits"] + aggregated["misses"] == 6
-    # one distinct matrix: at most one compile per worker
-    assert 1 <= aggregated["compiles"] <= summary["workers"]
-    assert set(summary["worker_cache_stats"]) == {
-        result.worker["pid"] for result in report}
+    # one distinct matrix has one owner, which compiles it once
+    assert aggregated["compiles"] == 1
+    # six single-solve jobs are six requests; each fused sweep is one
+    # lookup in the owner's cache
+    assert summary["sweeps"]["requests"] == 6
+    assert aggregated["hits"] + aggregated["misses"] == \
+        summary["sweeps"]["batches"]
+    assert set(summary["worker_cache_stats"]) == {"worker-0", "worker-1"}
+    assert {result.worker["worker"] for result in report} <= set(
+        summary["worker_cache_stats"])
+
+
+def test_process_mode_sends_one_request_per_inner_solve():
+    # Fig. 1 accounting: Algorithm 2 runs in the caller, so a refinement
+    # of k iterations is exactly k + 1 solve requests to the workers, and
+    # each distinct matrix crosses the process boundary once.
+    jobs = build_scenario("kappa-sweep", dimension=8, kappas=(2.0, 5.0, 8.0),
+                          epsilon_l=5e-2, backend="ideal", rng=4).jobs
+    serial = ScenarioRunner(mode="serial").run(jobs)
+    report = ScenarioRunner(mode="process", max_workers=2).run(jobs)
+    assert all(result.ok and result.converged for result in report)
+    assert [r.iterations for r in report] == [r.iterations for r in serial]
+    assert report.summary["sweeps"]["requests"] == sum(
+        result.iterations + 1 for result in report)
+    assert report.summary["shared_memory"]["publishes"] == len(jobs)
+
+
+def test_process_mode_survives_a_worker_death(kill_worker, monkeypatch):
+    # the owner of the jobs' one matrix is killed just before the tenth
+    # inner solve is submitted, so that solve and the ones after it are
+    # queued on a dead worker.  It is respawned and its requests
+    # redispatched: every job still answers (or fails with its own error),
+    # and run() does not raise.
+    jobs = build_scenario("poisson-multi-rhs", num_points=16, num_rhs=8,
+                          epsilon_l=5e-2, target_accuracy=1e-10,
+                          backend="ideal", rng=33).jobs
+    with ScenarioRunner(mode="process", max_workers=2) as runner:
+        cluster = runner._cluster
+        owner = cluster.route(jobs[0].matrix)
+        submit, calls = cluster.submit, itertools.count()
+
+        def kill_then_submit(*args, **kwargs):
+            if next(calls) == 9:
+                kill_worker(cluster, owner)
+            return submit(*args, **kwargs)
+
+        monkeypatch.setattr(cluster, "submit", kill_then_submit)
+        report = runner.run(jobs)
+        assert next(calls) > 10                  # the kill was mid-run
+        assert len(report) == len(jobs)
+        assert all(result.ok or result.error for result in report)
+        assert cluster.stats(include_workers=False)["worker_deaths"] == 1
+    serial = ScenarioRunner(mode="serial").run(jobs)
+    for par, ser in zip(report, serial):
+        if par.ok:
+            np.testing.assert_allclose(par.x, ser.x, atol=1e-12, rtol=0)
 
 
 def test_thread_pinning_initializer_and_validation(monkeypatch):
-    for var in runner_module._THREAD_ENV_VARS:
+    for var in worker_module._THREAD_ENV_VARS:
         monkeypatch.delenv(var, raising=False)
-    runner_module._limit_worker_threads(3)
-    for var in runner_module._THREAD_ENV_VARS:
+    worker_module._limit_worker_threads(3)
+    for var in worker_module._THREAD_ENV_VARS:
         assert os.environ[var] == "3"
-    for var in runner_module._THREAD_ENV_VARS:
+    for var in worker_module._THREAD_ENV_VARS:
         monkeypatch.delenv(var, raising=False)
-    runner_module._limit_worker_threads(None)   # no-op
-    assert runner_module._THREAD_ENV_VARS[0] not in os.environ
+    worker_module._limit_worker_threads(None)   # no-op
+    assert worker_module._THREAD_ENV_VARS[0] not in os.environ
     with pytest.raises(ValueError):
         ScenarioRunner(threads_per_worker=0)
     assert ScenarioRunner(threads_per_worker=None).threads_per_worker is None
-
-
-def test_pinned_thread_env_restores_parent_environment(monkeypatch):
-    var = runner_module._THREAD_ENV_VARS[0]
-    monkeypatch.setenv(var, "7")
-    with runner_module._pinned_thread_env(2):
-        assert os.environ[var] == "2"
-    assert os.environ[var] == "7"
-    monkeypatch.delenv(var)
-    with runner_module._pinned_thread_env(2):
-        assert os.environ[var] == "2"
-    assert var not in os.environ
 
 
 def test_process_mode_with_pinned_threads_matches_serial():

@@ -593,23 +593,6 @@ def test_problem_registration_is_reload_idempotent():
     assert set(NEW_FAMILIES) <= set(problems.PROBLEM_FAMILIES)
 
 
-def test_tune_resolves_shared_memory_jobs(tmp_path):
-    from repro.engine import SharedMatrixRegistry, SolveJob
-
-    matrix = np.eye(4) * 2.0
-    registry = SharedMatrixRegistry()
-    try:
-        handle = registry.publish(matrix)
-        job = SolveJob(name="shared", matrix=None, rhs=np.ones(4),
-                       target_accuracy=1e-8, shared=handle)
-        tuner = Autotuner(path=tmp_path / "p.json", target_accuracy=1e-8)
-        tuned = tuner.tune([job])
-        assert tuned[0].kappa == pytest.approx(1.0)
-        assert tuned[0].epsilon_l == optimal_epsilon_l(1.0, 1e-8)
-    finally:
-        registry.close()
-
-
 def test_profile_store_is_corruption_safe(tmp_path):
     path = tmp_path / "autotune.json"
     path.write_text("{ this is not json", encoding="utf-8")

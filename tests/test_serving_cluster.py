@@ -22,9 +22,11 @@ from __future__ import annotations
 import asyncio
 import gc
 import json
+import threading
 import time
 import urllib.error
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -511,6 +513,46 @@ class TestClusterEngine:
                                    backend="ideal", kappa=4.0)
             np.testing.assert_allclose(record.x, reference.x,
                                        rtol=0.0, atol=1e-12)
+
+    def test_concurrent_first_submits_publish_once(self, monkeypatch):
+        # a memo miss is single-flight: racing first submits of one new
+        # matrix hash and publish it once.  A slowed publish holds the race
+        # window open, so without the guard every thread would miss.
+        matrix, rhs = _spd_system(16, 4.0, 47)
+        with ClusterEngine(num_workers=1) as cluster:
+            publish = cluster._registry.publish
+
+            def slow_publish(array):
+                time.sleep(0.05)
+                return publish(array)
+
+            monkeypatch.setattr(cluster._registry, "publish", slow_publish)
+            barrier = threading.Barrier(4)
+
+            def submit(_):
+                barrier.wait()
+                return cluster.submit(matrix, rhs, epsilon_l=1e-2,
+                                      backend="ideal", kappa=4.0)
+
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = list(pool.map(submit, range(4)))
+            for future in futures:
+                assert future.result(timeout=30).scaled_residual < 1e-2
+            shared = cluster.stats(include_workers=False)["shared_memory"]
+            assert shared["publishes"] == 1 and shared["segments"] == 1
+
+    def test_close_reads_every_farewell(self):
+        # the collector exits once each worker's farewell is read (not on
+        # its idle tick), and those final stats survive the close.
+        matrix, rhs = _spd_system(8, 4.0, 53)
+        cluster = ClusterEngine(num_workers=2)
+        cluster.solve(matrix, rhs, epsilon_l=1e-2, backend="ideal", kappa=4.0)
+        cluster.close()
+        assert not cluster._collector.is_alive()
+        finals = [worker.final_stats
+                  for worker in cluster._fleet.workers.values()]
+        assert all(final is not None for final in finals)
+        assert sum(final["served"] for final in finals) == 1
 
     def test_stats_probes_do_not_consume_admission_slots(self):
         # monitoring is control traffic: polling stats must neither occupy
