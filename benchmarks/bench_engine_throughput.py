@@ -6,8 +6,8 @@ setting:
 1. **Batching**: solving ``B`` right-hand sides through
    :meth:`~repro.core.qsvt_solver.QSVTLinearSolver.solve_batch` (one circuit
    sweep over a ``(B, 2**n)`` amplitude stack, see
-   :mod:`repro.engine.batched`) is at least 2x faster than a Python loop of
-   ``B`` independent :meth:`solve` calls.
+   :meth:`repro.quantum.plan.ExecutionPlan.apply_batched`) is at least 2x
+   faster than a Python loop of ``B`` independent :meth:`solve` calls.
 2. **Caching**: a second request for the same ``(matrix, epsilon_l, backend)``
    through :class:`~repro.engine.cache.CompiledSolverCache` performs **zero**
    re-synthesis (the compile counter does not move and the hit is orders of

@@ -1,6 +1,6 @@
-"""Serving layer — shared-memory hand-off, persistent store, coalesced async.
+"""Serving layer — shared-memory hand-off and persistent store.
 
-Measures the three boundaries the zero-copy serving layer eliminates:
+Measures the two boundaries the zero-copy serving layer eliminates:
 
 * **process boundary** — ``ScenarioRunner(mode="process")``, whose inner
   solves go to the worker processes of a ``ClusterEngine``, with the
@@ -12,11 +12,12 @@ Measures the three boundaries the zero-copy serving layer eliminates:
   polynomial + QSP phases + plan fusion, then spilled to the
   :class:`~repro.engine.store.SynthesisStore`) vs warm restore of the same
   solver from disk in a fresh cache, including a 1e-12 equality check of the
-  restored solver's solutions;
-* **request boundary** — ``K`` concurrent same-matrix requests through the
-  coalescing :class:`~repro.engine.aio.AsyncSolveEngine` (one fused
-  ``solve_batch`` sweep) vs the same ``K`` requests awaited sequentially
-  (``K`` sweeps).
+  restored solver's solutions.
+
+The request boundary (``K`` same-matrix requests answered by one fused
+``solve_batch`` sweep) is gated by ``bench_engine_throughput.py`` (batched
+``solve_batch`` at least 2x a looped ``solve``, deviation < 1e-10) and, at
+1e-12, by the serving worker's group-sweep tests.
 
 Results go to ``benchmarks/results/serving.txt`` (human-readable) and to
 ``BENCH_serving.json`` at the repository root (machine-readable speedups).
@@ -25,14 +26,12 @@ Run directly for the CI smoke gate::
     PYTHONPATH=src python benchmarks/bench_serving.py --smoke
 
 which exits non-zero when the serving acceptance criteria regress (store
-restore must beat compilation by >= 5x, coalesced K=8 must run in under half
-of 8x the sequential time, all equality checks at 1e-12; the >= 2x
-shared-memory hand-off gate applies to the full run only — it needs the
-large-N configurations the smoke variant skips).
+restore must beat compilation by >= 5x, all equality checks at 1e-12; the
+>= 2x shared-memory hand-off gate applies to the full run only — it needs
+the large-N configurations the smoke variant skips).
 """
 
 import argparse
-import asyncio
 import json
 import pathlib
 import sys
@@ -43,7 +42,6 @@ import numpy as np
 
 from repro.core import QSVTLinearSolver
 from repro.engine import (
-    AsyncSolveEngine,
     CompiledSolverCache,
     ScenarioRunner,
     SolveJob,
@@ -67,8 +65,6 @@ _JSON_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_serving.jso
 _MIN_SHAREDMEM_SPEEDUP = 2.0
 #: warm restore must be at least this many times faster than a cold compile
 _MIN_STORE_SPEEDUP = 5.0
-#: K coalesced requests must finish in under this fraction of K sequential
-_MAX_COALESCED_FRACTION = 0.5
 _EQUALITY_TOL = 1e-12
 
 
@@ -175,94 +171,20 @@ def _measure_store(dimension: int, *, repeats: int) -> dict:
 
 
 # ---------------------------------------------------------------------- #
-# (3) coalesced vs sequential async requests
-# ---------------------------------------------------------------------- #
-def _measure_async(dimension: int, num_requests: int, *, repeats: int) -> dict:
-    """K concurrent same-matrix requests: one fused sweep vs K sweeps.
-
-    Everything that is not the request path — event loop, engine, executor
-    threads, the one-off synthesis — is set up outside the timed sections,
-    so the numbers compare exactly what a running service experiences:
-    ``K`` awaits answered one sweep at a time vs one gathered burst answered
-    by a single coalesced sweep.
-    """
-    matrix = random_matrix_with_condition_number(dimension, _KAPPA, rng=7)
-    gen = as_generator(9)
-    batch = [random_rhs(dimension, rng=gen) for _ in range(num_requests)]
-    cache = CompiledSolverCache()
-    solver = cache.solver(matrix, epsilon_l=_EPSILON_L, backend="circuit",
-                          kappa=_KAPPA)          # prewarm: measure sweeps, not synthesis
-    expected = [solver.solve(rhs).x for rhs in batch]
-
-    async def measure():
-        async with AsyncSolveEngine(cache=cache) as engine:
-            def request(rhs):
-                return engine.solve(matrix, rhs, epsilon_l=_EPSILON_L,
-                                    backend="circuit", kappa=_KAPPA)
-
-            await request(batch[0])              # warm the executor threads
-
-            sequential_time = float("inf")
-            for _ in range(repeats):
-                start = time.perf_counter()
-                for rhs in batch:
-                    await request(rhs)
-                sequential_time = min(sequential_time,
-                                      time.perf_counter() - start)
-            batches_before = engine.stats()["batches"]
-
-            coalesced_time = float("inf")
-            records = None
-            for _ in range(repeats):
-                start = time.perf_counter()
-                records = await asyncio.gather(*[request(rhs)
-                                                 for rhs in batch])
-                coalesced_time = min(coalesced_time,
-                                     time.perf_counter() - start)
-            batches_per_burst = ((engine.stats()["batches"] - batches_before)
-                                 / repeats)
-            return sequential_time, coalesced_time, records, batches_per_burst
-
-    sequential_time, coalesced_time, records, batches_per_burst = asyncio.run(
-        measure())
-    if batches_per_burst != 1:
-        raise RuntimeError(
-            f"gathered burst split into {batches_per_burst} batches")
-    deviation = max(
-        float(np.max(np.abs(record.x - exact)))
-        for record, exact in zip(records, expected))
-    return {
-        "dimension": dimension,
-        "num_requests": num_requests,
-        "backend": "circuit",
-        "sequential_time_s": sequential_time,
-        "coalesced_time_s": coalesced_time,
-        "speedup": sequential_time / coalesced_time,
-        "coalesced_fraction": coalesced_time / sequential_time,
-        "coalesced_batches": int(batches_per_burst),
-        "max_deviation": deviation,
-    }
-
-
-# ---------------------------------------------------------------------- #
 def run_benchmark(*, smoke: bool = False) -> dict:
     """Run every configuration, emit tables and write ``BENCH_serving.json``."""
     if smoke:
         sharedmem_configs = [(64, 8)]
         store_dims = [16]
-        async_configs = [(16, 8)]
         workers, repeats = 2, 1
     else:
         sharedmem_configs = [(64, 32), (256, 32), (512, 32), (1024, 48)]
         store_dims = [8, 16]
-        async_configs = [(16, 8), (16, 32)]
         workers, repeats = 2, _REPEATS
 
     sharedmem = [_measure_sharedmem(n, jobs, workers=workers, repeats=repeats)
                  for n, jobs in sharedmem_configs]
     store = [_measure_store(n, repeats=repeats) for n in store_dims]
-    coalescing = [_measure_async(n, k, repeats=repeats)
-                  for n, k in async_configs]
 
     summary = {
         "epsilon_l": _EPSILON_L,
@@ -279,13 +201,6 @@ def run_benchmark(*, smoke: bool = False) -> dict:
             "cases": store,
             "min_speedup": min(c["speedup"] for c in store),
             "max_deviation": max(c["max_deviation"] for c in store),
-        },
-        "async": {
-            "cases": coalescing,
-            "min_speedup": min(c["speedup"] for c in coalescing),
-            "max_coalesced_fraction": max(c["coalesced_fraction"]
-                                          for c in coalescing),
-            "max_deviation": max(c["max_deviation"] for c in coalescing),
         },
     }
 
@@ -306,15 +221,6 @@ def run_benchmark(*, smoke: bool = False) -> dict:
              for c in store],
             title="Persistent synthesis store: cold compile vs warm restore "
                   "(circuit backend)"),
-        format_table(
-            [{"N": c["dimension"], "K": c["num_requests"],
-              "sequential [s]": c["sequential_time_s"],
-              "coalesced [s]": c["coalesced_time_s"], "speedup": c["speedup"],
-              "batches": int(c["coalesced_batches"]),
-              "max dev": c["max_deviation"]}
-             for c in coalescing],
-            title="Async front end: K coalesced same-matrix requests vs "
-                  "K sequential (one fused sweep vs K sweeps)"),
     ])
     if smoke:
         # the smoke gate only checks thresholds; never overwrite the full
@@ -351,14 +257,6 @@ def _check(summary: dict) -> list[str]:
         failures.append(
             f"restored-from-store solutions deviate by "
             f"{summary['store']['max_deviation']:.2e} (tolerance {_EQUALITY_TOL:.0e})")
-    if summary["async"]["max_coalesced_fraction"] > _MAX_COALESCED_FRACTION:
-        failures.append(
-            f"coalesced burst took {summary['async']['max_coalesced_fraction']:.2f} "
-            f"of the sequential time (required < {_MAX_COALESCED_FRACTION:.2f})")
-    if summary["async"]["max_deviation"] > _EQUALITY_TOL:
-        failures.append(
-            f"coalesced results deviate from sequential solves by "
-            f"{summary['async']['max_deviation']:.2e}")
     return failures
 
 
@@ -378,8 +276,7 @@ def main(argv=None) -> int:
     print(f"shared-memory hand-off {summary['sharedmem']['best_speedup']:.2f}x "
           f"(N={summary['sharedmem']['best_speedup_dimension']}), "
           f"store restore {summary['store']['min_speedup']:.0f}x, "
-          f"coalesced burst {summary['async']['min_speedup']:.2f}x, "
-          f"max deviation {max(summary[k]['max_deviation'] for k in ('sharedmem', 'store', 'async')):.2e}")
+          f"max deviation {max(summary[k]['max_deviation'] for k in ('sharedmem', 'store')):.2e}")
     failures = _check(summary)
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)

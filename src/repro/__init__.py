@@ -21,10 +21,15 @@ The package is organised bottom-up (see ``DESIGN.md`` for the full inventory):
   time-stepping chains, convection-diffusion, Helmholtz, graph Laplacians
   and prescribed-spectrum banded systems, each with classical exact
   solutions and (where known) analytic condition numbers;
-* :mod:`repro.engine` — high-throughput service layer: batched statevector
-  simulation (multi-RHS solves in one circuit sweep), a compiled-solver LRU
-  cache, a parallel scenario runner + registry and the cost-model/telemetry
+* :mod:`repro.engine` — high-throughput service layer: a compiled-solver
+  LRU cache, a persistent synthesis store, shared-memory matrix hand-off, a
+  parallel scenario runner + registry and the cost-model/telemetry
   autotuner;
+* :mod:`repro.serving` — the multi-process serving tier: a
+  :class:`~repro.serving.frontend.ClusterEngine` routes each solve to a
+  worker process whose batch loop answers same-matrix requests with one
+  fused sweep (``await asyncio.wrap_future(cluster.submit(A, b))`` from
+  asyncio code);
 * :mod:`repro.reporting` — text tables/series used by the benchmark harness.
 
 Quickstart
@@ -49,9 +54,7 @@ from .core import (
     refine,
 )
 from .engine import (
-    AsyncSolveEngine,
     Autotuner,
-    BatchedStatevector,
     CompiledSolverCache,
     JobResult,
     RunReport,
@@ -72,9 +75,7 @@ __all__ = [
     "mixed_precision_lu_refinement",
     "RefinementResult",
     "SingleSolveRecord",
-    "AsyncSolveEngine",
     "Autotuner",
-    "BatchedStatevector",
     "CompiledSolverCache",
     "SynthesisStore",
     "ScenarioRunner",

@@ -5,10 +5,11 @@ a time; this sub-package is the service layer that turns them into a
 high-throughput system, exploiting the compile-once / solve-many structure of
 Algorithm 2 along three independent axes:
 
-* **batching** — :class:`~repro.engine.batched.BatchedStatevector` simulates
-  ``B`` states as one ``(B, 2**n)`` amplitude stack, so a multi-right-hand-side
-  QSVT solve (:meth:`repro.core.qsvt_solver.QSVTLinearSolver.solve_batch`)
-  costs one circuit sweep instead of ``B``;
+* **batching** — a multi-right-hand-side QSVT solve
+  (:meth:`repro.core.qsvt_solver.QSVTLinearSolver.solve_batch`) replays the
+  compiled :class:`~repro.quantum.plan.ExecutionPlan` once over a
+  ``(B, 2**n)`` stack of states, so ``B`` solves cost one circuit sweep
+  instead of ``B``;
 * **caching** — :class:`~repro.engine.cache.CompiledSolverCache` keys compiled
   solvers (block-encoding + polynomial + QSP phases + fused execution plans)
   on the exact matrix bytes, so repeated requests against the same system
@@ -31,27 +32,20 @@ boundaries:
 * **persistent synthesis store** — :class:`~repro.engine.store.SynthesisStore`
   spills compiled payloads (phases, polynomial, fused plan gate bytes) to
   disk keyed by matrix fingerprint, so fresh processes and repeated runs
-  restore in milliseconds instead of re-synthesising;
-* **coalescing async front end** — :class:`~repro.engine.aio.AsyncSolveEngine`
-  groups concurrent same-fingerprint ``await engine.solve(A, b)`` requests
-  into one fused ``solve_batch`` sweep.
+  restore in milliseconds instead of re-synthesising.
+
+Concurrent requests are coalesced by the serving tier: each
+:mod:`repro.serving.worker` answers the same-key solves queued together
+with one fused ``solve_batch`` sweep.
 
 :mod:`repro.engine.registry` binds everything together behind a discoverable
 scenario API (``build_scenario("kappa-sweep", ...)``).  See
 ``benchmarks/bench_engine_throughput.py`` for the measured batched-vs-looped
 speedup and cache behaviour, and ``benchmarks/bench_serving.py`` for the
-serving-layer numbers (shared memory vs pickling, cold vs warm store,
-coalesced vs sequential async).
+serving-layer numbers (shared memory vs pickling, cold vs warm store).
 """
 
-from .aio import AsyncSolveEngine
 from .autotune import Autotuner, FamilyProfile, ProfileStore, TunedConfig
-from .batched import (
-    BatchedStatevector,
-    apply_circuit_batch,
-    apply_gate_batch,
-    zero_batch,
-)
 from .cache import CompiledSolverCache
 from .registry import (
     Scenario,
@@ -71,15 +65,10 @@ from .sharedmem import (
 from .store import SynthesisStore, TieredSynthesisStore, default_store_path
 
 __all__ = [
-    "AsyncSolveEngine",
     "Autotuner",
     "TunedConfig",
     "FamilyProfile",
     "ProfileStore",
-    "BatchedStatevector",
-    "zero_batch",
-    "apply_gate_batch",
-    "apply_circuit_batch",
     "CompiledSolverCache",
     "SynthesisStore",
     "TieredSynthesisStore",

@@ -387,11 +387,12 @@ class ScenarioRunner:
             "shared_memory": None,
         }
         if cluster is not None:
-            summary["shared_memory"] = cluster.stats(
-                include_workers=False)["shared_memory"]
-            summary.update(_fold_worker_stats(cluster.worker_stats()))
+            stats = cluster.stats(include_workers=False)
+            summary["shared_memory"] = stats["shared_memory"]
+            summary.update(_fold_worker_stats(cluster.worker_stats(),
+                                              stats["submitted"]))
         elif self.mode == "process":  # no jobs, so no cluster was started
-            summary.update(_fold_worker_stats({}))
+            summary.update(_fold_worker_stats({}, 0))
         else:
             summary["cache"] = self.cache.stats()
             summary["workers"] = 1 if self.mode == "serial" else self.max_workers
@@ -409,13 +410,16 @@ class ScenarioRunner:
                 f"use_shared_memory={self.use_shared_memory})")
 
 
-def _fold_worker_stats(worker_stats: dict) -> dict:
+def _fold_worker_stats(worker_stats: dict, submitted: int) -> dict:
     """Run-wide totals from ``ClusterEngine.worker_stats()``.
 
     ``worker_cache_stats`` maps each worker id to its cache snapshot (a
-    retired worker's farewell snapshot, when it sent one), ``cache`` sums
-    them, and ``sweeps`` sums the requests the workers served and the fused
-    sweeps (one cache lookup each) that answered them.
+    retired worker's farewell snapshot, when it sent one), and ``cache``
+    sums them.  ``sweeps["requests"]`` is ``submitted``, the front end's
+    ``cluster_submitted_total``, so it stays exact after a worker crash;
+    ``sweeps["batches"]`` (the fused sweeps, one cache lookup each) and
+    ``cache`` count surviving incarnations only: a killed worker sends no
+    farewell, so its counters are lost.
     """
     snapshots = {}
     for worker_id, stats in worker_stats.items():
@@ -435,7 +439,7 @@ def _fold_worker_stats(worker_stats: dict) -> dict:
         "cache": cache,
         "workers": len(caches),
         "worker_cache_stats": caches,
-        "sweeps": {counter: sum(stats[counter]
-                                for stats in snapshots.values())
-                   for counter in ("requests", "batches")},
+        "sweeps": {"requests": submitted,
+                   "batches": sum(stats["batches"]
+                                  for stats in snapshots.values())},
     }

@@ -97,11 +97,11 @@ class ResourceModelError(ReproError, ValueError):
 class SolveTimeoutError(ReproError, TimeoutError):
     """A request's deadline expired before its coalesced sweep started.
 
-    Raised by :meth:`repro.engine.aio.GroupSweeper.sweep` (and therefore by
-    ``AsyncSolveEngine`` and the serving tier) for requests submitted with
-    ``deadline=``: the deadline is checked when the batched sweep is about
-    to run, so an expired request never consumes solve work — the primitive
-    admission control and load-shedding build on."""
+    Raised by :meth:`repro.serving.worker.GroupSweeper.sweep` (and therefore
+    by the serving tier) for requests submitted with ``deadline=``: the
+    deadline is checked when the batched sweep is about to run, so an
+    expired request never consumes solve work — the primitive admission
+    control and load-shedding build on."""
 
     def __init__(self, message: str, *, late_by: float | None = None):
         super().__init__(message)

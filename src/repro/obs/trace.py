@@ -2,9 +2,9 @@
 
 One request through the serving tier crosses a thread (submit), a process
 boundary (the worker queue), a sweep shared with its coalesced group
-(in-process, an executor thread under the asyncio engine) and possibly
-*another* worker (redispatch after a death).  A :class:`TraceContext` is the thing that survives all of
-those hops: a ``trace_id`` plus an append-only list of :class:`Span` records
+and possibly *another* worker (redispatch after a death).  A
+:class:`TraceContext` is the thing that survives all of those hops: a
+``trace_id`` plus an append-only list of :class:`Span` records
 (name, start, duration, parent, attributes) from which the span tree of the
 request — route, admit, queue-wait, coalesce, sweep, per-refinement
 iteration, redispatch hops, degraded fallback — is reconstructed.
@@ -116,8 +116,8 @@ class TraceContext:
 
     An *unsampled* context still exists (its ``trace_id`` correlates event-log
     entries) but records nothing: every span call is a cheap flag check.
-    Thread-safe — the front-end collector, the hedger and the asyncio
-    engine's sweep executor may all append concurrently.
+    Thread-safe — the front end's collector thread and the submitting
+    threads may append concurrently.
     """
 
     __slots__ = ("trace_id", "sampled", "origin", "created_at", "_spans",

@@ -8,8 +8,8 @@ compiled-solver cache, the synthesis store, shared-memory workers) needs
 :class:`~repro.applications.workloads.LinearSystemWorkload` lists (each with
 a classically computed exact solution, so every result is checkable) and
 wraps them into :class:`~repro.engine.runner.SolveJob`s that flow through
-:class:`~repro.engine.runner.ScenarioRunner` /
-:class:`~repro.engine.aio.AsyncSolveEngine` unchanged.
+:class:`~repro.engine.runner.ScenarioRunner` (and its
+:class:`~repro.serving.frontend.ClusterEngine` in process mode) unchanged.
 
 Families with known spectra report an **analytic condition number** — the
 generalisation of the paper's ``κ = O(N²)`` Poisson formula — which is

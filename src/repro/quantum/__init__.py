@@ -37,8 +37,6 @@ from .plan import (
 from .statevector import (
     Statevector,
     apply_circuit,
-    apply_circuit_batched,
-    apply_gate_batched,
     circuit_unitary,
     zero_state,
 )
@@ -74,8 +72,6 @@ __all__ = [
     "Statevector",
     "zero_state",
     "apply_circuit",
-    "apply_gate_batched",
-    "apply_circuit_batched",
     "circuit_unitary",
     "MeasurementResult",
     "probabilities",

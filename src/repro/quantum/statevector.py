@@ -8,12 +8,13 @@ simulation technique.  Controlled gates are applied by slicing the tensor on
 the control axes so only the activated sub-block is updated — no ``2**n x
 2**n`` matrices are ever built during simulation.
 
-Whole-circuit execution (:func:`apply_circuit`, :func:`apply_circuit_batched`)
-is routed through the compiled :class:`~repro.quantum.plan.ExecutionPlan` IR:
-the circuit is lowered once (gate fusion, diagonal fast paths — see
+Whole-circuit execution (:func:`apply_circuit`) is routed through the
+compiled :class:`~repro.quantum.plan.ExecutionPlan` IR: the circuit is
+lowered once (gate fusion, diagonal fast paths — see
 :mod:`repro.quantum.plan`) and the plan is replayed; ``fusion="none"``
 selects the original per-gate loop, which the fused plans are verified
-against to 1e-12.
+against to 1e-12.  A ``(B, 2**n)`` stack of states runs through
+``circuit.compile().apply_batched(states)`` in one sweep.
 
 Qubit 0 is the most significant bit of the basis-state index (big-endian).
 """
@@ -34,8 +35,6 @@ __all__ = [
     "zero_state",
     "apply_gate",
     "apply_circuit",
-    "apply_gate_batched",
-    "apply_circuit_batched",
     "circuit_unitary",
 ]
 
@@ -164,75 +163,6 @@ def apply_gate(state: Statevector, gate: Gate) -> Statevector:
     new_sub = _apply_matrix(sub, gate.matrix, sub_targets)
     tensor[tuple(index)] = new_sub
     return Statevector(tensor.reshape(-1))
-
-
-def apply_gate_batched(states: np.ndarray, gate: Gate) -> np.ndarray:
-    """Apply one gate to a stack of states in a single contraction.
-
-    ``states`` is a ``(B, 2**n)`` complex array (one state per row); the
-    return value is a new array of the same shape.  The kernel is the one of
-    :func:`apply_gate` with every qubit axis shifted by one to make room for
-    the leading batch axis, so all ``B`` states are updated by one
-    ``tensordot`` (one sliced contraction for controlled gates) instead of a
-    Python loop — the engine-level
-    :class:`repro.engine.batched.BatchedStatevector` wraps this.
-    """
-    states = np.asarray(states, dtype=complex)
-    if states.ndim != 2:
-        raise DimensionError(
-            f"batched states must be a (B, 2**n) array, got shape {states.shape}")
-    check_power_of_two(states.shape[1], name="statevector length")
-    num_qubits = int(states.shape[1]).bit_length() - 1
-    for q in gate.qubits:
-        if not 0 <= q < num_qubits:
-            raise DimensionError(
-                f"gate touches qubit {q} outside the {num_qubits}-qubit register")
-    tensor = states.reshape((states.shape[0],) + (2,) * num_qubits)
-    if not gate.controls:
-        new_tensor = _apply_matrix(tensor, gate.matrix,
-                                   [q + 1 for q in gate.targets])
-        return new_tensor.reshape(states.shape[0], -1)
-    # controlled gate: slice out the activated control sub-block; the batch
-    # axis survives the slicing, so all B states update together.
-    tensor = tensor.copy()
-    index: list = [slice(None)] * (num_qubits + 1)
-    for qubit, state_bit in zip(gate.controls, gate.control_states):
-        index[qubit + 1] = 1 if state_bit else 0
-    sub = tensor[tuple(index)]
-    controls_sorted = sorted(gate.controls)
-
-    def shifted(q: int) -> int:
-        # axis of qubit q inside the sliced tensor: +1 for the batch axis,
-        # minus one per control axis removed before it.
-        return q + 1 - sum(1 for c in controls_sorted if c < q)
-
-    new_sub = _apply_matrix(sub, gate.matrix, [shifted(q) for q in gate.targets])
-    tensor[tuple(index)] = new_sub
-    return tensor.reshape(states.shape[0], -1)
-
-
-def apply_circuit_batched(circuit: QuantumCircuit, states: np.ndarray, *,
-                          fusion: str | None = None) -> np.ndarray:
-    """Run ``circuit`` on a ``(B, 2**n)`` stack of states (one sweep for all).
-
-    The circuit is lowered to a cached
-    :class:`~repro.quantum.plan.ExecutionPlan` and the plan sweeps the whole
-    stack; ``fusion="none"`` instead replays the legacy per-gate loop (the
-    reference path the fused plans are tested against).
-    """
-    current = np.asarray(states, dtype=complex)
-    if current.ndim != 2:
-        raise DimensionError(
-            f"batched states must be a (B, 2**n) array, got shape {current.shape}")
-    if current.shape[1] != circuit.dimension:
-        raise DimensionError(
-            f"states have dimension {current.shape[1]} but circuit expects "
-            f"{circuit.dimension}")
-    if fusion == "none":
-        for gate in circuit:
-            current = apply_gate_batched(current, gate)
-        return current
-    return circuit.compile(fusion=fusion).apply_batched(current)
 
 
 def apply_circuit(circuit: QuantumCircuit, state: Statevector | None = None, *,

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import queue as queue_module
 import threading
 import time
@@ -425,13 +426,17 @@ class ClusterEngine:
         :attr:`degraded_fallback`) answers classically with
         ``degraded=True`` — every future settles with a result or a typed
         retriable error, never silence.  The returned future carries the
-        routed worker id as ``future.worker_id``.
+        routed worker id as ``future.worker_id``.  A negative or
+        non-finite ``deadline`` raises ``ValueError`` before admission.
         """
         if self._closing.is_set():
             raise RuntimeError("ClusterEngine is closed")
-        fingerprint, payload = self._prepare_matrix(matrix)
         if deadline is None:
             deadline = self.default_deadline
+        elif not 0.0 <= float(deadline) < math.inf:
+            raise ValueError("deadline must be a finite number of seconds "
+                             f">= 0 (or None), got {deadline!r}")
+        fingerprint, payload = self._prepare_matrix(matrix)
         params = {
             "epsilon_l": float(epsilon_l),
             "backend": backend,

@@ -26,6 +26,8 @@ _ERROR_STATUS = (
     (AdmissionError, 429, True),
     (SolveTimeoutError, 504, True),
     (ReproError, 400, False),
+    # a request argument submit() rejects (a negative deadline, ...)
+    (ValueError, 400, False),
     (Exception, 500, False),  # no 500-by-traceback
 )
 
@@ -57,7 +59,9 @@ class ServingHTTPServer:
                        → 503 no worker available / breaker open (retriable;
                               Retry-After carries the half-open countdown)
                        → 504 deadline expired
-                       → 400 solve-level failure (singular matrix, ...)
+                       → 400 malformed body or argument (a non-numeric or
+                              negative deadline, ...), or a solve-level
+                              failure (singular matrix, ...)
         GET  /stats    → 200 cluster stats snapshot
         GET  /healthz  → 200 {"ok": true, "workers_alive": W,
                               "worker_deaths": D, "restarts": R,
@@ -165,12 +169,14 @@ def _make_handler(engine):
                 request = json.loads(self.rfile.read(length) or b"{}")
                 matrix = np.array(request["matrix"], dtype=float)
                 rhs = np.array(request["rhs"], dtype=float)
+                kwargs = {key: float(request[key]) for key
+                          in ("epsilon_l", "kappa", "deadline")
+                          if request.get(key) is not None}
+                kwargs.update({key: request[key] for key in ("backend", "tenant")
+                               if request.get(key) is not None})
             except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
                 self._reply_error(400, exc, False)
                 return
-            kwargs = {key: request[key] for key
-                      in ("epsilon_l", "backend", "kappa", "tenant", "deadline")
-                      if request.get(key) is not None}
             try:
                 future = engine.submit(matrix, rhs, **kwargs)
                 record = future.result()

@@ -10,14 +10,15 @@ A worker owns the arc of matrix fingerprints the
   re-synthesising;
 * one synchronous batch loop: a blocking ``get`` on the request queue,
   then a greedy non-blocking drain until the queue is empty.  The burst's
-  solves are grouped by cache key (split at ``max_batch_size``),
-  each group is answered by one fused ``solve_batch`` sweep through
-  :meth:`~repro.engine.aio.GroupSweeper.sweep` — the same function
-  :class:`~repro.engine.aio.AsyncSolveEngine` calls — and every request
-  gets its answer.  Stats, drain and warm messages are handled inline, in
-  burst order; a drain is acknowledged only after every solve queued
-  before it has been answered.  No reader thread, event loop or executor
-  sits between the queue and the sweep.
+  solves are grouped by cache key (matrix fingerprint + ``ε_l`` + backend
+  + options, split at ``max_batch_size``), each group (a
+  :class:`SolveGroup`) is answered by one fused ``solve_batch`` sweep through
+  :meth:`GroupSweeper.sweep` — ``K`` same-matrix requests cost one circuit
+  replay plus ``K`` cheap de-normalisations — and every request gets its
+  answer.  Stats, drain and warm messages are handled inline, in burst
+  order; a drain is acknowledged only after every solve queued before it
+  has been answered.  No reader thread, event loop or executor sits
+  between the queue and the sweep.
 
 Transport is deliberately boring: stdlib :mod:`multiprocessing` queues
 carrying picklable tuples (see :data:`MessageKinds` below).  Matrices arrive
@@ -48,17 +49,19 @@ from __future__ import annotations
 import os
 import queue as queue_module
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from ..engine.aio import GroupSweeper, SolveGroup
+import numpy as np
+
 from ..engine.cache import CompiledSolverCache
 from ..engine.sharedmem import SharedMatrixHandle, attach_matrix
 from ..engine.store import SynthesisStore, TieredSynthesisStore
+from ..exceptions import BackendError, DimensionError, SolveTimeoutError
 from ..obs.events import EventLog
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import TraceContext, activated
 
-__all__ = ["WorkerConfig", "worker_main",
+__all__ = ["WorkerConfig", "worker_main", "GroupSweeper", "SolveGroup",
            "MSG_SOLVE", "MSG_STATS", "MSG_SHUTDOWN", "MSG_DRAIN", "MSG_WARM"]
 
 #: request-message kinds (first tuple element) a worker understands.
@@ -189,6 +192,164 @@ class WorkerConfig:
 
         return ChaosPolicy.resolve(self.chaos, worker_id=self.worker_id,
                                    incarnation=self.incarnation)
+
+
+@dataclass
+class SolveGroup:
+    """Requests sharing one compiled-solver key, answered by one sweep.
+
+    Per member, in parallel lists: the right-hand side, an absolute
+    ``time.monotonic()`` deadline (or ``None``), its trace (or ``None``),
+    the ``time.monotonic()`` stamp it joined at and the caller's token (the
+    request id).
+    """
+
+    matrix: object
+    epsilon_l: float
+    backend: str
+    kappa: float | None
+    fingerprint: str | None
+    backend_options: dict
+    rhs: list = field(default_factory=list)
+    deadlines: list = field(default_factory=list)
+    traces: list = field(default_factory=list)
+    joined: list = field(default_factory=list)
+    tokens: list = field(default_factory=list)
+
+    def add(self, rhs, token, *, deadline_at=None, trace=None) -> None:
+        self.rhs.append(rhs)
+        self.tokens.append(token)
+        self.deadlines.append(deadline_at)
+        self.traces.append(trace)
+        self.joined.append(time.monotonic())
+
+    def __len__(self) -> int:
+        return len(self.rhs)
+
+
+def _rhs_error(rhs, dimension: int) -> Exception | None:
+    """Why ``rhs`` cannot join a sweep against an ``N = dimension`` matrix."""
+    rhs = np.asarray(rhs)
+    if rhs.shape != (dimension,):
+        return DimensionError(f"right-hand side has shape {rhs.shape}, "
+                              f"expected ({dimension},)")
+    if not np.isfinite(rhs).all():
+        return ValueError("right-hand side has non-finite entries")
+    if not rhs.any():
+        return BackendError("cannot apply the inverse to a zero right-hand side")
+    return None
+
+
+class GroupSweeper:
+    """A compiled-solver cache plus the ``engine_*`` registry series that
+    count its sweeps (the only coalescing counters; each registry primitive
+    is thread-safe, so concurrent sweeps count exactly).  Without a
+    ``metrics`` registry the series go to a private one."""
+
+    def __init__(self, cache: CompiledSolverCache, *, metrics=None) -> None:
+        metrics = MetricsRegistry() if metrics is None else metrics
+        self.cache = cache
+        self._m_requests = metrics.counter(
+            "engine_requests_total", "Solve requests entering coalescing")
+        self._m_batches = metrics.counter(
+            "engine_batches_total", "Fused sweeps executed")
+        self._m_timeouts = metrics.counter(
+            "engine_timeouts_total",
+            "Requests expired before their sweep started")
+        # its lifetime count and max are stats()' batches / largest_batch.
+        self._m_batch_width = metrics.histogram(
+            "engine_batch_width", "Coalesced requests per fused sweep"
+        ).labelled()
+        # the registry series *is* the stats()["latency"] histogram.
+        self._latency = metrics.histogram(
+            "engine_latency_seconds",
+            "End-to-end coalesced solve latency").labelled()
+
+    def sweep(self, group: SolveGroup) -> list:
+        """Answer every member of ``group``: its record or its exception.
+
+        At sweep start, members past their deadline fail with
+        :class:`~repro.exceptions.SolveTimeoutError`; after the one cache
+        lookup, members whose right-hand side is not a finite, nonzero
+        ``(N,)`` vector fail with their own error.  Neither costs solve work
+        or poisons the rest: the survivors share one ``solve_batch``.  A
+        failure of the shared work (singular matrix, failed synthesis) is
+        every survivor's answer.
+        """
+        now = time.monotonic()
+        results: list = [None] * len(group)
+        pending, sampled = [], []
+        for index, (expires, trace, joined) in enumerate(zip(
+                group.deadlines, group.traces, group.joined)):
+            if expires is not None and now > expires:
+                results[index] = SolveTimeoutError(
+                    f"deadline expired {now - expires:.4f}s before the "
+                    "coalesced sweep started", late_by=now - expires)
+                continue
+            pending.append(index)
+            if trace is not None and trace.sampled:
+                sampled.append(trace)
+                trace.add_span("coalesce", start=joined, duration=now - joined,
+                               batch=len(group))
+        timeouts = len(group) - len(pending)
+        self._m_requests.inc(len(group))
+        if timeouts:
+            self._m_timeouts.inc(timeouts)
+        if not pending:
+            return results
+        # one sweep answers N member requests: record its spans once into a
+        # collector context, then adopt them (by reference — shared span_ids)
+        # into every sampled member trace.
+        collector = (TraceContext(sampled[0].trace_id, sampled=True,
+                                  origin="sweep") if sampled else None)
+        try:
+            with activated(collector):
+                solver = self.cache.solver(
+                    group.matrix, epsilon_l=group.epsilon_l,
+                    backend=group.backend, kappa=group.kappa,
+                    fingerprint=group.fingerprint, **group.backend_options)
+                for index in pending:
+                    results[index] = _rhs_error(group.rhs[index],
+                                                solver.dimension)
+                live = [index for index in pending if results[index] is None]
+                if not live:
+                    return results
+                records = solver.solve_batch(
+                    np.stack([group.rhs[index] for index in live]))
+        except Exception as exc:  # noqa: BLE001 - every survivor's answer
+            for index in pending:
+                if results[index] is None:
+                    results[index] = exc
+            return results
+        self._m_batches.inc()
+        self._m_batch_width.record(float(len(records)))
+        if collector is not None:
+            shared = collector.spans
+            for trace in sampled:
+                trace.adopt(shared)
+        done = time.monotonic()
+        for index, record in zip(live, records):
+            results[index] = record
+            self._latency.record(done - group.joined[index])
+        return results
+
+    def stats(self) -> dict:
+        """Coalescing counters, the completed-solve latency histogram
+        (p50/p90/p99 — the single source worker telemetry and the cluster
+        benchmark read percentiles from) and the cache's snapshot."""
+        total = int(self._m_requests.value())
+        width = self._m_batch_width.summary()
+        batches = width["count"]
+        return {
+            "requests": total,
+            "batches": batches,
+            "coalesced_requests": total - batches,
+            "largest_batch": int(width["max"]),
+            "mean_batch_size": (total / batches) if batches else 0.0,
+            "timeouts": int(self._m_timeouts.value()),
+            "latency": self._latency.summary(),
+            "cache": self.cache.stats(),
+        }
 
 
 def worker_main(config: WorkerConfig, requests, responses) -> None:

@@ -1,11 +1,11 @@
 """Wall-clock timing helpers: the :class:`Timer` context manager and the
 :class:`LatencyHistogram` percentile tracker shared by the serving tier.
 
-Every layer that reports request latencies — the coalescing
-:class:`~repro.engine.aio.AsyncSolveEngine`, the serving-tier workers, the
-cluster benchmark — records into a :class:`LatencyHistogram` and reads
-p50/p90/p99 from its :meth:`~LatencyHistogram.summary`, so percentiles are
-computed in exactly one place instead of being re-derived per consumer.
+Every layer that reports request latencies — the serving-tier workers'
+coalesced sweeps, the cluster front end, the cluster benchmark — records
+into a :class:`LatencyHistogram` and reads p50/p90/p99 from its
+:meth:`~LatencyHistogram.summary`, so percentiles are computed in exactly
+one place instead of being re-derived per consumer.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Engine subsystem tests: batched simulation, compiled-solver cache, runner.
 
 The three contracts asserted here are the ones the engine's throughput story
-rests on: (a) the batched statevector is *exactly* the per-state simulator
+rests on: (a) one batched plan sweep is *exactly* the per-state simulator
 run ``B`` times (agreement to 1e-12 on random circuits); (b) cache hits skip
 synthesis entirely (observable through the compile counter); (c) the parallel
 scenario runner returns results identical to serial execution.
@@ -14,7 +14,6 @@ import pytest
 
 from repro.core import QSVTLinearSolver
 from repro.engine import (
-    BatchedStatevector,
     CompiledSolverCache,
     ScenarioRunner,
     SolveJob,
@@ -23,13 +22,12 @@ from repro.engine import (
     list_scenarios,
     register_scenario,
     scenario_names,
-    zero_batch,
 )
-from repro.exceptions import DimensionError, StaleSynthesisError
+from repro.exceptions import StaleSynthesisError
 from repro.linalg import random_matrix_with_condition_number, random_rhs
 from repro.qsp.qsvt_circuit import apply_qsvt_to_vector, apply_qsvt_to_vectors
 from repro.quantum import QuantumCircuit, Statevector
-from repro.quantum.measurement import postselect
+from repro.quantum.measurement import postselect, postselect_batched
 from repro.quantum.statevector import apply_circuit
 from repro.utils import matrix_fingerprint
 
@@ -76,7 +74,7 @@ def _random_batch(batch_size: int, num_qubits: int, rng) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------- #
-# (a) batched statevector == per-state statevector
+# (a) one batched plan sweep == per-state simulation
 # ---------------------------------------------------------------------- #
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("num_qubits", [2, 4])
@@ -85,10 +83,10 @@ def test_batched_matches_per_state_simulation(seed, num_qubits):
     circuit = _random_circuit(num_qubits, rng)
     data = _random_batch(5, num_qubits, rng)
 
-    batched = BatchedStatevector(data).apply_circuit(circuit)
+    batched = circuit.compile().apply_batched(data)
     for i in range(data.shape[0]):
         single = apply_circuit(circuit, Statevector(data[i]))
-        np.testing.assert_allclose(batched.data[i], single.data,
+        np.testing.assert_allclose(batched[i], single.data,
                                    atol=1e-12, rtol=0)
 
 
@@ -96,28 +94,13 @@ def test_batched_postselect_matches_single(rng):
     num_qubits = 4
     circuit = _random_circuit(num_qubits, rng)
     data = _random_batch(4, num_qubits, rng)
-    batched = BatchedStatevector(data).apply_circuit(circuit)
-    reduced, probs = batched.postselect([0, 1], 0, renormalize=False)
-    for i in range(len(batched)):
+    batched = circuit.compile().apply_batched(data)
+    reduced, probs = postselect_batched(batched, [0, 1], 0, renormalize=False)
+    for i in range(data.shape[0]):
         single = apply_circuit(circuit, Statevector(data[i]))
         expected, prob = postselect(single, [0, 1], 0, renormalize=False)
-        np.testing.assert_allclose(reduced.data[i], expected.data, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(reduced[i], expected.data, atol=1e-12, rtol=0)
         assert probs[i] == pytest.approx(prob, abs=1e-12)
-
-
-def test_batched_constructors_and_views(rng):
-    states = [Statevector(_random_batch(1, 3, rng)[0]) for _ in range(3)]
-    batch = BatchedStatevector.from_statevectors(states)
-    assert batch.batch_size == 3 and batch.num_qubits == 3
-    assert len(batch.to_statevectors()) == 3
-    np.testing.assert_allclose(batch[1].data, states[1].data)
-    zeros = zero_batch(4, 2)
-    assert zeros.data.shape == (4, 4)
-    np.testing.assert_allclose(zeros.norms(), np.ones(4))
-    with pytest.raises(DimensionError):
-        BatchedStatevector(np.zeros(8))  # 1-D is not a batch
-    with pytest.raises(DimensionError):
-        BatchedStatevector(np.zeros((2, 3)))  # not a power of two
 
 
 def test_apply_qsvt_to_vectors_matches_single(prepared_circuit_solver):

@@ -1,4 +1,4 @@
-"""Serving-layer tests: shared-memory hand-off, synthesis store, async coalescing.
+"""Serving-layer tests: shared-memory hand-off, synthesis store, group sweeps.
 
 The serving layer's contract is that none of its shortcuts can change
 answers, only costs:
@@ -8,9 +8,10 @@ answers, only costs:
 (b) a solver restored from the persistent store solves identically (1e-12)
     to a freshly compiled one, and corrupt/mismatched entries silently fall
     back to recompilation;
-(c) the async front end coalesces concurrent same-fingerprint requests into
-    one fused sweep without changing any result, and propagates shared-sweep
-    failures to every member of the group;
+(c) the serving worker's group sweep answers same-key requests with one
+    fused sweep without changing any result, fails a bad right-hand side
+    alone, and propagates shared-sweep failures to every member; asyncio
+    callers await the cluster's own futures;
 (d) runner telemetry surfaces the per-worker cache/store counters that
     previously died inside the worker processes.
 """
@@ -30,7 +31,6 @@ import pytest
 from repro.core import QSVTLinearSolver
 from repro.core.results import SingleSolveRecord
 from repro.engine import (
-    AsyncSolveEngine,
     CompiledSolverCache,
     ScenarioRunner,
     SharedMatrixRegistry,
@@ -42,9 +42,10 @@ from repro.engine import (
     default_store_path,
 )
 from repro.engine import store as store_module
-from repro.engine.aio import GroupSweeper, SolveGroup
 from repro.exceptions import BackendError, DimensionError
+from repro.serving import ClusterEngine
 from repro.serving import worker as worker_module
+from repro.serving.worker import GroupSweeper, SolveGroup
 from repro.linalg import random_matrix_with_condition_number, random_rhs
 
 
@@ -301,116 +302,42 @@ def test_runner_store_skips_synthesis_in_fresh_workers(tmp_path):
 
 
 # ---------------------------------------------------------------------- #
-# (c) async coalescing front end
+# (c) the serving worker's group sweep
 # ---------------------------------------------------------------------- #
-def test_async_coalesces_same_fingerprint_requests():
+def _sweep_group(matrix, rhs_list, *, backend="ideal") -> SolveGroup:
+    """One same-key group, each member's token its index."""
+    group = SolveGroup(matrix, 5e-2, backend, None, None, {})
+    for index, rhs in enumerate(rhs_list):
+        group.add(rhs, index)
+    return group
+
+
+@pytest.mark.parametrize("backend", ["ideal", "circuit"])
+def test_sweep_coalesces_same_key_members(backend):
+    # K same-key members cost one fused solve_batch sweep and one synthesis,
+    # and every answer is the one-at-a-time solve's to 1e-12.
     matrix = random_matrix_with_condition_number(8, 4.0, rng=20)
-    batch = [random_rhs(8, rng=seed) for seed in range(6)]
-
-    async def main():
-        async with AsyncSolveEngine() as engine:
-            records = await asyncio.gather(
-                *[engine.solve(matrix, rhs, epsilon_l=5e-2, backend="ideal")
-                  for rhs in batch])
-            return records, engine.stats(), engine.cache
-
-    records, stats, cache = asyncio.run(main())
-    assert stats["requests"] == 6
-    assert stats["batches"] == 1               # one fused sweep for the burst
-    assert stats["largest_batch"] == 6
-    assert cache.stats()["compiles"] == 1      # and one synthesis
-    reference = cache.solver(matrix, epsilon_l=5e-2, backend="ideal")
+    batch = [random_rhs(8, rng=seed) for seed in range(8)]
+    sweeper = GroupSweeper(CompiledSolverCache())
+    records = sweeper.sweep(_sweep_group(matrix, batch, backend=backend))
+    stats = sweeper.stats()
+    assert stats["requests"] == 8
+    assert stats["batches"] == 1 and stats["largest_batch"] == 8
+    assert stats["cache"]["compiles"] == 1
+    solver = QSVTLinearSolver(matrix, epsilon_l=5e-2, backend=backend)
     for record, rhs in zip(records, batch):
-        np.testing.assert_allclose(record.x, reference.solve(rhs).x,
+        assert isinstance(record, SingleSolveRecord)
+        np.testing.assert_allclose(record.x, solver.solve(rhs).x,
                                    atol=1e-12, rtol=0)
 
 
-def test_async_groups_by_fingerprint_and_configuration():
-    matrix_a = random_matrix_with_condition_number(8, 4.0, rng=21)
-    matrix_b = random_matrix_with_condition_number(8, 6.0, rng=22)
-    rhs = random_rhs(8, rng=23)
-
-    async def main():
-        async with AsyncSolveEngine() as engine:
-            await asyncio.gather(
-                engine.solve(matrix_a, rhs, epsilon_l=5e-2, backend="ideal"),
-                engine.solve(matrix_a, rhs, epsilon_l=5e-2, backend="ideal"),
-                engine.solve(matrix_b, rhs, epsilon_l=5e-2, backend="ideal"),
-                engine.solve(matrix_a, rhs, epsilon_l=1e-2, backend="ideal"))
-            return engine.stats()
-
-    stats = asyncio.run(main())
-    # (A, 5e-2) coalesces; (B, 5e-2) and (A, 1e-2) are their own groups
-    assert stats["requests"] == 4 and stats["batches"] == 3
-    assert stats["coalesced_requests"] == 1
-
-
-def test_async_max_batch_size_seals_groups():
-    matrix = random_matrix_with_condition_number(8, 4.0, rng=24)
-    batch = [random_rhs(8, rng=seed) for seed in range(7)]
-
-    async def main():
-        async with AsyncSolveEngine(max_batch_size=3) as engine:
-            await asyncio.gather(
-                *[engine.solve(matrix, rhs, epsilon_l=5e-2, backend="ideal")
-                  for rhs in batch])
-            return engine.stats()
-
-    stats = asyncio.run(main())
-    assert stats["batches"] == 3               # 3 + 3 + 1
-    assert stats["largest_batch"] == 3
-
-
-def test_async_full_group_flushes_before_window_expires():
-    # a sealed (full) group must fire immediately, not wait out the window
-    matrix = random_matrix_with_condition_number(8, 4.0, rng=27)
-    batch = [random_rhs(8, rng=seed) for seed in range(2)]
-
-    async def main():
-        async with AsyncSolveEngine(max_batch_size=2,
-                                    coalesce_window=30.0) as engine:
-            records = await asyncio.wait_for(
-                asyncio.gather(*[
-                    engine.solve(matrix, rhs, epsilon_l=5e-2, backend="ideal")
-                    for rhs in batch]),
-                timeout=5.0)                       # << the 30 s window
-            return records, engine.stats()
-
-    records, stats = asyncio.run(main())
-    assert len(records) == 2 and stats["batches"] == 1
-
-
-def test_async_sequential_requests_still_answer():
-    matrix = random_matrix_with_condition_number(8, 4.0, rng=25)
-    batch = [random_rhs(8, rng=seed) for seed in range(3)]
-
-    async def main():
-        async with AsyncSolveEngine() as engine:
-            records = []
-            for rhs in batch:                  # awaited one at a time
-                records.append(await engine.solve(matrix, rhs, epsilon_l=5e-2,
-                                                  backend="ideal"))
-            return records, engine.stats()
-
-    records, stats = asyncio.run(main())
-    assert stats["batches"] == 3 and stats["coalesced_requests"] == 0
-    assert all(record.scaled_residual <= 5e-2 for record in records)
-
-
-def test_async_failures_propagate_to_every_group_member():
-    singular = np.zeros((8, 8))
-    rhs = random_rhs(8, rng=26)
-
-    async def main():
-        async with AsyncSolveEngine() as engine:
-            return await asyncio.gather(
-                *[engine.solve(singular, rhs, epsilon_l=5e-2, backend="ideal")
-                  for _ in range(3)],
-                return_exceptions=True)
-
-    results = asyncio.run(main())
+def test_sweep_shared_failure_reaches_every_member():
+    sweeper = GroupSweeper(CompiledSolverCache())
+    results = sweeper.sweep(_sweep_group(np.zeros((8, 8)),
+                                         [random_rhs(8, rng=26)] * 3))
     assert len(results) == 3
     assert all(isinstance(result, Exception) for result in results)
+    assert sweeper.stats()["batches"] == 0
 
 
 @pytest.mark.parametrize("bad_rhs, error", [
@@ -418,29 +345,43 @@ def test_async_failures_propagate_to_every_group_member():
     (np.ones(7), DimensionError),
     (np.array([1.0, np.inf, 0, 0, 0, 0, 0, 0]), ValueError),
 ])
-def test_async_bad_rhs_fails_only_its_own_request(bad_rhs, error):
+def test_sweep_bad_rhs_fails_only_its_own_member(bad_rhs, error):
     matrix = random_matrix_with_condition_number(8, 4.0, rng=28)
     good = random_rhs(8, rng=29)
-
-    async def main():
-        async with AsyncSolveEngine() as engine:
-            results = await asyncio.gather(
-                engine.solve(matrix, good, epsilon_l=5e-2, backend="ideal"),
-                engine.solve(matrix, bad_rhs, epsilon_l=5e-2, backend="ideal"),
-                return_exceptions=True)
-            return results, engine.stats(), engine.cache
-
-    (record, failure), stats, cache = asyncio.run(main())
+    sweeper = GroupSweeper(CompiledSolverCache())
+    record, failure = sweeper.sweep(_sweep_group(matrix, [good, bad_rhs]))
     assert isinstance(failure, error)
     assert isinstance(record, SingleSolveRecord)
+    stats = sweeper.stats()
     assert stats["batches"] == 1 and stats["largest_batch"] == 1
-    reference = cache.solver(matrix, epsilon_l=5e-2, backend="ideal")
+    reference = sweeper.cache.solver(matrix, epsilon_l=5e-2, backend="ideal")
     assert np.array_equal(record.x, reference.solve(good).x)
 
 
+def test_async_sequential_requests_still_answer():
+    # asyncio callers await the cluster's own futures; awaited one at a
+    # time, each request is its worker's whole turn: one sweep apiece
+    matrix = random_matrix_with_condition_number(8, 4.0, rng=25)
+    batch = [random_rhs(8, rng=seed) for seed in range(3)]
+    with ClusterEngine(num_workers=1, event_log_path=False) as cluster:
+        async def main():
+            return [await asyncio.wrap_future(cluster.submit(
+                matrix, rhs, epsilon_l=5e-2, backend="ideal", kappa=4.0))
+                for rhs in batch]
+
+        records = asyncio.run(main())
+        stats = cluster.worker_stats()["worker-0"]
+    assert stats["batches"] == 3 and stats["coalesced_requests"] == 0
+    solver = QSVTLinearSolver(matrix, epsilon_l=5e-2, backend="ideal",
+                              kappa=4.0)
+    for record, rhs in zip(records, batch):
+        np.testing.assert_allclose(record.x, solver.solve(rhs).x,
+                                   atol=1e-12, rtol=0)
+
+
 def test_group_sweeper_counts_concurrent_sweeps_exactly():
-    # the asyncio engine sweeps on several executor threads at once: every
-    # counter update must survive a thread switch at any bytecode.
+    # the engine_* series are registry primitives: every counter update
+    # must survive a thread switch at any bytecode.
     matrix = random_matrix_with_condition_number(8, 4.0, rng=30)
     sweeper = GroupSweeper(CompiledSolverCache())
     threads, sweeps = 8, 25
@@ -466,15 +407,6 @@ def test_group_sweeper_counts_concurrent_sweeps_exactly():
     assert stats["requests"] == stats["batches"] == threads * sweeps
     assert stats["latency"]["count"] == threads * sweeps
     assert stats["largest_batch"] == 1 and stats["cache"]["compiles"] == 1
-
-
-def test_async_engine_validates_parameters():
-    with pytest.raises(ValueError):
-        AsyncSolveEngine(max_batch_size=0)
-    with pytest.raises(ValueError):
-        AsyncSolveEngine(coalesce_window=-1.0)
-    with pytest.raises(ValueError):
-        AsyncSolveEngine(max_concurrency=0)
 
 
 # ---------------------------------------------------------------------- #
@@ -554,6 +486,9 @@ def test_process_mode_survives_a_worker_death(kill_worker, monkeypatch):
         assert len(report) == len(jobs)
         assert all(result.ok or result.error for result in report)
         assert cluster.stats(include_workers=False)["worker_deaths"] == 1
+        # the killed incarnation's requests still count: one per inner solve
+        assert report.summary["sweeps"]["requests"] == sum(
+            result.iterations + 1 for result in report)
     serial = ScenarioRunner(mode="serial").run(jobs)
     for par, ser in zip(report, serial):
         if par.ok:

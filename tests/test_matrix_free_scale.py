@@ -9,6 +9,7 @@ payload persistence across processes, and the convection–diffusion /
 Helmholtz families end-to-end without analytic κ.
 """
 
+import pathlib
 import subprocess
 import sys
 import textwrap
@@ -29,6 +30,10 @@ from repro.linalg.cond import (
 from repro.linalg.iterative import lsqr
 from repro.problems import ConvectionDiffusionFamily, HelmholtzFamily
 from repro.problems.base import check_dense_assembly
+
+#: the checkout this test file lives in (its ``src/`` is what a child
+#: interpreter must import).
+_REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def _random_sparse_dense(gen, n, density=0.08):
@@ -328,8 +333,8 @@ class TestOperatorPayloadPersistence:
         """) % str(tmp_path)
         proc = subprocess.run([sys.executable, "-c", child],
                               capture_output=True, text=True, timeout=240,
-                              cwd="/root/repo",
-                              env={"PYTHONPATH": "/root/repo/src",
+                              cwd=str(_REPO_ROOT),
+                              env={"PYTHONPATH": str(_REPO_ROOT / "src"),
                                    "PATH": "/usr/bin:/bin"})
         assert proc.returncode == 0, proc.stderr
         assert "RESTORED-WITHOUT-COMPILE" in proc.stdout

@@ -14,7 +14,6 @@ Three layers of coverage:
 
 from __future__ import annotations
 
-import asyncio
 import json
 import os
 import time
@@ -24,7 +23,7 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro.engine.aio import AsyncSolveEngine
+from repro.engine import CompiledSolverCache
 from repro.obs import Observability
 from repro.obs.events import EventLog
 from repro.obs.metrics import (
@@ -51,6 +50,7 @@ from repro.serving import (
     ClusterEngine,
     ServingHTTPServer,
 )
+from repro.serving.worker import GroupSweeper, SolveGroup
 from repro.utils import LatencyHistogram
 
 
@@ -315,23 +315,13 @@ class TestEngineTracing:
         matrix, _ = _spd_system(8, 4.0, 5)
         rng = np.random.default_rng(6)
         registry = MetricsRegistry()
-        engine = AsyncSolveEngine(max_batch_size=8, coalesce_window=0.05,
-                                  metrics=registry)
+        sweeper = GroupSweeper(CompiledSolverCache(metrics=registry),
+                               metrics=registry)
         traces = [TraceContext(f"{i:032x}", sampled=True) for i in range(4)]
-
-        async def one(trace, rhs):
-            with activated(trace):
-                return await engine.solve(matrix, rhs, epsilon_l=1e-2,
-                                          backend="ideal", kappa=4.0)
-
-        async def drive():
-            return await asyncio.gather(*(
-                one(trace, rng.normal(size=8)) for trace in traces))
-
-        try:
-            records = asyncio.run(drive())
-        finally:
-            engine.close()
+        group = SolveGroup(matrix, 1e-2, "ideal", 4.0, None, {})
+        for index, trace in enumerate(traces):
+            group.add(rng.normal(size=8), index, trace=trace)
+        records = sweeper.sweep(group)
         assert all(record.scaled_residual < 1e-2 for record in records)
         sweep_ids = set()
         for trace in traces:

@@ -21,7 +21,7 @@ from repro.blockencoding.banded import (
 )
 from repro.core import MixedPrecisionRefinement, QSVTLinearSolver
 from repro.core.backends import CircuitQSVTBackend
-from repro.engine import BatchedStatevector, CompiledSolverCache
+from repro.engine import CompiledSolverCache
 from repro.linalg import random_rhs
 from repro.quantum import QuantumCircuit, Statevector, apply_circuit
 from repro.quantum.plan import (
@@ -101,12 +101,13 @@ class TestFusedPlansMatchReference:
     def test_batched_statevector_plan_path(self, rng):
         circuit = _random_circuit(3, 12, rng)
         data = rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8))
-        batch = BatchedStatevector(data)
-        fused = batch.apply_circuit(circuit)
-        reference = batch.apply_circuit(circuit, fusion="none")
-        assert np.max(np.abs(fused.data - reference.data)) < 1e-12
-        replayed = batch.apply_plan(circuit.compile())
-        assert np.max(np.abs(replayed.data - reference.data)) < 1e-12
+        fused = circuit.compile().apply_batched(data)
+        unfused = circuit.compile(fusion="none").apply_batched(data)
+        assert np.max(np.abs(fused - unfused)) < 1e-12
+        for i in range(data.shape[0]):
+            reference = apply_circuit(circuit, Statevector(data[i].copy()),
+                                      fusion="none").data
+            assert np.max(np.abs(fused[i] - reference)) < 1e-12
 
 
 class TestBatchLastReplay:

@@ -19,7 +19,6 @@ may change costs, never answers — plus the distribution-specific clauses:
 
 from __future__ import annotations
 
-import asyncio
 import gc
 import json
 import threading
@@ -34,7 +33,6 @@ import pytest
 from repro.core import QSVTLinearSolver
 from repro.engine import CompiledSolverCache, SynthesisStore, TieredSynthesisStore
 from repro.engine import store as store_module
-from repro.engine.aio import AsyncSolveEngine
 from repro.exceptions import (
     QueueFullError,
     QuotaExceededError,
@@ -50,6 +48,7 @@ from repro.serving import (
     ServingHTTPServer,
     TokenBucket,
 )
+from repro.serving.worker import GroupSweeper, SolveGroup
 from repro.utils import LatencyHistogram, matrix_fingerprint
 
 
@@ -207,64 +206,53 @@ class TestLatencyHistogram:
 
 
 class TestEngineDeadlines:
-    def test_expired_deadline_raises_before_solving(self):
+    """Deadlines are checked when a worker's group sweep starts
+    (:meth:`GroupSweeper.sweep`) and validated when ``submit`` is called."""
+
+    @staticmethod
+    def _group(rhs_list, *, expired=()) -> SolveGroup:
         matrix = random_matrix_with_condition_number(4, 3.0, rng=0)
+        group = SolveGroup(matrix, 1e-2, "ideal", 3.0, None, {})
+        past = time.monotonic()
+        for index, rhs in enumerate(rhs_list):
+            group.add(rhs, index,
+                      deadline_at=past if index in expired else None)
+        return group
+
+    def test_expired_deadline_raises_before_solving(self):
         rhs = random_rhs(4, rng=1)
-
-        async def run():
-            async with AsyncSolveEngine() as engine:
-                with pytest.raises(SolveTimeoutError) as excinfo:
-                    await engine.solve(matrix, rhs, epsilon_l=1e-2,
-                                       backend="ideal", kappa=3.0,
-                                       deadline=0.0)
-                assert excinfo.value.late_by >= 0.0
-                return engine.stats()
-
-        stats = asyncio.run(run())
-        assert stats["timeouts"] == 1
-        assert stats["batches"] == 0          # no sweep ran for it
+        sweeper = GroupSweeper(CompiledSolverCache())
+        results = sweeper.sweep(self._group([rhs] * 3, expired=(0, 1, 2)))
+        assert all(isinstance(result, SolveTimeoutError) for result in results)
+        assert all(result.late_by >= 0.0 for result in results)
+        stats = sweeper.stats()
+        assert stats["timeouts"] == 3
+        assert stats["batches"] == 0          # no sweep ran for them
+        assert stats["cache"]["compiles"] == 0
 
     def test_expired_member_does_not_fail_its_groupmates(self):
-        matrix = random_matrix_with_condition_number(4, 3.0, rng=0)
         rhs = random_rhs(4, rng=1)
-
-        async def run():
-            async with AsyncSolveEngine(coalesce_window=0.01) as engine:
-                doomed = asyncio.ensure_future(
-                    engine.solve(matrix, rhs, epsilon_l=1e-2,
-                                 backend="ideal", kappa=3.0, deadline=0.0))
-                alive = asyncio.ensure_future(
-                    engine.solve(matrix, 2 * rhs, epsilon_l=1e-2,
-                                 backend="ideal", kappa=3.0))
-                results = await asyncio.gather(doomed, alive,
-                                               return_exceptions=True)
-                return results, engine.stats()
-
-        (doomed, alive), stats = asyncio.run(run())
+        sweeper = GroupSweeper(CompiledSolverCache())
+        doomed, alive = sweeper.sweep(self._group([rhs, 2 * rhs],
+                                                  expired=(0,)))
         assert isinstance(doomed, SolveTimeoutError)
         assert alive.scaled_residual < 1e-2
+        stats = sweeper.stats()
         assert stats["timeouts"] == 1 and stats["batches"] == 1
 
     def test_negative_deadline_is_rejected(self):
-        async def run():
-            async with AsyncSolveEngine() as engine:
+        with ClusterEngine(num_workers=1, event_log_path=False) as cluster:
+            for deadline in (-1.0, float("nan"), float("inf")):
                 with pytest.raises(ValueError):
-                    await engine.solve(np.eye(4), np.ones(4), deadline=-1.0)
-
-        asyncio.run(run())
+                    cluster.submit(np.eye(4), np.ones(4), deadline=deadline)
+            assert cluster.stats(include_workers=False)["submitted"] == 0
 
     def test_stats_expose_latency_percentiles(self):
-        matrix = random_matrix_with_condition_number(4, 3.0, rng=0)
+        # the histogram counts each answered member, not the expired one
         rhs = random_rhs(4, rng=1)
-
-        async def run():
-            async with AsyncSolveEngine() as engine:
-                for _ in range(3):
-                    await engine.solve(matrix, rhs, epsilon_l=1e-2,
-                                       backend="ideal", kappa=3.0)
-                return engine.stats()
-
-        latency = asyncio.run(run())["latency"]
+        sweeper = GroupSweeper(CompiledSolverCache())
+        sweeper.sweep(self._group([rhs] * 4, expired=(3,)))
+        latency = sweeper.stats()["latency"]
         assert latency["count"] == 3
         assert 0.0 < latency["p50"] <= latency["p99"]
 
@@ -603,6 +591,7 @@ class TestClusterEngine:
         cluster.close()                            # idempotent
 
 
+
 class TestServingHTTP:
     @pytest.fixture()
     def served(self):
@@ -701,3 +690,22 @@ class TestServingHTTP:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(f"{base}/nope")
         assert excinfo.value.code == 404
+
+    @pytest.mark.parametrize("field, value, error", [
+        ("deadline", "abc", "ValueError"),
+        ("deadline", -1, "ValueError"),
+        ("kappa", "abc", "ValueError"),
+        ("epsilon_l", [1.0], "TypeError"),
+    ])
+    def test_malformed_numeric_field_is_a_400(self, served, field, value,
+                                              error):
+        # rejected at the edge: never dispatched, never a 500 or a late 504
+        cluster, base = served
+        matrix, rhs = _spd_system(8, 4.0, 41)
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            self._post(base, {"matrix": matrix.tolist(), "rhs": rhs.tolist(),
+                              field: value})
+        assert excinfo.value.code == 400
+        body = json.load(excinfo.value)
+        assert body["error"] == error and body["retriable"] is False
+        assert cluster.stats(include_workers=False)["submitted"] == 0
