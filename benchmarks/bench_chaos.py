@@ -581,7 +581,7 @@ def run_benchmark(*, smoke: bool = False) -> dict:
     else:
         _JSON_PATH.write_text(json.dumps(summary, indent=2, default=float)
                               + "\n", encoding="utf-8")
-        emit("chaos", text + f"\n\nwritten: {_JSON_PATH}")
+        emit("chaos", text + f"\n\nwritten: {_JSON_PATH.name}")
     return summary
 
 

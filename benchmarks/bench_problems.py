@@ -274,7 +274,7 @@ def run_benchmark(*, smoke: bool = False) -> dict:
     else:
         _JSON_PATH.write_text(json.dumps(summary, indent=2) + "\n",
                               encoding="utf-8")
-        emit("problems", text + f"\n\nwritten: {_JSON_PATH}")
+        emit("problems", text + f"\n\nwritten: {_JSON_PATH.name}")
     return summary
 
 

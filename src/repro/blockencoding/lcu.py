@@ -89,29 +89,42 @@ class LCUBlockEncoding(BlockEncoding):
         qc.compose(prepare.inverse(), qubit_map=ancilla_qubits)
         return qc
 
-    def unitary(self) -> np.ndarray:
-        """Dense unitary assembled directly (faster than simulating the circuit).
+    def _prepare_and_select(self) -> tuple[np.ndarray, np.ndarray]:
+        """PREPARE unitary ``P`` and the stacked SELECT blocks ``S_j``.
 
-        Uses the same PREPARE unitary as :meth:`circuit` (obtained by
-        simulating the small ``m``-qubit preparation circuit), so the two
-        representations agree exactly.
+        ``P`` is the same unitary :meth:`circuit` uses (obtained by simulating
+        the small ``m``-qubit preparation circuit); ``S_j`` is the phased
+        Pauli ``e^{i arg(α_j)} P_j``, or the identity on unused ancilla states.
         """
         from ..quantum.statevector import circuit_unitary
 
-        m, n = self.num_ancillas, self.num_data_qubits
-        dim_anc, dim_dat = 2**m, 2**n
-        prepare_circuit = prepare_state_circuit(self.prepare_vector(),
-                                                decompose=self._decompose_prepare).circuit
-        prepare = circuit_unitary(prepare_circuit)
-        select = np.zeros((dim_anc * dim_dat, dim_anc * dim_dat), dtype=complex)
-        eye = np.eye(dim_dat, dtype=complex)
-        for j in range(dim_anc):
-            if j < self.num_terms:
-                term = self.terms[j]
-                phase = term.coefficient / abs(term.coefficient)
-                block = phase * term.unitary()
-            else:
-                block = eye
-            select[j * dim_dat:(j + 1) * dim_dat, j * dim_dat:(j + 1) * dim_dat] = block
-        prep_full = np.kron(prepare, eye)
-        return prep_full.conj().T @ select @ prep_full
+        prepare = circuit_unitary(prepare_state_circuit(
+            self.prepare_vector(), decompose=self._decompose_prepare).circuit)
+        dim_dat = 2**self.num_data_qubits
+        select = np.tile(np.eye(dim_dat, dtype=complex), (2**self.num_ancillas, 1, 1))
+        for j, term in enumerate(self.terms):
+            select[j] = term.coefficient / abs(term.coefficient) * term.unitary()
+        return prepare, select
+
+    def unitary(self) -> np.ndarray:
+        """Dense unitary assembled directly (faster than simulating the circuit).
+
+        ``PREPARE†·SELECT·PREPARE`` with SELECT block-diagonal and PREPARE
+        ``P ⊗ I`` is the contraction
+        ``U[(i,a),(k,b)] = Σ_j conj(P[j,i])·P[j,k]·S_j[a,b]``, done one ancilla
+        row ``i`` at a time so no intermediate is larger than a row block.
+        Nothing is cached: the result is ``4**(m+n)`` complex entries.
+        """
+        prepare, select = self._prepare_and_select()
+        dim_anc, dim_dat = select.shape[0], select.shape[1]
+        blocks = select.reshape(dim_anc, -1)
+        out = np.empty((dim_anc, dim_dat, dim_anc, dim_dat), dtype=complex)
+        for i in range(dim_anc):
+            rows = (prepare[:, i].conj()[:, None] * blocks).T @ prepare   # ((a,b), k)
+            out[i] = rows.reshape(dim_dat, dim_dat, dim_anc).transpose(0, 2, 1)
+        return out.reshape(dim_anc * dim_dat, dim_anc * dim_dat)
+
+    def encoded_block(self) -> np.ndarray:
+        """Top-left block ``Σ_j |P[j,0]|²·S_j`` without forming the unitary."""
+        prepare, select = self._prepare_and_select()
+        return np.tensordot(np.abs(prepare[:, 0])**2, select, axes=1)

@@ -562,19 +562,7 @@ class CircuitQSVTBackend(QSVTBackend):
         self.block = build_block_encoding(mat.conj().T, method)
         self.kappa_effective = _effective_kappa(sigma, self.block.alpha, kappa,
                                                 self.kappa_margin)
-        self.polynomial = _calibrated_polynomial(
-            self.kappa_effective, epsilon_l, max_norm=self.max_polynomial_norm,
-            calibrate=self.calibrate_polynomial, error_convention=self.error_convention)
-        phase_result = solve_qsp_phases(self.polynomial.coefficients,
-                                        tolerance=self.phase_tolerance,
-                                        raise_on_failure=False)
-        if not phase_result.converged and phase_result.residual > 1e-8:
-            raise BackendError(
-                f"QSP phase factors did not converge (residual {phase_result.residual:.2e}); "
-                "use the 'ideal' backend for this configuration")
-        self.phases = phase_result.phases
-        self.phase_residual = phase_result.residual
-        self.epsilon_l = float(epsilon_l)
+        self._synthesise_phases(epsilon_l)
         # compile the QSVT circuits into fused execution plans once; every
         # apply_inverse / apply_inverse_batch call replays them.
         self.program = compile_qsvt_program(
@@ -583,6 +571,21 @@ class CircuitQSVTBackend(QSVTBackend):
             fusion=self.fusion, max_fused_qubits=self.max_fused_qubits)
         self._record_synthesis(mat)
         self._prepared = True
+
+    def _synthesise_phases(self, epsilon_l: float) -> None:
+        """Build the calibrated polynomial for ``kappa_effective`` and solve its phases."""
+        self.polynomial = _calibrated_polynomial(
+            self.kappa_effective, epsilon_l, max_norm=self.max_polynomial_norm,
+            calibrate=self.calibrate_polynomial, error_convention=self.error_convention)
+        result = solve_qsp_phases(self.polynomial.coefficients,
+                                  tolerance=self.phase_tolerance, raise_on_failure=False)
+        if not result.converged and result.residual > 1e-8:
+            raise BackendError(
+                f"QSP phase factors did not converge (residual {result.residual:.2e}); "
+                "use the 'ideal' backend for this configuration")
+        self.phases = result.phases
+        self.phase_residual = result.residual
+        self.epsilon_l = float(epsilon_l)
 
     def _prepare_banded_plan(self, operator, epsilon_l: float,
                              kappa: float | None) -> None:
@@ -624,21 +627,7 @@ class CircuitQSVTBackend(QSVTBackend):
         if sigma_min is None or sigma_min <= 0.0:
             raise BackendError("matrix is numerically singular")
         self.kappa_effective = self.kappa_margin * self.block.alpha / sigma_min
-        self.polynomial = _calibrated_polynomial(
-            self.kappa_effective, epsilon_l, max_norm=self.max_polynomial_norm,
-            calibrate=self.calibrate_polynomial,
-            error_convention=self.error_convention)
-        phase_result = solve_qsp_phases(self.polynomial.coefficients,
-                                        tolerance=self.phase_tolerance,
-                                        raise_on_failure=False)
-        if not phase_result.converged and phase_result.residual > 1e-8:
-            raise BackendError(
-                f"QSP phase factors did not converge (residual "
-                f"{phase_result.residual:.2e}); use the 'ideal' backend for "
-                "this configuration")
-        self.phases = phase_result.phases
-        self.phase_residual = phase_result.residual
-        self.epsilon_l = float(epsilon_l)
+        self._synthesise_phases(epsilon_l)
         self.matrix = operator
         self.program = compile_banded_qsvt_program(self.block, self.phases,
                                                    real_part=True)

@@ -8,8 +8,8 @@ inverse":
 * the odd polynomial approximation of ``1/x`` from Eq. (4) of the paper
   (:mod:`repro.qsp.inverse_polynomial`) and the even rectangle window used to
   tame it inside the spectral gap (:mod:`repro.qsp.rectangle`);
-* a symmetric-QSP phase-factor solver (:mod:`repro.qsp.phase_factors`),
-  following the fixed-point/Newton approach of Dong et al. (Ref. [13]);
+* a symmetric-QSP phase-factor solver (:mod:`repro.qsp.phase_factors`):
+  Newton with an analytic Jacobian, following Dong et al. (Ref. [13]);
 * the QSVT circuit builder implementing the alternating phase modulation of
   Eqs. (2)–(3) (:mod:`repro.qsp.qsvt_circuit`), together with the conversion
   between the Wx QSP convention used by the solver and the

@@ -10,18 +10,22 @@ Given a real target polynomial ``f`` of definite parity with ``|f| < 1`` on
     U(x, θ) = e^{iθ_0 Z} \\prod_{k=1}^{d} \\big[ W(x)\\, e^{iθ_k Z} \\big],
     \\qquad W(x) = \\begin{pmatrix} x & i\\sqrt{1-x^2} \\\\ i\\sqrt{1-x^2} & x \\end{pmatrix},
 
-satisfies ``Re⟨0|U(x, θ)|0⟩ = f(x)``.  The solver follows the fixed-point /
-quasi-Newton strategy of Dong, Meng, Whaley & Lin (and its refinement in
-Ref. [13] of the paper): phases are parametrised as symmetric deviations
-around the trivial point ``(π/4, 0, ..., 0, π/4)`` — where the target map
-vanishes and its Jacobian is essentially ``2·I`` — and the nonlinear system
-"Chebyshev coefficients of ``Re⟨0|U|0⟩`` = target coefficients" is solved by a
-chord/Newton iteration whose Jacobian is evaluated numerically by finite
-differences (re-evaluated only when the iteration stalls).
+satisfies ``Re⟨0|U(x, θ)|0⟩ = f(x)``.  Following Dong, Meng, Whaley & Lin
+(arXiv:2002.11649) and Dong, Lin, Ni & Wang (arXiv:2307.12468), phases are
+parametrised as symmetric deviations around the trivial point
+``(π/4, 0, ..., 0, π/4)`` — where the target map vanishes and its Jacobian is
+essentially ``2·I`` — and the nonlinear system "Chebyshev coefficients of
+``Re⟨0|U|0⟩`` = target coefficients" is solved by Newton's method from that
+point.
 
-The forward map evaluation is vectorised over Chebyshev nodes, so one
-evaluation costs ``O(d²)`` scalar work and solving for a degree-300 polynomial
-takes on the order of a second.
+Both the map and its Jacobian are evaluated at the Chebyshev nodes ``x ≥ 0``
+(``P(−x) = (−1)^d P(x)``) by tracking only the first row of the running
+product, elementwise over the nodes.  The Jacobian is analytic: one prefix
+sweep for the first rows of ``F_0…F_k`` and one suffix sweep for the first
+columns of ``F_{k+1}…F_d``, so a Newton step costs about two map evaluations,
+``O(d²)`` work, and ``O(d²)`` memory for the stored prefix rows.  Newton
+typically stops after six evaluations; degree 755 solves in about 0.15 s and
+degree 1683 in about 0.7 s (2 vCPUs).
 """
 
 from __future__ import annotations
@@ -40,6 +44,22 @@ __all__ = ["PhaseFactorResult", "qsp_polynomial_values", "solve_qsp_phases"]
 # ---------------------------------------------------------------------- #
 # forward map
 # ---------------------------------------------------------------------- #
+def _prefix_rows(theta: np.ndarray, xs: np.ndarray, sines: np.ndarray):
+    """Yield the first row ``(a, b)`` of ``L_k = F_0 F_1 … F_k`` for ``k = 0..d``.
+
+    ``F_0 = e^{iθ_0 Z}`` and ``F_k = W(x) e^{iθ_k Z}``; ``sines`` holds
+    ``i·sqrt(1 - x²)``, the off-diagonal of ``W``.  Each step is elementwise
+    over the points: ``a' = (a·x + b·is)·e^{iθ_k}``, ``b' = (a·is + b·x)·e^{-iθ_k}``.
+    """
+    a = np.full(xs.shape, np.exp(1j * theta[0]))
+    b = np.zeros(xs.shape, dtype=complex)
+    yield a, b
+    for angle in theta[1:]:
+        phase = np.exp(1j * angle)
+        a, b = (a * xs + b * sines) * phase, (a * sines + b * xs) * np.conj(phase)
+        yield a, b
+
+
 def qsp_polynomial_values(phases, x) -> np.ndarray:
     """Complex values ``P(x) = ⟨0|U(x, θ)|0⟩`` of the Wx-convention QSP product.
 
@@ -50,26 +70,10 @@ def qsp_polynomial_values(phases, x) -> np.ndarray:
     x:
         Scalar or array of points in ``[-1, 1]``.
     """
-    theta = np.asarray(phases, dtype=float)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    s = np.sqrt(np.clip(1.0 - xs**2, 0.0, None))
-    m = xs.shape[0]
-    w = np.zeros((m, 2, 2), dtype=complex)
-    w[:, 0, 0] = xs
-    w[:, 1, 1] = xs
-    w[:, 0, 1] = 1j * s
-    w[:, 1, 0] = 1j * s
-    # running product, initialised with e^{i θ_0 Z}
-    product = np.zeros((m, 2, 2), dtype=complex)
-    phase0 = np.exp(1j * theta[0])
-    product[:, 0, 0] = phase0
-    product[:, 1, 1] = np.conj(phase0)
-    for angle in theta[1:]:
-        product = product @ w
-        phase = np.exp(1j * angle)
-        product[:, :, 0] *= phase
-        product[:, :, 1] *= np.conj(phase)
-    values = product[:, 0, 0]
+    sines = 1j * np.sqrt(np.clip(1.0 - xs**2, 0.0, None))
+    for values, _ in _prefix_rows(np.asarray(phases, dtype=float), xs, sines):
+        pass
     if np.isscalar(x) or np.asarray(x).ndim == 0:
         return values[0]
     return values
@@ -97,25 +101,51 @@ def _target_coefficients(cheb_coeffs: np.ndarray, degree: int, parity: int) -> n
 
 
 class _ForwardMap:
-    """Callable evaluating the parity Chebyshev coefficients of ``Re⟨0|U|0⟩``."""
+    """Parity Chebyshev coefficients of ``Re⟨0|U|0⟩`` and their Jacobian."""
 
     def __init__(self, degree: int, parity: int) -> None:
         self.degree = degree
-        self.parity = parity
-        self.nodes = chebyshev_nodes(degree + 1)
-        vander = _cheb.chebvander(self.nodes, degree)       # (M, degree+1)
-        m = self.nodes.shape[0]
+        nodes = chebyshev_nodes(degree + 1)
+        vander = _cheb.chebvander(nodes, degree)            # (M, degree+1)
+        m = nodes.shape[0]
         weights = np.full(degree + 1, 2.0 / m)
         weights[0] = 1.0 / m
-        # transform matrix: coefficients = T @ values
-        self.transform = (vander * weights).T
-        self.parity_rows = np.arange(parity, degree + 1, 2)
+        # coefficients = transform @ values, parity rows only
+        transform = (vander * weights).T[parity::2]
+        # P(−x) = (−1)^d P(x) and node k mirrors node d − k, so only the
+        # nodes x ≥ 0 are evaluated, each mirror column folded onto its partner
+        half = (degree + 2) // 2
+        pairs = degree + 1 - half
+        self.nodes = nodes[:half]
+        self.sines = 1j * np.sqrt(1.0 - self.nodes**2)
+        self.transform = transform[:, :half].copy()
+        self.transform[:, :pairs] += (-1) ** parity * transform[:, degree:degree - pairs:-1]
 
-    def __call__(self, reduced: np.ndarray) -> np.ndarray:
-        full = _symmetric_full_phases(reduced, self.degree)
-        values = np.real(qsp_polynomial_values(full, self.nodes))
-        coeffs = self.transform @ values
-        return coeffs[self.parity_rows]
+    def __call__(self, full: np.ndarray) -> tuple[np.ndarray, list]:
+        """Coefficients at the full phases ``θ``, plus the prefix rows they came from."""
+        rows = list(_prefix_rows(full, self.nodes, self.sines))
+        return self.transform @ rows[-1][0].real, rows
+
+    def jacobian(self, full: np.ndarray, rows: list) -> np.ndarray:
+        """Derivative of the coefficients with respect to the reduced parameters.
+
+        ``∂⟨0|U|0⟩/∂θ_k = i(L_k[0,0]·R[0,0] − L_k[0,1]·R[1,0])`` with ``L_k``
+        the stored prefix rows (consumed from the end, so ``rows`` is empty
+        afterwards) and ``R = F_{k+1}…F_d`` streamed as a first column from
+        the right.  ``θ_k`` and its mirror ``θ_{d−k}`` share one reduced
+        parameter (the even-degree middle phase counts once).
+        """
+        d = self.degree
+        grad = np.zeros((self.transform.shape[0], self.nodes.shape[0]))
+        ra = np.ones_like(self.sines)
+        rb = np.zeros_like(self.sines)
+        for k in range(d, -1, -1):
+            la, lb = rows.pop()
+            grad[min(k, d - k)] -= (la * ra - lb * rb).imag
+            phase = np.exp(1j * full[k])
+            u, v = ra * phase, rb * np.conj(phase)
+            ra, rb = u * self.nodes + v * self.sines, u * self.sines + v * self.nodes
+        return self.transform @ grad.T
 
 
 # ---------------------------------------------------------------------- #
@@ -135,11 +165,10 @@ class PhaseFactorResult:
         Final sup-norm mismatch between the represented and target Chebyshev
         coefficients.
     iterations:
-        Number of (quasi-)Newton iterations performed.
+        Number of forward evaluations, the last of which met the tolerance
+        on success (so ``iterations - 1`` Newton steps).
     converged:
         Whether ``residual <= tolerance``.
-    jacobian_refreshes:
-        How many times the Jacobian was recomputed (0 = pure chord iteration).
     """
 
     phases: np.ndarray
@@ -148,27 +177,19 @@ class PhaseFactorResult:
     residual: float
     iterations: int
     converged: bool
-    jacobian_refreshes: int = 0
 
 
 # ---------------------------------------------------------------------- #
 # solver
 # ---------------------------------------------------------------------- #
-def _numerical_jacobian(forward: _ForwardMap, point: np.ndarray,
-                        step: float = 1e-7) -> np.ndarray:
-    base = forward(point)
-    jac = np.zeros((base.shape[0], point.shape[0]))
-    for k in range(point.shape[0]):
-        shifted = point.copy()
-        shifted[k] += step
-        jac[:, k] = (forward(shifted) - base) / step
-    return jac
-
-
 def solve_qsp_phases(cheb_coeffs, *, tolerance: float = 1e-12,
-                     max_iterations: int = 200, max_jacobian_refreshes: int = 4,
+                     max_iterations: int = 200,
                      raise_on_failure: bool = True) -> PhaseFactorResult:
     """Find symmetric Wx phases representing a real Chebyshev target.
+
+    Newton's method from the trivial point ``(π/4, 0, …, 0, π/4)`` on the
+    reduced symmetric parameters, with the analytic Jacobian of
+    :meth:`_ForwardMap.jacobian`.
 
     Parameters
     ----------
@@ -180,9 +201,8 @@ def solve_qsp_phases(cheb_coeffs, *, tolerance: float = 1e-12,
     tolerance:
         Convergence threshold on the sup-norm coefficient mismatch.
     max_iterations:
-        Total iteration budget (chord + Newton steps).
-    max_jacobian_refreshes:
-        How many times the Jacobian may be recomputed when progress stalls.
+        Budget of forward evaluations (each but the last followed by one
+        Newton step).
     raise_on_failure:
         Raise :class:`PhaseFactorError` when the target accuracy is not met
         (otherwise the best iterate is returned with ``converged=False``).
@@ -210,50 +230,33 @@ def solve_qsp_phases(cheb_coeffs, *, tolerance: float = 1e-12,
         raise PhaseFactorError(
             "target polynomial must be strictly bounded by 1 in magnitude on [-1, 1]")
 
-    # start at the trivial point (Re P = 0 there); the first chord step then
-    # jumps to J0^{-1} c which is the proper fixed-point-iteration start
-    # regardless of the coefficient/phase ordering convention.
+    # Re P vanishes at the trivial point, where the Jacobian is about 2·I.
     reduced = np.zeros_like(target)
-    jacobian = None
-    refreshes = 0
     best_residual = np.inf
-    best_reduced = reduced.copy()
+    best_reduced = reduced
     iterations = 0
-    stall_counter = 0
     for iterations in range(1, max_iterations + 1):
-        current = forward(reduced)
+        full = _symmetric_full_phases(reduced, degree)
+        current, rows = forward(full)
         mismatch = current - target
         residual = float(np.max(np.abs(mismatch)))
         if residual < best_residual:
-            improvement = best_residual - residual
-            best_residual = residual
-            best_reduced = reduced.copy()
-            stall_counter = 0 if improvement > 0.1 * residual else stall_counter + 1
-        else:
-            stall_counter += 1
+            best_residual, best_reduced = residual, reduced
         if residual <= tolerance:
-            return PhaseFactorResult(
-                phases=_symmetric_full_phases(reduced, degree), degree=degree,
-                parity=parity, residual=residual, iterations=iterations,
-                converged=True, jacobian_refreshes=refreshes)
-        if jacobian is None or (stall_counter >= 3 and refreshes < max_jacobian_refreshes):
-            if jacobian is not None:
-                refreshes += 1
-                stall_counter = 0
-            jacobian = _numerical_jacobian(forward, reduced)
+            break
+        jacobian = forward.jacobian(full, rows)
         try:
             step = np.linalg.solve(jacobian, mismatch)
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(jacobian, mismatch, rcond=None)[0]
         reduced = reduced - step
 
-    final_residual = best_residual
     result = PhaseFactorResult(
         phases=_symmetric_full_phases(best_reduced, degree), degree=degree,
-        parity=parity, residual=final_residual, iterations=iterations,
-        converged=final_residual <= tolerance, jacobian_refreshes=refreshes)
+        parity=parity, residual=best_residual, iterations=iterations,
+        converged=best_residual <= tolerance)
     if raise_on_failure and not result.converged:
         raise PhaseFactorError(
             "phase-factor iteration did not reach the requested tolerance",
-            iterations=iterations, achieved=final_residual, target=tolerance)
+            iterations=iterations, achieved=best_residual, target=tolerance)
     return result

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 from repro.blockencoding import (
     CirculantBlockEncoding,
@@ -73,6 +74,18 @@ class TestLCU:
         a = rng.standard_normal((4, 4))
         be = LCUBlockEncoding(a)
         np.testing.assert_allclose(circuit_unitary(be.circuit()), be.unitary(), atol=1e-10)
+
+    def test_contraction_matches_triple_product(self, rng):
+        # reference: (P ⊗ I)† · blockdiag(S_j) · (P ⊗ I), unused S_j = I;
+        # a real symmetric 4x4 has 10 Pauli terms, some negative
+        a = rng.standard_normal((4, 4))
+        be = LCUBlockEncoding(a + a.T)
+        prepare, select = be._prepare_and_select()
+        assert be.num_terms < select.shape[0]      # padded identity blocks covered
+        prep_full = np.kron(prepare, np.eye(4))
+        reference = prep_full.conj().T @ block_diag(*select) @ prep_full
+        np.testing.assert_allclose(be.unitary(), reference, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(be.encoded_block(), reference[:4, :4], rtol=0, atol=1e-12)
 
     def test_complex_coefficients_handled(self, rng):
         a = rng.standard_normal((4, 4))

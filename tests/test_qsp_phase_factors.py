@@ -12,6 +12,7 @@ from repro.qsp import (
     solve_qsp_phases,
 )
 from repro.qsp.chebyshev import evaluate_chebyshev
+from repro.qsp.phase_factors import _ForwardMap, _symmetric_full_phases
 
 
 def _check_phases_represent(coeffs, phases, atol=1e-9):
@@ -39,6 +40,39 @@ class TestForwardMap:
         value = qsp_polynomial_values(np.zeros(3), 0.5)
         assert np.isscalar(value) or value.shape == ()
 
+    @pytest.mark.parametrize("degree", [1, 6, 13])
+    def test_matches_two_by_two_product(self, rng, degree):
+        # reference: e^{iθ_0 Z} Π_k W(x) e^{iθ_k Z} as (m, 2, 2) matmuls
+        phases = rng.uniform(-np.pi, np.pi, degree + 1)
+        x = np.linspace(-1.0, 1.0, 37)
+        s = 1j * np.sqrt(1.0 - x**2)
+        w = np.stack([np.stack([x, s], -1), np.stack([s, x], -1)], -2)
+        product = np.broadcast_to(np.eye(2, dtype=complex), (x.size, 2, 2))
+        for k, angle in enumerate(phases):
+            rotation = np.diag([np.exp(1j * angle), np.exp(-1j * angle)])
+            product = product @ (rotation if k == 0 else w @ rotation)
+        np.testing.assert_allclose(qsp_polynomial_values(phases, x), product[:, 0, 0],
+                                   rtol=0, atol=1e-14)
+
+
+class TestJacobian:
+    @pytest.mark.parametrize("degree", [7, 8, 21, 22])
+    def test_matches_central_differences(self, rng, degree):
+        # even degree: the middle phase is its own mirror and counts once
+        forward = _ForwardMap(degree, degree % 2)
+        reduced = rng.uniform(-0.3, 0.3, (degree + 2) // 2)
+        full = _symmetric_full_phases(reduced, degree)
+        analytic = forward.jacobian(full, forward(full)[1])
+        step = 1e-6
+        numeric = np.empty_like(analytic)
+        for j in range(reduced.size):
+            shift = np.zeros_like(reduced)
+            shift[j] = step
+            plus = forward(_symmetric_full_phases(reduced + shift, degree))[0]
+            minus = forward(_symmetric_full_phases(reduced - shift, degree))[0]
+            numeric[:, j] = (plus - minus) / (2 * step)
+        np.testing.assert_allclose(analytic, numeric, rtol=0, atol=1e-8)
+
 
 class TestSolver:
     @pytest.mark.parametrize("coeffs", [
@@ -60,6 +94,14 @@ class TestSolver:
         poly = build_inverse_polynomial(4.0, 1e-2, max_norm=0.8)
         result = solve_qsp_phases(poly.coefficients, tolerance=1e-12)
         assert result.converged
+        _check_phases_represent(poly.coefficients, result.phases, atol=1e-8)
+
+    @pytest.mark.parametrize("kappa", [10.0, 30.0])
+    def test_newton_converges_in_few_iterations(self, kappa):
+        poly = build_inverse_polynomial(kappa, 1e-2, max_norm=0.9)
+        result = solve_qsp_phases(poly.coefficients, tolerance=1e-12)
+        assert result.converged and result.residual <= 1e-12
+        assert result.iterations <= 10
         _check_phases_represent(poly.coefficients, result.phases, atol=1e-8)
 
     def test_mixed_parity_rejected(self):
