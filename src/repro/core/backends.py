@@ -786,7 +786,14 @@ class IdealPolynomialBackend(QSVTBackend):
     singular-value bounds for non-symmetric ones).  ``apply_inverse``
     evaluates the very same Eq.-(4) Chebyshev polynomial through a Clenshaw
     recurrence over ``matmat`` calls — ``degree × O(nnz)`` work and
-    ``O(nnz)`` memory.  A batch of right-hand sides runs in column blocks:
+    ``O(nnz)`` memory.  The recurrence takes ``scale=1/α`` and the unscaled
+    ``matmat``, so each term's ``2·(A/α)·b`` is one multiply by ``2/α``,
+    the even terms of the odd polynomial (all ``c_k == 0.0``) skip their
+    ``c_k·v`` update, and a degree-``d`` polynomial applies the operator
+    ``d`` times (the Table I block-encoding count); these rewrites round exactly
+    like scaling every product by ``1/α`` first (see
+    :func:`~repro.qsp.chebyshev.evaluate_chebyshev_operator`).  A batch of
+    right-hand sides runs in column blocks:
     each block holds as many columns as fit :data:`CLENSHAW_BLOCK_BYTES`
     (at least one), so a wide batch of large ``N`` costs about as much per
     column as a loop of single solves.  For a symmetric matrix the two
@@ -871,16 +878,15 @@ class IdealPolynomialBackend(QSVTBackend):
         same per-column arithmetic.
         """
         operator = self.matrix
-        inv_alpha = 1.0 / self.alpha
         coefficients = self.polynomial.coefficients
         n = operator.shape[0]
         dilated = self._dilated
-
-        def apply(w):
-            out = (np.vstack([operator.matmat(w[n:]), operator.rmatmat(w[:n])])
-                   if dilated else operator.matmat(w))
-            out *= inv_alpha
-            return out
+        if dilated:
+            def apply(w):
+                return np.vstack([operator.matmat(w[n:]),
+                                  operator.rmatmat(w[:n])])
+        else:
+            apply = operator.matmat
 
         rows = 2 * n if dilated else n
         width = max(1, CLENSHAW_BLOCK_BYTES // (rows * normalized.itemsize))
@@ -892,7 +898,7 @@ class IdealPolynomialBackend(QSVTBackend):
                 block = np.vstack([block, np.zeros_like(block)])
             # the last n rows: the whole block, or the dilation's lower half
             result[:, columns] = evaluate_chebyshev_operator(
-                coefficients, apply, block)[-n:]
+                coefficients, apply, block, scale=1.0 / self.alpha)[-n:]
         return result
 
     def apply_inverse(self, rhs) -> BackendApplication:

@@ -22,7 +22,9 @@ The expensive synthesis is performed **once** and keyed to the matrix bytes
 construction no longer silently reuses the stale circuits: :meth:`solve`
 raises :class:`~repro.exceptions.StaleSynthesisError` and the caller decides
 between :meth:`recompile` (refresh the synthesis for the new bytes) or a new
-solver.  :class:`repro.engine.cache.CompiledSolverCache` keys its entries on
+solver.  A dense matrix is re-hashed once per solve call for that check; a
+structured operator is immutable and is never re-hashed.
+:class:`repro.engine.cache.CompiledSolverCache` keys its entries on
 the same fingerprint, so a cached solver can never serve a mutated matrix.
 
 Every solve goes through :meth:`solve_batch` and the backend's
@@ -38,7 +40,7 @@ import time
 import numpy as np
 
 from ..exceptions import StaleSynthesisError
-from ..linalg import condition_number, scaled_residual
+from ..linalg import condition_number, is_structured_operator, scaled_residual
 from ..obs.trace import span as obs_span
 from ..qsp.inverse_polynomial import (
     inverse_polynomial_degree,
@@ -186,11 +188,22 @@ class QSVTLinearSolver:
         """True when the matrix bytes changed since the last synthesis.
 
         The solver holds a *reference* to the matrix, so an in-place mutation
-        (``A *= 2``, ``A[0, 0] = ...``) changes the system but not the
-        compiled block-encoding / polynomial / phases.  This check — a hash of
-        the matrix bytes — detects the divergence.
+        of a dense array (``A *= 2``, ``A[0, 0] = ...``) changes the system
+        but not the compiled block-encoding / polynomial / phases.  This
+        check — a hash of the matrix bytes — detects the divergence.  A
+        structured operator is immutable (its arrays are frozen copies, see
+        :mod:`repro.linalg.operators`), so it is never stale and is not
+        re-hashed.
         """
-        return matrix_fingerprint(self.matrix) != self.fingerprint
+        return self._current_fingerprint() != self.fingerprint
+
+    def _current_fingerprint(self) -> str:
+        """Fingerprint of the matrix as it is now: hashed for an ndarray
+        (read-only ones too — their owner may still write), the stored one
+        for an immutable structured operator."""
+        if is_structured_operator(self.matrix):
+            return self.fingerprint
+        return matrix_fingerprint(self.matrix)
 
     def recompile(self) -> "QSVTLinearSolver":
         """Re-run the circuit synthesis against the current matrix bytes.
@@ -260,9 +273,15 @@ class QSVTLinearSolver:
         return solver
 
     def _check_fresh(self) -> None:
-        # one hash covers both staleness modes: the stored digests are
-        # compared against a single fingerprint of the current bytes.
-        current = matrix_fingerprint(self.matrix)
+        """Raise :class:`StaleSynthesisError` unless this solver's matrix and
+        its backend's synthesis still match the recorded fingerprint.
+
+        At most one hash covers both staleness modes: a dense matrix is
+        hashed once and compared against both stored digests; a structured
+        operator cannot change, so only the two stored digests are compared
+        (the shared-backend check still fires).
+        """
+        current = self._current_fingerprint()
         if current != self.fingerprint:
             raise StaleSynthesisError(
                 "the matrix was modified in place after circuit synthesis; call "

@@ -24,9 +24,14 @@ and exposes exactly the contract the rest of the stack needs:
   shared-memory transport of the structured storage without densifying.
 
 Operators are **immutable**: every component array is copied once at
-construction (unless already frozen) and marked read-only, so fingerprints
-stay valid forever and caches may share operator objects across threads and
-solver entries without defensive copies.  ``to_dense()`` is lazy — nothing is
+construction and marked read-only, so fingerprints stay valid forever,
+:class:`~repro.core.qsvt_solver.QSVTLinearSolver` never re-hashes an operator
+to check it is fresh, and caches may share operator objects across threads
+and solver entries without defensive copies.  Only an already frozen array
+is adopted without a copy: a read-only one whose ``.base`` chain holds no
+writable ndarray (another operator's storage, or a view of a shared-memory
+segment's buffer).  A read-only *view* of a writable array is copied, since
+its owner could still change it.  ``to_dense()`` is lazy — nothing is
 materialised until explicitly requested — and refuses above a size wall
 unless forced, so an accidental densification of an ``N = 32768`` operator
 fails loudly instead of thrashing.
@@ -87,10 +92,27 @@ def is_structured_operator(obj) -> bool:
     return isinstance(obj, StructuredOperator)
 
 
+def _writable_alias(arr: np.ndarray) -> bool:
+    """True when some ndarray in ``arr``'s ``.base`` chain is writable, i.e.
+    ``arr`` is a read-only view whose data its owner can still change."""
+    base = arr.base
+    while isinstance(base, np.ndarray):
+        if base.flags.writeable:
+            return True
+        base = base.base
+    return False
+
+
 def _freeze(array, dtype=np.float64) -> np.ndarray:
-    """Read-only C-contiguous copy of ``array`` (no copy if already frozen)."""
+    """Read-only C-contiguous copy of ``array``.
+
+    No copy when ``array`` is already frozen: read-only, C-contiguous and
+    not a view of a writable ndarray.  A view of a non-ndarray buffer (a
+    shared-memory segment) is adopted as is.
+    """
     arr = np.asarray(array, dtype=dtype)
-    if arr.flags.c_contiguous and not arr.flags.writeable:
+    if (arr.flags.c_contiguous and not arr.flags.writeable
+            and not _writable_alias(arr)):
         return arr
     arr = np.array(arr, dtype=dtype, order="C", copy=True)
     arr.setflags(write=False)
@@ -166,7 +188,9 @@ class StructuredOperator(abc.ABC):
         Dtype contract: the input is coerced to float64 and the result is
         always float64 (matching :attr:`dtype`) regardless of the input's
         dtype — a float32 right-hand side round-trips through the operator
-        without silent precision surprises, it is simply promoted.
+        without silent precision surprises, it is simply promoted.  The
+        result is a new array the caller owns, as for :meth:`matmat` (the
+        same holds for :meth:`rmatvec` and :meth:`rmatmat`).
         """
 
     def matmat(self, x: np.ndarray) -> np.ndarray:
@@ -174,8 +198,8 @@ class StructuredOperator(abc.ABC):
 
         The default loops over :meth:`matvec`; subclasses vectorise.  The
         float64 dtype contract of :meth:`matvec` applies column-wise.  The
-        result is always a new array the caller owns: the Clenshaw route and
-        :class:`DiagonalShiftOperator` scale it in place.
+        result is always a new array the caller owns:
+        :class:`DiagonalShiftOperator` scales and shifts it in place.
         """
         block = np.asarray(x, dtype=np.float64)
         return np.column_stack([self.matvec(block[:, j])
@@ -503,19 +527,22 @@ class BandedOperator(StructuredOperator):
                     ) -> np.ndarray:
         """Shared band contraction for 1-D/2-D operands and ``Aᵀ``.
 
-        One ``y[sl] += d * x[sl']`` per stored diagonal, the product formed
-        in one scratch buffer reused by every band; constant (Toeplitz)
-        bands multiply by their scalar (found at construction), so wide
-        batches never materialise the broadcast ``d[:, None] * block``.
-        The transpose mirrors each offset: the entries of band ``k`` land on
-        band ``-k`` of ``Aᵀ`` with unchanged values.
+        One ``y[sl] += d * x[sl']`` per stored diagonal in offset order,
+        the product formed in one scratch buffer reused by every band; the
+        first band's product is written straight into ``y`` (``0 + p = p``
+        up to the sign of an exact zero) and only the rows it leaves are
+        zeroed.  Constant (Toeplitz) bands multiply by their scalar (found
+        at construction), so wide batches never materialise the broadcast
+        ``d[:, None] * block``.  The transpose mirrors each offset: the
+        entries of band ``k`` land on band ``-k`` of ``Aᵀ`` with unchanged
+        values.
         """
         block = np.asarray(x, dtype=np.float64)
-        y = np.zeros_like(block)
-        scratch = np.empty_like(block)
+        y = np.empty_like(block)
+        scratch = np.empty_like(block) if len(self._bands) > 1 else None
         n = self._n
         wide = block.ndim == 2
-        for k, d in self._bands.items():
+        for i, (k, d) in enumerate(self._bands.items()):
             coeff = self._band_constants[k]
             if coeff is None:
                 coeff = d[:, None] if wide else d
@@ -524,9 +551,14 @@ class BandedOperator(StructuredOperator):
                 dst, src = slice(0, m), slice(abs(k), n)
             else:
                 dst, src = slice(abs(k), n), slice(0, m)
-            product = scratch[:m]
-            np.multiply(coeff, block[src], out=product)
-            y[dst] += product
+            if i == 0:
+                np.multiply(coeff, block[src], out=y[dst])
+                y[:dst.start] = 0.0
+                y[dst.stop:] = 0.0
+            else:
+                product = scratch[:m]
+                np.multiply(coeff, block[src], out=product)
+                y[dst] += product
         return y
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
@@ -987,24 +1019,29 @@ class DiagonalShiftOperator(StructuredOperator):
     def scale(self) -> float:
         return self._scale
 
+    def _shifted(self, out: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """``scale · out + shift · x`` in place on ``out`` (a base product
+        the caller owns); a ``× 1.0`` is exact, so it is skipped."""
+        if self._scale != 1.0:
+            out *= self._scale
+        out += x if self._shift == 1.0 else self._shift * x
+        return out
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
         vec = np.asarray(x, dtype=np.float64)
-        return self._scale * self._base.matvec(vec) + self._shift * vec
+        return self._shifted(self._base.matvec(vec), vec)
 
     def matmat(self, x: np.ndarray) -> np.ndarray:
         block = np.asarray(x, dtype=np.float64)
-        out = self._base.matmat(block)
-        out *= self._scale
-        out += self._shift * block
-        return out
+        return self._shifted(self._base.matmat(block), block)
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
         vec = np.asarray(x, dtype=np.float64)
-        return self._scale * self._base.rmatvec(vec) + self._shift * vec
+        return self._shifted(self._base.rmatvec(vec), vec)
 
     def rmatmat(self, x: np.ndarray) -> np.ndarray:
         block = np.asarray(x, dtype=np.float64)
-        return self._scale * self._base.rmatmat(block) + self._shift * block
+        return self._shifted(self._base.rmatmat(block), block)
 
     # ------------------------------------------------------------------ #
     @property

@@ -12,11 +12,13 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
+import scipy.fft
 from numpy.polynomial import chebyshev as _cheb
 
 __all__ = [
     "evaluate_chebyshev",
     "evaluate_chebyshev_operator",
+    "evaluate_chebyshev_on_cosine_grid",
     "chebyshev_coefficients_of_function",
     "chebyshev_nodes",
     "truncate_series",
@@ -32,42 +34,81 @@ def evaluate_chebyshev(coefficients, x) -> np.ndarray:
     return _cheb.chebval(np.asarray(x, dtype=float), np.asarray(coefficients, dtype=float))
 
 
-def evaluate_chebyshev_operator(coefficients, apply, vector) -> np.ndarray:
-    """Matrix-free Clenshaw evaluation of ``P(M) v`` with ``P = Σ_k c_k T_k``.
+def evaluate_chebyshev_operator(coefficients, apply, vector, *,
+                                scale: float = 1.0) -> np.ndarray:
+    """Matrix-free Clenshaw evaluation of ``P(s M) v`` with ``P = Σ_k c_k T_k``.
 
     ``apply`` is the only access to ``M`` — one matrix-vector (or, when
     ``vector`` is a column stack, matrix-matrix) product per Chebyshev term,
     so the cost is ``degree × O(nnz)`` instead of the dense ``O(N³)`` SVD
-    route.  For a symmetric ``M`` with spectrum in ``[-1, 1]`` this equals
-    applying ``P`` to the eigenvalues, which is exactly the singular-value
-    transformation the ideal backend performs — see
-    :meth:`repro.core.backends.IdealPolynomialBackend`.
+    route.  ``scale`` is ``s``: the ideal backend passes ``1/α`` and an
+    unscaled ``matmat``.  For a symmetric ``s M`` with spectrum in
+    ``[-1, 1]`` this equals applying ``P`` to the eigenvalues, which is
+    exactly the singular-value transformation the ideal backend performs —
+    see :meth:`repro.core.backends.IdealPolynomialBackend`.
 
-    The recurrence ``b_k = c_k v + 2 M b_{k+1} - b_{k+2}`` runs in place on
-    buffers owned by this function (the two recurrence terms, ``c_k v`` and
-    ``2 M b``), performing the same floating-point operations in the same
-    order as the textbook expression.  ``apply``'s result is only read, so
-    ``apply`` may return a view of its argument or of its own storage.
+    The recurrence ``b_k = c_k v + 2 s M b_{k+1} - b_{k+2}`` runs in place
+    on buffers owned by this function and rounds exactly like the textbook
+    expression with ``s M b`` formed first, by three exact identities:
+
+    * ``2 s M b`` is one multiply by ``(2 s)``; scaling by two is exact in
+      binary floating point, so ``fl(y · 2s) = 2 fl(y · s)``;
+    * a term with ``c_k == 0.0`` (every even term of the odd Eq.-(4)
+      polynomial) skips the ``c_k v`` product and its add, as
+      ``0 · v + w = w`` up to the sign of an exact zero;
+    * the recurrence starts at ``b_d = c_d v``: with ``b_{d+1} = b_{d+2} =
+      0`` the textbook first step only adds exact zeros (for a finite
+      ``M``), so a degree-``d`` series costs exactly ``d`` calls of
+      ``apply``.
+
+    ``apply``'s result is only read, so ``apply`` may return a view of its
+    argument or of its own storage.
     """
     coeffs = np.asarray(coefficients, dtype=float)
     v = np.asarray(vector, dtype=float)
     if coeffs.shape[0] == 1:
         return coeffs[0] * v
-    b1 = np.zeros_like(v)
+    scale = float(scale)
+    b1 = coeffs[-1] * v
     b2 = np.zeros_like(v)
     scaled = np.empty_like(v)
     doubled = np.empty_like(v)
-    for k in range(coeffs.shape[0] - 1, 0, -1):
-        np.multiply(coeffs[k], v, out=scaled)
-        np.multiply(2.0, apply(b1), out=doubled)
-        scaled += doubled
+    for k in range(coeffs.shape[0] - 2, 0, -1):
+        np.multiply(apply(b1), 2.0 * scale, out=doubled)
+        if coeffs[k] != 0.0:
+            np.multiply(coeffs[k], v, out=scaled)
+            doubled += scaled
         # b_k overwrites b_{k+2}, which the step no longer needs
-        np.subtract(scaled, b2, out=b2)
+        np.subtract(doubled, b2, out=b2)
         b1, b2 = b2, b1
-    np.multiply(coeffs[0], v, out=scaled)
-    scaled += apply(b1)
-    scaled -= b2
-    return scaled
+    last = apply(b1)
+    if scale != 1.0:
+        np.multiply(last, scale, out=doubled)
+        last = doubled
+    if coeffs[0] != 0.0:
+        np.multiply(coeffs[0], v, out=scaled)
+        scaled += last
+        last = scaled
+    return np.subtract(last, b2, out=b2)
+
+
+def evaluate_chebyshev_on_cosine_grid(coefficients, points: int) -> np.ndarray:
+    """``P(cos(πj/(M−1)))`` for ``j = 0..M−1`` (``M = points``), in ``O(M log M)``.
+
+    On that grid ``T_k(x_j) = cos(πjk/(M−1))``, so the values are one
+    type-I DCT of the zero-padded coefficients (end coefficients doubled,
+    result halved — both exact) instead of ``M`` Clenshaw evaluations of
+    ``O(d)`` each.  ``points`` must be at least the number of
+    coefficients, so that no term aliases.
+    """
+    coeffs = np.asarray(coefficients, dtype=float)
+    if points < max(2, coeffs.shape[0]):
+        raise ValueError("points must be >= 2 and >= the number of coefficients")
+    padded = np.zeros(points)
+    padded[:coeffs.shape[0]] = coeffs
+    padded[0] *= 2.0
+    padded[-1] *= 2.0
+    return 0.5 * scipy.fft.dct(padded, type=1)
 
 
 def chebyshev_nodes(count: int) -> np.ndarray:
@@ -154,14 +195,14 @@ def enforce_parity(coefficients, parity: int) -> np.ndarray:
 def max_abs_on_interval(coefficients, *, oversampling: int = 8) -> float:
     """Maximum of ``|P(x)|`` over ``[-1, 1]`` on a dense Chebyshev grid.
 
-    The grid holds ``oversampling * (degree + 1)`` points, enough to localise
-    the extrema of a degree-``d`` polynomial to high accuracy for the purpose
-    of rescaling it below one.
+    The grid ``cos(πj/(M−1))`` holds ``M = oversampling * (degree + 1)``
+    points (at least 64), enough to localise the extrema of a degree-``d``
+    polynomial to high accuracy for the purpose of rescaling it below one;
+    its values are one DCT (:func:`evaluate_chebyshev_on_cosine_grid`).
     """
     coeffs = np.asarray(coefficients, dtype=float)
-    degree = coeffs.shape[0] - 1
-    grid = np.cos(np.linspace(0.0, np.pi, max(oversampling * (degree + 1), 64)))
-    return float(np.max(np.abs(evaluate_chebyshev(coeffs, grid))))
+    points = max(oversampling * coeffs.shape[0], 64)
+    return float(np.max(np.abs(evaluate_chebyshev_on_cosine_grid(coeffs, points))))
 
 
 def scale_series_to_max(coefficients, max_norm: float, *, oversampling: int = 8

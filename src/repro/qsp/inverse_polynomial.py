@@ -109,6 +109,11 @@ def polynomial_error_from_solution_accuracy(epsilon_l: float, kappa: float,
     raise ValueError("convention must be 'conservative' or 'direct'")
 
 
+#: points of the default ``[1/κ, 1]`` grid of
+#: :meth:`InversePolynomial.relative_inverse_error` (the memoised one).
+_ERROR_GRID_POINTS = 2001
+
+
 @dataclass(frozen=True)
 class InversePolynomial:
     """A (possibly rescaled) odd polynomial approximation of ``1/x``.
@@ -142,6 +147,8 @@ class InversePolynomial:
     inverse_scale: float
     max_norm: float | None = None
     _max_abs: float = field(default=float("nan"), repr=False)
+    _relative_error: float = field(default=float("nan"), init=False,
+                                   repr=False, compare=False)
 
     # ------------------------------------------------------------------ #
     @property
@@ -175,17 +182,24 @@ class InversePolynomial:
             object.__setattr__(self, "_max_abs", max_abs_on_interval(self.coefficients))
         return self._max_abs
 
-    def relative_inverse_error(self, *, num_points: int = 2001) -> float:
+    def relative_inverse_error(self, *, num_points: int = _ERROR_GRID_POINTS
+                               ) -> float:
         """Measured ``max |x · P(x)/s − 1|`` over ``[1/κ, 1]``.
 
         This is the *achieved* relative accuracy of the approximate inverse on
         the spectral domain — the quantity that plays the role of ``ε_l`` in
         the refinement analysis (used by the Figure-4 benchmark where the
-        paper lets the construction determine ``ε_l``).
+        paper lets the construction determine ``ε_l``).  The default-grid
+        value is computed once, then cached like :meth:`max_abs`.
         """
+        if num_points == _ERROR_GRID_POINTS and not np.isnan(self._relative_error):
+            return self._relative_error
         grid = np.linspace(1.0 / self.kappa, 1.0, num_points)
         values = self.apply_inverse(grid)
-        return float(np.max(np.abs(grid * values - 1.0)))
+        error = float(np.max(np.abs(grid * values - 1.0)))
+        if num_points == _ERROR_GRID_POINTS:
+            object.__setattr__(self, "_relative_error", error)
+        return error
 
 
 def build_inverse_polynomial(kappa: float, epsilon: float, *,

@@ -36,7 +36,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
 from ..exceptions import PhaseFactorError
-from .chebyshev import chebyshev_nodes
+from .chebyshev import chebyshev_nodes, evaluate_chebyshev_on_cosine_grid
 
 __all__ = ["PhaseFactorResult", "qsp_polynomial_values", "solve_qsp_phases"]
 
@@ -225,8 +225,9 @@ def solve_qsp_phases(cheb_coeffs, *, tolerance: float = 1e-12,
 
     forward = _ForwardMap(degree, parity)
     target = _target_coefficients(coeffs, degree, parity)
-    grid = np.cos(np.linspace(0.0, np.pi, 4 * (degree + 1)))
-    if float(np.max(np.abs(_cheb.chebval(grid, coeffs)))) >= 1.0:
+    on_grid = evaluate_chebyshev_on_cosine_grid(coeffs[:degree + 1],
+                                                4 * (degree + 1))
+    if float(np.max(np.abs(on_grid))) >= 1.0:
         raise PhaseFactorError(
             "target polynomial must be strictly bounded by 1 in magnitude on [-1, 1]")
 
