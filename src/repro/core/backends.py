@@ -98,17 +98,25 @@ class QSVTBackend(abc.ABC):
     (:class:`repro.core.qsvt_solver.QSVTLinearSolver`) calls only
     :meth:`apply_inverse_batch`, with a ``(B, N)`` stack: a single solve is
     a batch of one.  Besides the abstract ``prepare`` / ``apply_inverse``
-    pair, the base class provides two concrete services shared by all
+    pair, the base class provides three concrete services shared by all
     implementations:
 
     * **synthesis fingerprinting** — ``prepare`` implementations call
-      :meth:`_record_synthesis` so that :meth:`is_stale` can later detect a
-      matrix that was mutated *in place* after synthesis (same object, new
-      bytes).  :class:`repro.core.qsvt_solver.QSVTLinearSolver` turns that
-      check into an explicit error + ``recompile()`` path, and
+      :meth:`_record_synthesis` on the matrix they were handed so that
+      :meth:`is_stale` can later detect a matrix that was mutated *in place*
+      after synthesis (same object, new bytes).
+      :class:`repro.core.qsvt_solver.QSVTLinearSolver` adopts that digest
+      (hashing only when a backend left it unset) and turns the check into
+      an explicit error + ``recompile()`` path, and
       :class:`repro.engine.cache.CompiledSolverCache` keys its entries on the
       same fingerprint, so the two invalidation mechanisms agree by
       construction.
+    * **payload helpers** — :meth:`_export_shared` and
+      :meth:`_import_shared` write and restore the half of the
+      compiled-synthesis payload that the circuit and ideal backends share
+      (backend name, ``ε_l``, ``κ_eff``, the Eq.-(4) polynomial, and the
+      dense ``matrix`` or the structured ``operator_state``); each backend's
+      ``export_payload`` / ``import_payload`` adds only its own half.
     * **batched application** — :meth:`apply_inverse_batch` answers ``B``
       right-hand sides against the *same* compiled synthesis.  The default
       loops over :meth:`apply_inverse`, so backends that answer one
@@ -131,10 +139,12 @@ class QSVTBackend(abc.ABC):
         """One-off "circuit synthesis" for the given matrix and inner accuracy.
 
         Implementations should finish with ``self._record_synthesis(matrix)``
-        so that :meth:`is_stale` works for direct backend use;
-        :class:`~repro.core.qsvt_solver.QSVTLinearSolver` additionally records
-        the fingerprint itself after calling ``prepare``, so subclasses that
-        forget still work through the solver."""
+        on the matrix they were handed, so that :meth:`is_stale` works for
+        direct backend use and the solver need not hash it again;
+        :class:`~repro.core.qsvt_solver.QSVTLinearSolver` clears the
+        fingerprint before calling ``prepare`` and records it itself when a
+        subclass did not, so subclasses that forget still work through the
+        solver."""
 
     @abc.abstractmethod
     def apply_inverse(self, rhs) -> BackendApplication:
@@ -208,6 +218,52 @@ class QSVTBackend(abc.ABC):
         """
         raise NotImplementedError(
             f"backend {self.name!r} does not support compiled-payload import")
+
+    def _export_shared(self) -> tuple[dict, dict]:
+        """``(meta, arrays)`` holding the payload half every synthesising
+        backend shares: the backend name, ``ε_l``, ``κ_eff``, the Eq.-(4)
+        polynomial, and the matrix — a dense ``matrix`` array, or a
+        structured operator's versioned ``operator_state``.  Subclasses add
+        their own half and return ``{"meta": meta, "arrays": arrays}``."""
+        from ..linalg.operators import is_structured_operator, operator_state_payload
+
+        if not self._prepared:
+            raise BackendError("call prepare() before export_payload()")
+        meta = {
+            "backend": self.name,
+            "epsilon_l": float(self.epsilon_l),
+            "kappa_effective": float(self.kappa_effective),
+            "polynomial": _polynomial_meta(self.polynomial),
+        }
+        arrays = {"poly_coefficients": np.asarray(self.polynomial.coefficients,
+                                                  dtype=float)}
+        if is_structured_operator(self.matrix):
+            meta["operator_state"], op_arrays = operator_state_payload(self.matrix)
+            arrays.update(op_arrays)
+        else:
+            arrays["matrix"] = self.matrix
+        return meta, arrays
+
+    def _import_shared(self, payload: dict) -> tuple[dict, dict]:
+        """Restore the half written by :meth:`_export_shared` and return the
+        payload's ``(meta, arrays)`` for the subclass's own half."""
+        from ..linalg.operators import operator_from_payload
+
+        meta, arrays = payload["meta"], payload["arrays"]
+        if meta.get("backend") != self.name:
+            raise BackendError(
+                f"payload was exported by backend {meta.get('backend')!r}, "
+                f"not {self.name!r}")
+        if "operator_state" in meta:
+            self.matrix = operator_from_payload(meta["operator_state"], arrays)
+        else:
+            self.matrix = check_square(np.asarray(arrays["matrix"], dtype=float),
+                                       name="A")
+        self.epsilon_l = float(meta["epsilon_l"])
+        self.kappa_effective = float(meta["kappa_effective"])
+        self.polynomial = _polynomial_from_meta(meta["polynomial"],
+                                                arrays["poly_coefficients"])
+        return meta, arrays
 
     # ------------------------------------------------------------------ #
     def describe(self) -> dict:
@@ -523,6 +579,7 @@ class CircuitQSVTBackend(QSVTBackend):
         from ..linalg.operators import is_structured_operator
 
         method = self.block_encoding_method
+        handed = matrix
         if is_structured_operator(matrix):
             stencil = getattr(matrix, "toeplitz_stencil", lambda: None)()
             banded_shape = (is_power_of_two(matrix.dimension)
@@ -569,7 +626,9 @@ class CircuitQSVTBackend(QSVTBackend):
             self.block, self.phases, real_part=True,
             dense_block_encoding=self.dense_block_encoding,
             fusion=self.fusion, max_fused_qubits=self.max_fused_qubits)
-        self._record_synthesis(mat)
+        # the caller's matrix, not the densified copy: a structured operator
+        # stays fresh for ``is_stale(operator)``.
+        self._record_synthesis(handed)
         self._prepared = True
 
     def _synthesise_phases(self, epsilon_l: float) -> None:
@@ -679,19 +738,11 @@ class CircuitQSVTBackend(QSVTBackend):
         return total
 
     def export_payload(self) -> dict:
-        from ..linalg.operators import is_structured_operator, operator_state_payload
-
-        if not self._prepared:
-            raise BackendError("call prepare() before export_payload()")
-        arrays = {
-            "phases": np.asarray(self.phases, dtype=float),
-            "poly_coefficients": np.asarray(self.polynomial.coefficients,
-                                            dtype=float),
-        }
-        meta = {
-            "backend": self.name,
-            "epsilon_l": float(self.epsilon_l),
-            "kappa_effective": float(self.kappa_effective),
+        # the banded-plan route keeps the structured operator itself, so its
+        # payload carries the operator state instead of a dense matrix.
+        meta, arrays = self._export_shared()
+        arrays["phases"] = np.asarray(self.phases, dtype=float)
+        meta.update({
             "phase_residual": float(self.phase_residual),
             "block_encoding_method": self.resolved_block_encoding,
             "block": {
@@ -700,44 +751,18 @@ class CircuitQSVTBackend(QSVTBackend):
                 "num_data_qubits": int(self.block.num_data_qubits),
                 "name": str(self.block.name),
             },
-            "polynomial": _polynomial_meta(self.polynomial),
             "program": _export_program(self.program, arrays),
-        }
-        if is_structured_operator(self.matrix):
-            # the banded-plan route keeps the structured operator itself —
-            # persist its versioned state instead of a dense matrix.
-            op_meta, op_arrays = operator_state_payload(self.matrix)
-            meta["operator_state"] = op_meta
-            arrays.update(op_arrays)
-        else:
-            arrays["matrix"] = self.matrix
+        })
         return {"meta": meta, "arrays": arrays}
 
     def import_payload(self, payload: dict) -> None:
-        from ..linalg.operators import operator_from_payload
-
-        meta, arrays = payload["meta"], payload["arrays"]
-        if meta.get("backend") != self.name:
-            raise BackendError(
-                f"payload was exported by backend {meta.get('backend')!r}, "
-                f"not {self.name!r}")
-        if "operator_state" in meta:
-            self.matrix = mat = operator_from_payload(meta["operator_state"],
-                                                      arrays)
-        else:
-            mat = check_square(np.asarray(arrays["matrix"], dtype=float),
-                               name="A")
-            self.matrix = mat
+        meta, arrays = self._import_shared(payload)
         self.resolved_block_encoding = str(meta["block_encoding_method"])
         self.block = _RestoredBlockEncoding(**meta["block"])
-        self.kappa_effective = float(meta["kappa_effective"])
-        self.polynomial = _polynomial_from_meta(meta["polynomial"],
-                                                arrays["poly_coefficients"])
         self.phases = np.asarray(arrays["phases"], dtype=float)
         self.phase_residual = float(meta["phase_residual"])
-        self.epsilon_l = float(meta["epsilon_l"])
         self.program = _import_program(meta["program"], arrays)
-        self._record_synthesis(mat)
+        self._record_synthesis(self.matrix)
         self._prepared = True
 
     def describe(self) -> dict:
@@ -950,68 +975,29 @@ class IdealPolynomialBackend(QSVTBackend):
         return total
 
     def export_payload(self) -> dict:
-        from ..linalg.operators import operator_state_payload
-
-        if not self._prepared:
-            raise BackendError("call prepare() before export_payload()")
-        arrays = {
-            "poly_coefficients": np.asarray(self.polynomial.coefficients,
-                                            dtype=float),
-        }
-        meta = {
-            "backend": self.name,
-            "epsilon_l": float(self.epsilon_l),
-            "kappa_effective": float(self.kappa_effective),
-            "alpha": float(self.alpha),
-            "polynomial": _polynomial_meta(self.polynomial),
-        }
-        if self._matrix_free:
-            # a matrix-free synthesis is the operator state plus the
-            # calibrated polynomial — both tiny, both restorable in any
-            # process; the estimated-spectrum work (Lanczos / Golub–Kahan)
-            # is what the store round-trip skips.
-            op_meta, op_arrays = operator_state_payload(self.matrix)
-            meta["operator_state"] = op_meta
-            arrays.update(op_arrays)
-        else:
-            arrays.update({
-                "matrix": self.matrix,
-                "svd_v": self._v,
-                "svd_sigma": self._sigma,
-                "svd_wh": self._wh,
-            })
+        # a matrix-free synthesis is the operator state plus the calibrated
+        # polynomial — both tiny, both restorable in any process; the
+        # estimated-spectrum work (Lanczos / Golub–Kahan) is what the store
+        # round-trip skips.  The dense route adds the SVD factors.
+        meta, arrays = self._export_shared()
+        meta["alpha"] = float(self.alpha)
+        if not self._matrix_free:
+            arrays.update({"svd_v": self._v, "svd_sigma": self._sigma,
+                           "svd_wh": self._wh})
         return {"meta": meta, "arrays": arrays}
 
     def import_payload(self, payload: dict) -> None:
-        from ..linalg.operators import operator_from_payload
-
-        meta, arrays = payload["meta"], payload["arrays"]
-        if meta.get("backend") != self.name:
-            raise BackendError(
-                f"payload was exported by backend {meta.get('backend')!r}, "
-                f"not {self.name!r}")
-        if "operator_state" in meta:
-            operator = operator_from_payload(meta["operator_state"], arrays)
-            self.matrix = operator
-            self._matrix_free = True
-            self._dilated = not operator.is_symmetric
+        meta, arrays = self._import_shared(payload)
+        self._matrix_free = "operator_state" in meta
+        if self._matrix_free:
+            self._dilated = not self.matrix.is_symmetric
             self._v = self._sigma = self._wh = None
-            restored = operator
         else:
-            mat = check_square(np.asarray(arrays["matrix"], dtype=float),
-                               name="A")
-            self.matrix = mat
-            self._matrix_free = False
             self._v = np.asarray(arrays["svd_v"])
             self._sigma = np.asarray(arrays["svd_sigma"])
             self._wh = np.asarray(arrays["svd_wh"])
-            restored = mat
         self.alpha = float(meta["alpha"])
-        self.kappa_effective = float(meta["kappa_effective"])
-        self.polynomial = _polynomial_from_meta(meta["polynomial"],
-                                                arrays["poly_coefficients"])
-        self.epsilon_l = float(meta["epsilon_l"])
-        self._record_synthesis(restored)
+        self._record_synthesis(self.matrix)
         self._prepared = True
 
     def describe(self) -> dict:

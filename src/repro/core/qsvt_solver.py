@@ -18,9 +18,11 @@ solver of Algorithm 2.
 Synthesis lifecycle
 -------------------
 The expensive synthesis is performed **once** and keyed to the matrix bytes
-(:func:`repro.utils.matrix_fingerprint`).  Mutating the matrix in place after
-construction no longer silently reuses the stale circuits: :meth:`solve`
-raises :class:`~repro.exceptions.StaleSynthesisError` and the caller decides
+(:func:`repro.utils.matrix_fingerprint`), hashed once by the backend's
+``prepare()`` (or ``import_payload()``) and adopted by the solver.
+Mutating the matrix in place after construction no longer silently reuses
+the stale circuits: :meth:`solve` raises
+:class:`~repro.exceptions.StaleSynthesisError` and the caller decides
 between :meth:`recompile` (refresh the synthesis for the new bytes) or a new
 solver.  A dense matrix is re-hashed once per solve call for that check; a
 structured operator is immutable and is never re-hashed.
@@ -175,14 +177,21 @@ class QSVTLinearSolver:
     def _compile(self) -> None:
         """Run the backend synthesis and record the matrix fingerprint."""
         start = time.perf_counter()
+        self.backend.synthesis_fingerprint = None
         self.backend.prepare(self.matrix, epsilon_l=self.epsilon_l, kappa=self.kappa)
         self.preparation_time = time.perf_counter() - start
-        self.fingerprint = matrix_fingerprint(self.matrix)
-        # prepare() just ran against exactly these bytes; recording the
-        # fingerprint on the backend here keeps third-party subclasses whose
-        # prepare() does not call _record_synthesis working through the
-        # solver (and is a no-op for the built-in backends).
-        self.backend.synthesis_fingerprint = self.fingerprint
+        self.fingerprint = self._adopt_fingerprint(self.backend, self.matrix)
+
+    @staticmethod
+    def _adopt_fingerprint(backend: QSVTBackend, matrix) -> str:
+        """The fingerprint the backend recorded for ``matrix`` in
+        ``prepare()`` / ``import_payload()`` (the built-in backends hash
+        the matrix they were handed there); hashed here only for a backend
+        that left it unset, so third-party subclasses that never call
+        ``_record_synthesis`` still work through the solver."""
+        if backend.synthesis_fingerprint is None:
+            backend.synthesis_fingerprint = matrix_fingerprint(matrix)
+        return backend.synthesis_fingerprint
 
     def is_stale(self) -> bool:
         """True when the matrix bytes changed since the last synthesis.
@@ -267,8 +276,7 @@ class QSVTLinearSolver:
         solver.kappa = float(solver_meta["kappa"])
         solver.scale_recovery = solver_meta["scale_recovery"]
         solver.backend = backend
-        solver.fingerprint = matrix_fingerprint(solver.matrix)
-        solver.backend.synthesis_fingerprint = solver.fingerprint
+        solver.fingerprint = cls._adopt_fingerprint(backend, solver.matrix)
         solver.preparation_time = time.perf_counter() - start
         return solver
 

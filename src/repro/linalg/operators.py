@@ -7,9 +7,13 @@ the first solve even starts, which walls the problem suite at ``N ≈ 4096``.
 A :class:`StructuredOperator` stores only the nonzero structure (``O(nnz)``)
 and exposes exactly the contract the rest of the stack needs:
 
-* ``matvec`` / ``matmat`` / ``@`` — application to vectors and stacked
-  right-hand sides, which is all the residual updates, the scale recovery of
-  Remark 2 and the matrix-free Chebyshev route of the ideal backend consume;
+* ``matvec`` / ``matmat`` / ``rmatvec`` / ``rmatmat`` / ``@`` — application
+  of ``A`` or ``Aᵀ`` to vectors and stacked right-hand sides, which is all
+  the residual updates, the scale recovery of Remark 2 and the matrix-free
+  Chebyshev route of the ideal backend consume.  Each operator class has
+  exactly one kernel, ``_apply(x, transpose)``, for both operand ranks and
+  both orientations; the four public names only coerce to float64 and
+  call it;
 * ``nnz_bytes()`` — resident bytes of the structured storage, used by the
   compiled-solver cache and the shared-memory registry instead of ``N²·8``;
 * ``eigenvalue_bounds()`` — **exact** extreme eigenvalues where the structure
@@ -127,10 +131,18 @@ def _fmt(value: float) -> str:
 class StructuredOperator(abc.ABC):
     """A square linear operator stored by structure instead of dense entries.
 
-    Subclasses populate the storage in ``__init__`` and implement
-    :meth:`matvec`, :meth:`_component_arrays`, :meth:`_state_meta` and
-    :meth:`to_dense`; everything else (``matmat``, ``@``, byte accounting,
-    fingerprinting, condition bounds) is inherited.
+    Subclasses populate the storage in ``__init__`` and implement the
+    ``nnz`` property and four hooks: :meth:`_apply`, the one application
+    kernel (``A x`` or ``Aᵀ x`` on a float64 operand of shape ``(N,)`` or
+    ``(N, B)``); :meth:`_component_arrays`, the named storage arrays;
+    :meth:`_meta`, the JSON-able scalars (extending the base's); and
+    :meth:`_dense`, the unchecked densification.  Everything else is
+    inherited: ``matvec`` / ``matmat`` / ``rmatvec`` / ``rmatmat`` and ``@``
+    (one-line names over :meth:`_apply`), the wall-guarded
+    :meth:`to_dense`, byte accounting, fingerprinting, transport and
+    condition bounds.  Subclasses may override :attr:`is_symmetric`,
+    :meth:`_computed_bounds` and :meth:`solve` where the structure knows
+    better than the defaults.
 
     Parameters
     ----------
@@ -182,65 +194,48 @@ class StructuredOperator(abc.ABC):
     # application
     # ------------------------------------------------------------------ #
     @abc.abstractmethod
+    def _apply(self, x: np.ndarray, transpose: bool) -> np.ndarray:
+        """``A x`` (``Aᵀ x`` when ``transpose``) for a float64 ``x`` of shape
+        ``(N,)`` or ``(N, B)``: the one kernel each subclass implements.
+
+        The result has ``x``'s shape and is a new array the caller owns
+        (:class:`DiagonalShiftOperator` scales and shifts it in place).
+        """
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Apply the operator to one vector of length ``N``.
 
-        Dtype contract: the input is coerced to float64 and the result is
-        always float64 (matching :attr:`dtype`) regardless of the input's
-        dtype — a float32 right-hand side round-trips through the operator
-        without silent precision surprises, it is simply promoted.  The
-        result is a new array the caller owns, as for :meth:`matmat` (the
-        same holds for :meth:`rmatvec` and :meth:`rmatmat`).
+        Dtype contract (shared by the four application names): the input
+        is coerced to float64 and the result is always float64 (matching
+        :attr:`dtype`) regardless of the input's dtype — a float32
+        right-hand side is simply promoted.  The result is a new array the
+        caller owns.
         """
+        return self._apply(np.asarray(x, dtype=np.float64), False)
 
     def matmat(self, x: np.ndarray) -> np.ndarray:
-        """Apply the operator to column-stacked vectors of shape ``(N, B)``.
-
-        The default loops over :meth:`matvec`; subclasses vectorise.  The
-        float64 dtype contract of :meth:`matvec` applies column-wise.  The
-        result is always a new array the caller owns:
-        :class:`DiagonalShiftOperator` scales and shifts it in place.
-        """
-        block = np.asarray(x, dtype=np.float64)
-        return np.column_stack([self.matvec(block[:, j])
-                                for j in range(block.shape[1])])
+        """Apply the operator to column-stacked vectors of shape ``(N, B)``."""
+        return self._apply(np.asarray(x, dtype=np.float64), False)
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
-        """Apply the adjoint ``Aᵀ`` to one vector of length ``N``.
-
-        Symmetric operators fall through to :meth:`matvec`; non-symmetric
-        subclasses override (the Golub–Kahan bidiagonalisation route and the
-        symmetric-dilation matrix-free solve both need ``Aᵀv``).
-        """
-        if self.is_symmetric:
-            return self.matvec(x)
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement rmatvec for "
-            "non-symmetric structure")
+        """Apply the adjoint ``Aᵀ`` to one vector of length ``N`` (the
+        Golub–Kahan route and the symmetric-dilation solve need ``Aᵀv``)."""
+        return self._apply(np.asarray(x, dtype=np.float64), True)
 
     def rmatmat(self, x: np.ndarray) -> np.ndarray:
         """Apply the adjoint to column-stacked vectors of shape ``(N, B)``."""
-        if self.is_symmetric:
-            return self.matmat(x)
-        block = np.asarray(x, dtype=np.float64)
-        return np.column_stack([self.rmatvec(block[:, j])
-                                for j in range(block.shape[1])])
+        return self._apply(np.asarray(x, dtype=np.float64), True)
 
     def __matmul__(self, other):
         arr = np.asarray(other, dtype=np.float64)
-        if arr.ndim == 1:
-            if arr.shape[0] != self._n:
-                raise DimensionError(
-                    f"operand length {arr.shape[0]} does not match the "
-                    f"{self._n} x {self._n} operator")
-            return self.matvec(arr)
-        if arr.ndim == 2:
-            if arr.shape[0] != self._n:
-                raise DimensionError(
-                    f"operand has {arr.shape[0]} rows but the operator is "
-                    f"{self._n} x {self._n}")
-            return self.matmat(arr)
-        raise DimensionError("operator @ operand requires a 1-D or 2-D operand")
+        if arr.ndim not in (1, 2):
+            raise DimensionError(
+                "operator @ operand requires a 1-D or 2-D operand")
+        if arr.shape[0] != self._n:
+            raise DimensionError(
+                f"operand has {arr.shape[0]} rows but the operator is "
+                f"{self._n} x {self._n}")
+        return self.matvec(arr) if arr.ndim == 1 else self.matmat(arr)
 
     # ------------------------------------------------------------------ #
     # storage accounting
@@ -523,9 +518,8 @@ class BandedOperator(StructuredOperator):
         return dict(self._band_constants)
 
     # ------------------------------------------------------------------ #
-    def _band_apply(self, x: np.ndarray, *, transpose: bool = False
-                    ) -> np.ndarray:
-        """Shared band contraction for 1-D/2-D operands and ``Aᵀ``.
+    def _apply(self, block: np.ndarray, transpose: bool) -> np.ndarray:
+        """Band contraction for 1-D/2-D operands and ``Aᵀ``.
 
         One ``y[sl] += d * x[sl']`` per stored diagonal in offset order,
         the product formed in one scratch buffer reused by every band; the
@@ -537,7 +531,6 @@ class BandedOperator(StructuredOperator):
         entries of band ``k`` land on band ``-k`` of ``Aᵀ`` with unchanged
         values.
         """
-        block = np.asarray(x, dtype=np.float64)
         y = np.empty_like(block)
         scratch = np.empty_like(block) if len(self._bands) > 1 else None
         n = self._n
@@ -560,18 +553,6 @@ class BandedOperator(StructuredOperator):
                 np.multiply(coeff, block[src], out=product)
                 y[dst] += product
         return y
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self._band_apply(x)
-
-    def matmat(self, x: np.ndarray) -> np.ndarray:
-        return self._band_apply(x)
-
-    def rmatvec(self, x: np.ndarray) -> np.ndarray:
-        return self._band_apply(x, transpose=True)
-
-    def rmatmat(self, x: np.ndarray) -> np.ndarray:
-        return self._band_apply(x, transpose=True)
 
     # ------------------------------------------------------------------ #
     @property
@@ -733,17 +714,13 @@ class CSROperator(StructuredOperator):
         state["_sparse_cache"] = None
         return state
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        # scipy accumulates in float64, which is exactly the operator's
-        # dtype contract: any real input promotes to float64.
-        return self._scipy_matrix() @ np.asarray(x, dtype=np.float64)
-
-    def matmat(self, x: np.ndarray) -> np.ndarray:
-        """Wide-batch product through scipy's single-pass C kernel."""
-        block = np.asarray(x, dtype=np.float64)
-        if block.shape[1] == 0 or self.nnz == 0:
-            return np.zeros((self._n, block.shape[1]))
-        return np.asarray(self._scipy_matrix() @ block)
+    def _apply(self, x: np.ndarray, transpose: bool) -> np.ndarray:
+        """Product through scipy's single-pass C kernel (which accumulates
+        in float64); an empty batch or an all-zero operator is answered
+        with zeros without calling scipy."""
+        if x.size == 0 or self.nnz == 0:
+            return np.zeros(x.shape)
+        return np.asarray(self._scipy_matrix(transpose=transpose) @ x)
 
     def _matmat_loop(self, x: np.ndarray) -> np.ndarray:
         """The pre-vectorisation per-column kernel (benchmark baseline)."""
@@ -753,16 +730,6 @@ class CSROperator(StructuredOperator):
             np.bincount(self._rows, weights=self._data * gathered[:, j],
                         minlength=self._n)
             for j in range(block.shape[1])])
-
-    def rmatvec(self, x: np.ndarray) -> np.ndarray:
-        return (self._scipy_matrix(transpose=True)
-                @ np.asarray(x, dtype=np.float64))
-
-    def rmatmat(self, x: np.ndarray) -> np.ndarray:
-        block = np.asarray(x, dtype=np.float64)
-        if block.shape[1] == 0 or self.nnz == 0:
-            return np.zeros((self._n, block.shape[1]))
-        return np.asarray(self._scipy_matrix(transpose=True) @ block)
 
     # ------------------------------------------------------------------ #
     @property
@@ -879,25 +846,10 @@ class KroneckerSumOperator(StructuredOperator):
                                0, axis)
         return acc
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        tensor = np.asarray(x, dtype=np.float64).reshape(self._dims)
-        return self._scale * self._apply_terms(tensor).ravel()
-
-    def matmat(self, x: np.ndarray) -> np.ndarray:
-        block = np.asarray(x, dtype=np.float64)
-        tensor = block.reshape(*self._dims, block.shape[1])
-        out = self._scale * self._apply_terms(tensor)
-        return out.reshape(self._n, block.shape[1])
-
-    def rmatvec(self, x: np.ndarray) -> np.ndarray:
-        tensor = np.asarray(x, dtype=np.float64).reshape(self._dims)
-        return self._scale * self._apply_terms(tensor, transpose=True).ravel()
-
-    def rmatmat(self, x: np.ndarray) -> np.ndarray:
-        block = np.asarray(x, dtype=np.float64)
-        tensor = block.reshape(*self._dims, block.shape[1])
-        out = self._scale * self._apply_terms(tensor, transpose=True)
-        return out.reshape(self._n, block.shape[1])
+    def _apply(self, x: np.ndarray, transpose: bool) -> np.ndarray:
+        tensor = x.reshape(*self._dims, *x.shape[1:])
+        out = self._scale * self._apply_terms(tensor, transpose=transpose)
+        return out.reshape(x.shape)
 
     # ------------------------------------------------------------------ #
     @property
@@ -1019,29 +971,14 @@ class DiagonalShiftOperator(StructuredOperator):
     def scale(self) -> float:
         return self._scale
 
-    def _shifted(self, out: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """``scale · out + shift · x`` in place on ``out`` (a base product
-        the caller owns); a ``× 1.0`` is exact, so it is skipped."""
+    def _apply(self, x: np.ndarray, transpose: bool) -> np.ndarray:
+        """``scale · (B x) + shift · x`` in place on the base product (which
+        this call owns); a ``× 1.0`` is exact, so it is skipped."""
+        out = self._base._apply(x, transpose)
         if self._scale != 1.0:
             out *= self._scale
         out += x if self._shift == 1.0 else self._shift * x
         return out
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        vec = np.asarray(x, dtype=np.float64)
-        return self._shifted(self._base.matvec(vec), vec)
-
-    def matmat(self, x: np.ndarray) -> np.ndarray:
-        block = np.asarray(x, dtype=np.float64)
-        return self._shifted(self._base.matmat(block), block)
-
-    def rmatvec(self, x: np.ndarray) -> np.ndarray:
-        vec = np.asarray(x, dtype=np.float64)
-        return self._shifted(self._base.rmatvec(vec), vec)
-
-    def rmatmat(self, x: np.ndarray) -> np.ndarray:
-        block = np.asarray(x, dtype=np.float64)
-        return self._shifted(self._base.rmatmat(block), block)
 
     # ------------------------------------------------------------------ #
     @property

@@ -114,7 +114,7 @@ def polynomial_error_from_solution_accuracy(epsilon_l: float, kappa: float,
 _ERROR_GRID_POINTS = 2001
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InversePolynomial:
     """A (possibly rescaled) odd polynomial approximation of ``1/x``.
 
@@ -138,6 +138,10 @@ class InversePolynomial:
         recovers the unscaled inverse.
     max_norm:
         Requested sup-norm bound (``None`` when no rescaling was applied).
+
+    Two polynomials are equal when their coefficients are
+    ``np.array_equal`` and their public parameters are equal; the cached
+    private fields do not take part, and equal polynomials hash equally.
     """
 
     coefficients: np.ndarray
@@ -200,6 +204,20 @@ class InversePolynomial:
         if num_points == _ERROR_GRID_POINTS:
             object.__setattr__(self, "_relative_error", error)
         return error
+
+    def _parameters(self) -> tuple:
+        return (self.kappa, self.target_error, self.b_parameter,
+                self.inverse_scale, self.max_norm)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, InversePolynomial):
+            return NotImplemented
+        return (self._parameters() == other._parameters()
+                and np.array_equal(self.coefficients, other.coefficients))
+
+    def __hash__(self) -> int:
+        # the coefficient count, not the bytes: -0.0 == 0.0 must hash alike
+        return hash(self._parameters() + (np.size(self.coefficients),))
 
 
 def build_inverse_polynomial(kappa: float, epsilon: float, *,

@@ -128,10 +128,13 @@ def postselect(state: Statevector, qubits: Sequence[int], outcome: int | Sequenc
                *, renormalize: bool = True) -> tuple[Statevector, float]:
     """Project ``qubits`` onto a basis ``outcome`` and return (reduced state, probability).
 
-    The returned state lives on the *remaining* qubits (the measured ones are
-    removed from the register).  ``probability`` is the chance of observing
-    that outcome; callers typically check it against the success probability
-    predicted by the block-encoding subnormalisation.
+    A batch of one through :func:`postselect_batched`, which holds the
+    projection.  The returned state lives on the *remaining* qubits (the
+    measured ones are removed from the register); when every qubit is
+    measured it is a trivial 1-qubit register ``[amplitude, 0]`` that keeps
+    the surviving amplitude's phase.  ``probability`` is the chance of
+    observing that outcome; callers typically check it against the success
+    probability predicted by the block-encoding subnormalisation.
 
     Parameters
     ----------
@@ -146,50 +149,25 @@ def postselect(state: Statevector, qubits: Sequence[int], outcome: int | Sequenc
         When ``True`` (default) the reduced state has unit norm; otherwise its
         norm is the square root of the outcome probability.
     """
-    qubits = [int(q) for q in qubits]
-    for q in qubits:
-        if not 0 <= q < state.num_qubits:
-            raise DimensionError(f"qubit {q} out of range")
-    if len(set(qubits)) != len(qubits):
-        raise DimensionError("duplicate qubit in post-selection")
-    if isinstance(outcome, (int, np.integer)):
-        bits = [(int(outcome) >> (len(qubits) - 1 - i)) & 1 for i in range(len(qubits))]
-    else:
-        bits = [int(b) for b in outcome]
-        if len(bits) != len(qubits):
-            raise DimensionError("outcome length must match the number of measured qubits")
-    tensor = state.data.reshape((2,) * state.num_qubits)
-    index: list = [slice(None)] * state.num_qubits
-    for qubit, bit in zip(qubits, bits):
-        index[qubit] = bit
-    reduced = np.asarray(tensor[tuple(index)]).reshape(-1)
-    norm_total = state.norm()
-    if norm_total == 0.0:
-        raise ZeroDivisionError("cannot post-select the zero state")
-    prob = float(np.linalg.norm(reduced) ** 2 / norm_total**2)
-    if renormalize:
-        norm_reduced = np.linalg.norm(reduced)
-        if norm_reduced == 0.0:
-            raise ZeroDivisionError(
-                "post-selection outcome has zero probability; cannot renormalise")
-        reduced = reduced / norm_reduced
+    reduced, probs = postselect_batched(state.data[None], qubits, outcome,
+                                        renormalize=renormalize)
+    reduced = reduced[0]
     if reduced.shape[0] == 1:
-        # all qubits measured: return a trivial 1-qubit register holding the phase
         reduced = np.array([reduced[0], 0.0], dtype=complex)
-    return Statevector(reduced), prob
+    return Statevector(reduced), float(probs[0])
 
 
 def postselect_batched(states: np.ndarray, qubits: Sequence[int],
                        outcome: int | Sequence[int], *,
                        renormalize: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Batched :func:`postselect` on a ``(B, 2**n)`` stack of states.
+    """:func:`postselect` on a ``(B, 2**n)`` stack of states, all at once.
 
-    Projects ``qubits`` of every row onto the basis ``outcome`` at once and
-    returns ``(reduced, probabilities)`` where ``reduced`` has shape
-    ``(B, 2**(n - len(qubits)))`` and ``probabilities[i]`` is the chance of
-    observing the outcome in state ``i``.  Unlike the single-state version,
-    at least one qubit must remain unmeasured (the linear-solver use case
-    always keeps the data register).
+    Projects ``qubits`` of every row onto the basis ``outcome`` and returns
+    ``(reduced, probabilities)`` where ``reduced`` has shape
+    ``(B, 2**(n - len(qubits)))`` (``(B, 1)`` when every qubit is measured)
+    and ``probabilities[i]`` is the chance of observing the outcome in state
+    ``i``.  A zero state, or with ``renormalize`` an outcome of zero
+    probability, raises :class:`ZeroDivisionError`.
     """
     states = np.asarray(states, dtype=complex)
     if states.ndim != 2:
@@ -204,8 +182,6 @@ def postselect_batched(states: np.ndarray, qubits: Sequence[int],
             raise DimensionError(f"qubit {q} out of range")
     if len(set(qubits)) != len(qubits):
         raise DimensionError("duplicate qubit in post-selection")
-    if len(qubits) >= num_qubits:
-        raise DimensionError("batched post-selection must leave at least one qubit")
     if isinstance(outcome, (int, np.integer)):
         bits = [(int(outcome) >> (len(qubits) - 1 - i)) & 1 for i in range(len(qubits))]
     else:
@@ -219,14 +195,13 @@ def postselect_batched(states: np.ndarray, qubits: Sequence[int],
     reduced = np.ascontiguousarray(tensor[tuple(index)]).reshape(states.shape[0], -1)
     total = np.linalg.norm(states, axis=1)
     if np.any(total == 0.0):
-        raise ZeroDivisionError("cannot post-select a zero state in the batch")
+        raise ZeroDivisionError("cannot post-select a zero state")
     reduced_norms = np.linalg.norm(reduced, axis=1)
     probs = (reduced_norms / total) ** 2
     if renormalize:
         if np.any(reduced_norms == 0.0):
             raise ZeroDivisionError(
-                "post-selection outcome has zero probability for some state; "
-                "cannot renormalise")
+                "post-selection outcome has zero probability; cannot renormalise")
         reduced = reduced / reduced_norms[:, None]
     return reduced, probs
 

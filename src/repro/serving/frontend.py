@@ -74,7 +74,7 @@ from ..obs.metrics import merge_snapshots, relabel_snapshot, render_prometheus
 from ..utils import is_linear_operator, matrix_fingerprint
 from .admission import AdmissionController
 from .fleet import Fleet, Supervisor
-from .resilience import HedgePolicy, RetryPolicy
+from .resilience import HedgePolicy
 from .router import DEFAULT_VNODES
 from .worker import MSG_SOLVE, WorkerConfig
 
@@ -177,8 +177,6 @@ class ClusterEngine:
         Publish each distinct matrix into one shared-memory segment and hand
         workers a fingerprint handle (default); off = pickle matrices per
         request.
-    default_deadline:
-        Deadline (seconds) applied to requests that do not pass their own.
     max_batch_size / threads_per_worker:
         Forwarded into each :class:`~repro.serving.worker.WorkerConfig`.
     replication_factor:
@@ -212,12 +210,6 @@ class ClusterEngine:
         dispatched this many requests, the supervisor drains it (zero
         downtime — replicas own its arcs while in-flight work completes)
         and respawns it, one worker at a time.  ``None`` disables.
-    retry_policy:
-        Optional :class:`~repro.serving.resilience.RetryPolicy` applied to
-        *synchronous* admission rejections inside :meth:`submit`
-        (quota / queue-full / breaker-open / empty-ring), sleeping between
-        attempts.  ``None`` (default) keeps rejections immediate — the PR 6
-        contract — while in-flight redispatch below stays on.
     max_redispatch:
         How many times one in-flight request may be re-dispatched to a
         surviving worker after its owner died, before degrading or failing
@@ -254,7 +246,6 @@ class ClusterEngine:
                  tenant_burst: float | None = None,
                  local_store_dir=None, shared_store_dir=None,
                  use_shared_memory: bool = True,
-                 default_deadline: float | None = None,
                  max_batch_size: int = 64,
                  threads_per_worker: int | None = 1,
                  replication_factor: int = 2,
@@ -265,7 +256,6 @@ class ClusterEngine:
                  hang_timeout: float | None = 10.0,
                  probe_timeout: float = 2.0,
                  max_requests_per_incarnation: int | None = None,
-                 retry_policy: RetryPolicy | None = None,
                  max_redispatch: int = 2,
                  degraded_fallback: bool = True,
                  breaker_failure_threshold: int = 3,
@@ -279,8 +269,6 @@ class ClusterEngine:
             raise ValueError("max_redispatch must be >= 0")
         if replication_factor < 1:
             raise ValueError("replication_factor must be >= 1")
-        self.default_deadline = default_deadline
-        self.retry_policy = retry_policy
         self.max_redispatch = int(max_redispatch)
         self.degraded_fallback = bool(degraded_fallback)
         self.replication_factor = int(replication_factor)
@@ -418,11 +406,12 @@ class ClusterEngine:
         """Route + admit + dispatch one request; returns a ``Future``.
 
         Raises the admission rejections synchronously (the request was never
-        dispatched — safe to retry; with a :attr:`retry_policy` configured,
-        retriable rejections are retried here under backoff before
-        surfacing); solve failures and deadline expiries surface through
-        the future.  A worker death mid-flight redispatches the request to
-        the surviving ring up to :attr:`max_redispatch` times, then (with
+        dispatched — safe to retry, e.g. under
+        :meth:`~repro.serving.resilience.RetryPolicy.execute`, and each
+        rejected call finishes its own trace as ``shed``); solve failures
+        and deadline expiries surface through the future.  A worker death
+        mid-flight redispatches the request to the surviving ring up to
+        :attr:`max_redispatch` times, then (with
         :attr:`degraded_fallback`) answers classically with
         ``degraded=True`` — every future settles with a result or a typed
         retriable error, never silence.  The returned future carries the
@@ -431,9 +420,7 @@ class ClusterEngine:
         """
         if self._closing.is_set():
             raise RuntimeError("ClusterEngine is closed")
-        if deadline is None:
-            deadline = self.default_deadline
-        elif not 0.0 <= float(deadline) < math.inf:
+        if deadline is not None and not 0.0 <= float(deadline) < math.inf:
             raise ValueError("deadline must be a finite number of seconds "
                              f">= 0 (or None), got {deadline!r}")
         fingerprint, payload = self._prepare_matrix(matrix)
@@ -447,23 +434,14 @@ class ClusterEngine:
         }
         rhs_wire = np.array(rhs, dtype=float, copy=True)
         trace = self._obs.tracer.start(origin="fe")
-        policy = self.retry_policy
-        delay = None
-        attempt = 0
-        while True:
-            try:
-                return self._submit_once(matrix, fingerprint, payload,
-                                         rhs_wire, params, tenant, trace)
-            except AdmissionError as exc:
-                if (policy is None or self._closing.is_set()
-                        or not policy.should_retry(exc, attempt)):
-                    if trace is not None:
-                        self._obs.tracer.finish(trace, status="shed",
-                                                error=type(exc).__name__)
-                    raise
-                delay = policy.next_delay(delay, retry_after=exc.retry_after)
-                policy.sleep(delay)
-                attempt += 1
+        try:
+            return self._submit_once(matrix, fingerprint, payload, rhs_wire,
+                                     params, tenant, trace)
+        except AdmissionError as exc:
+            if trace is not None:
+                self._obs.tracer.finish(trace, status="shed",
+                                        error=type(exc).__name__)
+            raise
 
     def _submit_once(self, matrix, fingerprint: str, payload, rhs_wire,
                      params: dict, tenant: str | None, trace=None) -> Future:
@@ -477,8 +455,8 @@ class ClusterEngine:
                                                      self.replication_factor)
         except WorkerUnavailableError:
             # every worker is gone: either answer classically (and visibly
-            # degraded) or let the retriable error reach the retry loop —
-            # the supervisor may be mid-respawn.
+            # degraded) or raise the retriable error to the caller, whose
+            # retry may land after the supervisor's respawn.
             if not self.degraded_fallback:
                 raise
             replicas, degrade_reason = (), "empty_ring"

@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import json
 import os
 import pathlib
+import re
 import sys
 import threading
 
@@ -46,7 +48,12 @@ from repro.exceptions import BackendError, DimensionError
 from repro.serving import ClusterEngine
 from repro.serving import worker as worker_module
 from repro.serving.worker import GroupSweeper, SolveGroup
-from repro.linalg import random_matrix_with_condition_number, random_rhs
+from repro.linalg import (
+    BandedOperator,
+    CSROperator,
+    random_matrix_with_condition_number,
+    random_rhs,
+)
 
 
 def _segment_gone(name: str) -> bool:
@@ -203,6 +210,93 @@ def test_solver_payload_roundtrip_without_store():
         [r.x for r in restored.solve_batch(np.stack([rhs, 2 * rhs]))],
         [r.x for r in solver.solve_batch(np.stack([rhs, 2 * rhs]))],
         atol=1e-12, rtol=0)
+
+
+def _payload_cases():
+    dense = random_matrix_with_condition_number(4, 3.0, rng=13)
+    banded = BandedOperator.toeplitz(16, {0: 2.5, 1: -1.0, -1: -1.0})
+    nonsym = BandedOperator.toeplitz(16, {0: 3.0, 1: -1.2, -1: -0.6})
+    spread = CSROperator.from_dense(3.0 * np.eye(8) + 0.5 * np.eye(8, k=2)
+                                    + 0.5 * np.eye(8, k=-2))
+    return {"circuit-dense": (dense, "circuit"),
+            "circuit-banded-plan": (banded, "circuit"),
+            "circuit-densified": (spread, "circuit"),
+            "ideal-dense": (dense, "ideal"),
+            "ideal-matrix-free": (banded, "ideal"),
+            "ideal-matrix-free-nonsym": (nonsym, "ideal")}
+
+
+_CIRCUIT_META = ["backend", "block", "block_encoding_method", "epsilon_l",
+                 "kappa_effective", "phase_residual", "polynomial", "program"]
+_IDEAL_META = ["alpha", "backend", "epsilon_l", "kappa_effective", "polynomial"]
+_OPERATOR_ARRAYS = ["operator_arr0", "operator_arr1", "operator_arr2"]
+
+
+@pytest.mark.parametrize("case, meta_keys, array_names", [
+    ("circuit-dense", _CIRCUIT_META,
+     ["global_phases", "matrix", "phases", "poly_coefficients"]),
+    ("circuit-banded-plan", sorted(_CIRCUIT_META + ["operator_state"]),
+     ["global_phases"] + _OPERATOR_ARRAYS + ["phases", "poly_coefficients"]),
+    ("circuit-densified", _CIRCUIT_META,
+     ["global_phases", "matrix", "phases", "poly_coefficients"]),
+    ("ideal-dense", _IDEAL_META,
+     ["matrix", "poly_coefficients", "svd_sigma", "svd_v", "svd_wh"]),
+    ("ideal-matrix-free", sorted(_IDEAL_META + ["operator_state"]),
+     _OPERATOR_ARRAYS + ["poly_coefficients"]),
+    ("ideal-matrix-free-nonsym", sorted(_IDEAL_META + ["operator_state"]),
+     _OPERATOR_ARRAYS + ["poly_coefficients"]),
+])
+def test_backend_payload_layout_is_pinned(case, meta_keys, array_names):
+    # the store format (FORMAT_VERSION 2) is this layout: one shared half
+    # (name, eps_l, kappa_eff, polynomial, matrix or operator_state) plus
+    # each backend's own; a restored backend exports the identical payload.
+    matrix, backend = _payload_cases()[case]
+    solver = QSVTLinearSolver(matrix, epsilon_l=5e-2, backend=backend)
+    payload = solver.backend.export_payload()
+    assert sorted(payload["meta"]) == meta_keys
+    names = sorted(payload["arrays"])
+    assert [n for n in names if not n.startswith("plan")] == array_names
+    assert all(re.fullmatch(r"plan\d+_op\d+_(matrix|diagonal)", n)
+               for n in names if n.startswith("plan"))
+    again = QSVTLinearSolver.from_payload(
+        solver.export_payload()).backend.export_payload()
+    assert json.dumps(again["meta"], sort_keys=True) == json.dumps(
+        payload["meta"], sort_keys=True)
+    assert sorted(again["arrays"]) == names
+    assert all(np.array_equal(again["arrays"][n], payload["arrays"][n])
+               for n in names)
+
+
+@pytest.mark.parametrize("case", sorted(_payload_cases()))
+def test_solver_construction_and_restore_hash_the_matrix_once(case,
+                                                               monkeypatch):
+    # prepare()/import_payload() hash the matrix they were handed; the
+    # solver adopts that digest instead of hashing the same bytes again.
+    from repro.core import backends as backends_module
+    from repro.core import qsvt_solver as qsvt_solver_module
+    from repro.utils import matrix_fingerprint
+
+    calls = []
+
+    def counting(matrix):
+        calls.append(type(matrix).__name__)
+        return matrix_fingerprint(matrix)
+
+    monkeypatch.setattr(backends_module, "matrix_fingerprint", counting)
+    monkeypatch.setattr(qsvt_solver_module, "matrix_fingerprint", counting)
+    matrix, backend = _payload_cases()[case]
+    solver = QSVTLinearSolver(matrix, epsilon_l=5e-2, backend=backend)
+    assert len(calls) == 1
+    assert solver.fingerprint == matrix_fingerprint(matrix)
+    payload = solver.export_payload()
+    calls.clear()
+    restored = QSVTLinearSolver.from_payload(payload)
+    assert len(calls) == 1
+    assert restored.fingerprint == matrix_fingerprint(restored.matrix)
+    # the structured-to-dense circuit route records the operator it was
+    # handed, not its densified copy
+    assert not solver.backend.is_stale(solver.matrix)
+    assert not solver.is_stale() and not restored.is_stale()
 
 
 def test_store_corruption_falls_back_to_recompilation(tmp_path):

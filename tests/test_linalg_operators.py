@@ -43,6 +43,25 @@ def _poisson_operator(n: int, dims: int = 2) -> KroneckerSumOperator:
 # ---------------------------------------------------------------------- #
 # application + storage
 # ---------------------------------------------------------------------- #
+def _nonsymmetric_banded() -> BandedOperator:
+    rng = np.random.default_rng(21)
+    return BandedOperator(12, {0: rng.standard_normal(12),
+                               1: rng.standard_normal(11),
+                               -2: rng.standard_normal(10)})
+
+
+def _nonsymmetric_csr() -> CSROperator:
+    rng = np.random.default_rng(22)
+    dense = rng.standard_normal((12, 12)) * (rng.random((12, 12)) < 0.3)
+    return CSROperator.from_dense(dense + np.diag(np.full(12, 3.0)))
+
+
+def _nonsymmetric_kronecker() -> KroneckerSumOperator:
+    rng = np.random.default_rng(23)
+    return KroneckerSumOperator([rng.standard_normal((3, 3)),
+                                 rng.standard_normal((4, 4))], scale=1.5)
+
+
 @pytest.mark.parametrize("make", [
     lambda: BandedOperator.toeplitz(12, {0: 2.0, 1: -1.0, -1: -1.0}),
     lambda: CSROperator.from_dense(tridiagonal_toeplitz(12, 2.0, -1.0)),
@@ -51,6 +70,11 @@ def _poisson_operator(n: int, dims: int = 2) -> KroneckerSumOperator:
     lambda: DiagonalShiftOperator(
         CSROperator.from_dense(tridiagonal_toeplitz(12, 2.0, -1.0)),
         shift=0.7, scale=2.0),
+    _nonsymmetric_banded,
+    _nonsymmetric_csr,
+    _nonsymmetric_kronecker,
+    lambda: DiagonalShiftOperator(_nonsymmetric_csr(), shift=0.7, scale=2.0),
+    lambda: DiagonalShiftOperator(_nonsymmetric_kronecker(), shift=-0.4),
 ])
 def test_matvec_matmat_match_dense(make):
     operator = make()
@@ -60,6 +84,16 @@ def test_matvec_matmat_match_dense(make):
     block = rng.standard_normal((operator.shape[0], 3))
     np.testing.assert_allclose(operator @ x, dense @ x, atol=1e-12)
     np.testing.assert_allclose(operator @ block, dense @ block, atol=1e-12)
+    # every public name of the one ``_apply`` kernel, against A and Aᵀ, with
+    # the 1-D form bit-identical to a one-column 2-D operand
+    for vec_name, mat_name, reference in (("matvec", "matmat", dense),
+                                          ("rmatvec", "rmatmat", dense.T)):
+        vec, mat = getattr(operator, vec_name), getattr(operator, mat_name)
+        np.testing.assert_allclose(vec(x), reference @ x, atol=1e-12)
+        np.testing.assert_allclose(mat(block), reference @ block, atol=1e-12)
+        assert np.array_equal(vec(x), mat(x[:, None])[:, 0]), vec_name
+        assert vec(x).shape == x.shape and mat(block).shape == block.shape
+        assert mat(block[:, :0]).shape == (operator.shape[0], 0)
     assert operator.nnz_bytes() < dense.nbytes
     assert payload_nbytes(operator) == operator.nnz_bytes()
     assert is_structured_operator(operator)

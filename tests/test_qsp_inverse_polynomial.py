@@ -114,3 +114,14 @@ class TestBuildInversePolynomial:
         rough = build_inverse_polynomial(10.0, 1e-2).relative_inverse_error()
         fine = build_inverse_polynomial(10.0, 1e-6).relative_inverse_error()
         assert fine < rough
+
+    def test_equal_values_compare_and_hash_equal(self):
+        first = build_inverse_polynomial(10.0, 1e-3)
+        second = build_inverse_polynomial(10.0, 1e-3, max_norm=None)
+        second.max_abs()                          # fills a cached field only
+        second.relative_inverse_error()
+        assert first == second and hash(first) == hash(second)
+        assert len({first, second}) == 1
+        assert first != build_inverse_polynomial(10.0, 1e-2)
+        assert first != build_inverse_polynomial(10.0, 1e-3, max_norm=0.9)
+        assert first != "not a polynomial"

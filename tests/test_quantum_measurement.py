@@ -13,7 +13,7 @@ from repro.quantum import (
     probabilities,
     sample_counts,
 )
-from repro.quantum.measurement import expectation_value
+from repro.quantum.measurement import expectation_value, postselect_batched
 
 
 @pytest.fixture()
@@ -97,6 +97,43 @@ class TestPostselect:
     def test_outcome_length_mismatch(self, bell_state):
         with pytest.raises(DimensionError):
             postselect(bell_state, [0], [1, 0])
+
+    @pytest.mark.parametrize("renormalize", [True, False])
+    @pytest.mark.parametrize("qubits, outcome", [
+        ([0], 1), ([2, 0], [1, 0]), ([1], 0), ([0, 1, 2], 5), ([2, 1, 0], [0, 1, 1]),
+    ], ids=["one", "two-reordered", "middle", "all", "all-bits"])
+    def test_single_matches_batched(self, qubits, outcome, renormalize):
+        rng = np.random.default_rng(3)
+        states = rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8))
+        reduced, probs = postselect_batched(states, qubits, outcome,
+                                            renormalize=renormalize)
+        assert reduced.shape == (4, 2 ** (3 - len(qubits)))
+        for i, row in enumerate(states):
+            single, prob = postselect(Statevector(row), qubits, outcome,
+                                      renormalize=renormalize)
+            assert prob == pytest.approx(probs[i], rel=1e-14)
+            if len(qubits) == 3:
+                # every qubit measured: a 1-qubit register [amplitude, 0]
+                assert single.num_qubits == 1 and single.data[1] == 0.0
+                np.testing.assert_allclose(single.data[:1], reduced[i],
+                                           rtol=1e-14)
+            else:
+                np.testing.assert_allclose(single.data, reduced[i], rtol=1e-14)
+
+    def test_zero_state_and_zero_probability_raise_in_both_forms(self):
+        zero = np.zeros((1, 4), dtype=complex)
+        with pytest.raises(ZeroDivisionError):
+            postselect(Statevector(zero[0]), [0], 0)
+        with pytest.raises(ZeroDivisionError):
+            postselect_batched(np.vstack([np.ones(4), zero[0]]), [0], 0)
+        basis = np.eye(4, dtype=complex)[:1]        # |00>: outcome 1 impossible
+        with pytest.raises(ZeroDivisionError):
+            postselect(Statevector(basis[0]), [0], 1)
+        with pytest.raises(ZeroDivisionError):
+            postselect_batched(basis, [0], 1)
+        single, prob = postselect(Statevector(basis[0]), [0], 1,
+                                  renormalize=False)
+        assert prob == 0.0 and single.norm() == 0.0
 
 
 class TestExpectationValue:

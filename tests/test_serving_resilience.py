@@ -658,16 +658,15 @@ class TestDegradation:
             assert 0.0 < excinfo.value.retry_after <= 30.0
 
     def test_retry_policy_rides_out_a_respawn_window(self, kill_worker):
-        # two retry layers, by design: the engine-level policy absorbs
-        # *synchronous* rejections (empty ring while the supervisor heals),
-        # while ``execute`` wraps the blocking call so in-flight deaths —
-        # which surface through the future — are retried client-side.
+        # one retry layer: ``execute`` wraps the blocking call, so both a
+        # *synchronous* rejection (empty ring while the supervisor heals)
+        # and an in-flight death (surfacing through the future) are retried
+        # client-side.
         matrix, rhs = _spd_system(8, 4.0, 85)
         policy = RetryPolicy(max_attempts=8, base_delay=0.1, max_delay=0.5,
                              rng=0)
         with ClusterEngine(num_workers=1, supervisor_interval=0.05,
-                           degraded_fallback=False,
-                           retry_policy=policy) as cluster:
+                           degraded_fallback=False) as cluster:
             first = cluster.solve(matrix, rhs, epsilon_l=1e-2,
                                   backend="ideal", kappa=4.0)
             assert first.scaled_residual < 1e-2
