@@ -41,8 +41,9 @@ Measures the PR-5 claims of the structured-operator layer
   ``nnz_bytes`` — resident memory is ``O(nnz)``, never ``O(N²)`` — and
   that dense assembly refuses at that size.
 
-Results go to ``benchmarks/results/sparse.txt`` and to ``BENCH_sparse.json``
-at the repository root.  Run directly for the CI smoke gate::
+Results go to ``benchmarks/results/sparse.txt`` (``sparse_smoke.txt`` under
+``--smoke``) and to ``BENCH_sparse.json`` at the repository root.  Run
+directly for the CI smoke gate::
 
     PYTHONPATH=src python benchmarks/bench_sparse.py --smoke
 """
@@ -356,8 +357,10 @@ def run_benchmark(smoke: bool) -> dict:
                   "(matrix-free QSVT) RSS/nnz",
         "value": f"{top_graph['solve_seconds']:.2f}s / "
                  f"{top_graph['rss_over_nnz']:.1f}x"})
-    emit("sparse", format_table(rows, columns=["metric", "value"],
-                                title="Structured-operator fast path"))
+    # the smoke ladder never overwrites the full run's table
+    emit("sparse_smoke" if smoke else "sparse",
+         format_table(rows, columns=["metric", "value"],
+                      title="Structured-operator fast path"))
 
     # ---- acceptance assertions (the CI smoke gate) -------------------- #
     assert assembly["assembly_speedup"] >= _MIN_ASSEMBLY_SPEEDUP, assembly

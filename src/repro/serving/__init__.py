@@ -17,9 +17,10 @@ cache → synthesis store → same-key coalescing) across worker
   store → shared store directory), coalescing each drained burst's
   same-fingerprint solves into one fused sweep per group;
 * **fleet** — :mod:`repro.serving.fleet` keeps one record per worker
-  (process, queues, an explicit state, breaker, heartbeat) and its
+  (process, queues, an explicit state, drain flag, breaker, heartbeat),
+  from which every routing fact is read, and its
   :class:`~repro.serving.fleet.Supervisor` respawns dead/hung workers
-  (warm-restoring from the tiered store) and re-adds them to the ring;
+  (warm-restoring from the tiered store), back onto their old arcs;
 * **resilience** — :mod:`repro.serving.resilience` holds the fault-loop
   primitives: :class:`~repro.serving.resilience.RetryPolicy` retries retriable
   rejections under decorrelated-jitter backoff,

@@ -1,32 +1,39 @@
 """The worker fleet behind :class:`~repro.serving.frontend.ClusterEngine`.
 
 One :class:`_Worker` record per worker id holds everything the front end
-knows about that worker, and :class:`Fleet` owns the records together
-with the hash ring and the control round-trips.  It provides the fleet
-mechanics — spawn, reap, respawn, probe, drain, recycle and per-worker
-telemetry — while the request lifecycle (submit, send, settle, failover,
-hedge, degrade) stays in the front end, which reaches the workers only
-through this module.  The :class:`Supervisor` is the policy on top: it
-reads the records directly to heal deaths, kill hangs and recycle
-incarnations.
+knows about that worker, routing state included, and :class:`Fleet` owns
+the records together with the fixed hash ring and the control
+round-trips.  It provides the fleet mechanics — spawn, reap, respawn,
+probe, drain, recycle and per-worker telemetry — while the request
+lifecycle (submit, send, settle, failover, hedge, degrade) stays in the
+front end, which reaches the workers only through this module.  The
+:class:`Supervisor` is the policy on top: it reads the records directly to
+heal deaths, kill hangs and recycle incarnations.
 
-A worker is in one of five states, changed only under the shared lock:
+A worker is in one of five states:
 
 * ``live`` — serving; the reaper marks it ``dead`` once its process exits;
-* ``dead`` — retired by the reaper and off the ring; the supervisor
-  respawns it;
+* ``dead`` — retired by the reaper; the supervisor respawns it;
 * ``recycling`` — a planned recycle owns it: draining, and after its
   respawn back in service until the recycle ends and it is ``live``;
 * ``stopped`` — the recycle has stopped its process (or found it
   ``dead``) and is about to respawn it;
 * ``spawning`` — a respawn has claimed the next incarnation of a ``dead``
   or ``stopped`` worker and is forking it; it comes back ``live`` or
-  ``recycling`` respectively.  The claim is taken under the lock before
-  the fork, so racing callers fork once.
+  ``recycling`` respectively, or ``dead`` when the fork fails.  The claim
+  is taken under the lock before the fork, so racing callers fork once.
 
+Every state write is :meth:`Fleet._move`, under the shared lock, and takes
+one edge of :data:`_WORKER_TRANSITIONS`; any other move raises.
 ``dead``, ``stopped`` and ``spawning`` are *retired*: no request copy is
 sent there.  ``recycling`` and ``stopped`` are *planned*: the deliberate
 exit is no crash to the reaper and no respawn for the supervisor.
+
+Each record's ``draining`` flag is the rest of its routing state.  The
+ring's *members* are the workers not retired — their arcs are the
+placement — and the *eligible* workers, which new copies may go to, are
+the members not draining.  A drain keeps the arcs (so the undrain
+restores the exact split); a worker enters ``dead`` undrained.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ import time
 from concurrent.futures import Future, TimeoutError as FutureTimeoutError
 
 from ..exceptions import WorkerUnavailableError
-from .resilience import CircuitBreaker, select_replica
+from .resilience import CircuitBreaker
 from .router import DEFAULT_VNODES, HashRing
 from .worker import (
     MSG_DRAIN,
@@ -54,8 +61,15 @@ __all__ = ["Fleet", "Supervisor"]
 
 #: states in which no request copy may be sent to the worker.
 _RETIRED = frozenset({"dead", "stopped", "spawning"})
-#: a planned recycle's states, and the state each returns to when it ends.
-_UNPLAN = {"recycling": "live", "stopped": "dead"}
+#: the legal moves of a worker's state: ``from -> {to, ...}`` (see the
+#: module docstring).
+_WORKER_TRANSITIONS = {
+    "spawning": {"live", "recycling", "dead"},
+    "live": {"dead", "recycling"},
+    "dead": {"spawning", "stopped"},
+    "recycling": {"stopped", "live"},
+    "stopped": {"spawning", "dead"},
+}
 
 
 @dataclasses.dataclass(eq=False)
@@ -72,6 +86,8 @@ class _Worker:
     config: WorkerConfig
     breaker: CircuitBreaker
     state: str = "spawning"
+    #: excluded from new placement, arcs kept (see :meth:`Fleet.drain`).
+    draining: bool = False
     #: the supervisor's crash-loop schedule: (consecutive short-lived
     #: incarnations, monotonic time before which no respawn is tried).
     backoff: tuple = (0, 0.0)
@@ -94,14 +110,20 @@ class _Worker:
     def retired(self) -> bool:
         return self.state in _RETIRED
 
-    def allow(self) -> bool:
-        """May a request copy go here now?  Never to a retired worker;
-        otherwise the breaker decides (claiming its half-open probe)."""
-        return not self.retired and self.breaker.allow()
+    @property
+    def eligible(self) -> bool:
+        """New placement may pick it: a ring member that is not draining."""
+        return not (self.retired or self.draining)
+
+    def allow(self) -> str | None:
+        """May a request copy go here now?  Never to an ineligible worker;
+        otherwise the breaker decides, claiming its half-open probe
+        (:meth:`~repro.serving.resilience.CircuitBreaker.allow`)."""
+        return self.breaker.allow() if self.eligible else None
 
 
 class Fleet:
-    """The worker records, the hash ring and the control round-trips.
+    """The worker records, the fixed hash ring and the control round-trips.
 
     ``lock`` is the front end's one lock: it guards every record's state
     and the request table together.  ``record`` records one lifecycle
@@ -129,7 +151,8 @@ class Fleet:
         self.events = events
         self.record = record
         self.depth_of = depth_of
-        self.ring = HashRing(vnodes=vnodes)
+        self.ring = HashRing([config.worker_id for config in configs],
+                             vnodes=vnodes)
         #: request_id -> (worker_id, future) for control round-trips (stats
         #: probes, drain handshakes): never in the request table, so they
         #: occupy no admission slot and are never redispatched.
@@ -156,11 +179,52 @@ class Fleet:
         worker = self.workers.get(worker_id)
         return worker is not None and worker.retired
 
-    def select(self, candidates, *, draining=None, exclude=()):
-        """First candidate a copy may go to (:func:`select_replica`, with
-        each record's :meth:`_Worker.allow` as the gate)."""
-        return select_replica(candidates, breakers=self.workers,
-                              draining=draining, exclude=exclude)
+    def _move(self, worker: _Worker, to: str) -> None:
+        """The one state write (caller holds ``lock``): an edge of
+        :data:`_WORKER_TRANSITIONS`, or ``RuntimeError``."""
+        if to not in _WORKER_TRANSITIONS[worker.state]:
+            raise RuntimeError(f"illegal worker state move {worker.state!r}"
+                               f" -> {to!r} ({worker.config.worker_id})")
+        worker.state = to
+        if to == "dead":
+            worker.draining = False
+
+    # ------------------------------------------------------------------ #
+    # routing facts, all read off the records
+    # ------------------------------------------------------------------ #
+    def members(self) -> set[str]:
+        """Workers whose arcs make up the placement: the non-retired."""
+        return {worker_id for worker_id, worker in self.workers.items()
+                if not worker.retired}
+
+    def draining(self) -> set[str]:
+        """Members excluded from new placement."""
+        return {worker_id for worker_id in self.members()
+                if self.workers[worker_id].draining}
+
+    def route_replicas(self, fingerprint: str, n: int) -> list[str]:
+        """The ring's first ``n`` eligible workers clockwise from
+        ``fingerprint``.  Read without the lock: a copy's target is checked
+        again under it when the copy is sent."""
+        eligible = {worker_id for worker_id, worker in self.workers.items()
+                    if worker.eligible}
+        return self.ring.route_replicas(fingerprint, n, eligible)
+
+    def select(self, candidates, *, exclude=()) -> tuple[str | None, bool]:
+        """First candidate a copy may go to, and whether the copy holds
+        that worker's half-open probe; ``(None, False)`` when none may.
+
+        Each record's :meth:`_Worker.allow` is the gate, asked in ring
+        order only until one passes, so a selection claims at most one
+        probe.  A caller that never puts the copy on the queue gives the
+        probe back (:meth:`~repro.serving.resilience.CircuitBreaker.release`).
+        """
+        for worker_id in candidates:
+            if worker_id not in exclude:
+                passed = self.workers[worker_id].allow()
+                if passed:
+                    return worker_id, passed == "probe"
+        return None, False
 
     # ------------------------------------------------------------------ #
     # spawn, reap, respawn
@@ -170,10 +234,12 @@ class Fleet:
 
         The one spawn path, at construction and on every respawn: fresh
         queues and process, the per-incarnation fields reset, then under
-        the lock the worker enters ``state`` and (re-)joins the ring.  The
-        worker keeps its id, so its virtual nodes land on exactly the arcs
-        it owned before.  A respawn (incarnation above 0) is recorded
-        before the ring join.
+        the lock the worker enters ``state`` and so (re-)joins the ring's
+        members.  The worker keeps its id, so its arcs are exactly the
+        ones it owned before.  A respawn (incarnation above 0) is recorded
+        before the worker rejoins.  A fork that raises leaves the worker
+        ``dead`` — a zero-length incarnation, so the supervisor retries it
+        under its crash-loop backoff — and the error propagates.
         """
         requests = self._context.Queue()
         # one response queue PER worker, and a fresh one per incarnation: a
@@ -185,7 +251,13 @@ class Fleet:
         process = self._context.Process(
             target=worker_main, args=(config, requests, responses),
             name=f"repro-serving-{config.worker_id}", daemon=True)
-        process.start()
+        try:
+            process.start()
+        except BaseException:
+            with self.lock:
+                worker.started_at = time.monotonic()
+                self._move(worker, "dead")
+            raise
         if config.incarnation:
             # counted before the worker rejoins the ring: whoever sees it
             # back in service also sees its respawn counted.
@@ -201,8 +273,7 @@ class Fleet:
                 process, now, now)
             worker.dispatched, worker.warmed = 0, set()
             worker.final_stats = None
-            worker.state = state
-            self.ring.ensure_worker(config.worker_id)
+            self._move(worker, state)
         if old_requests is not None:
             try:
                 old_requests.close()
@@ -213,12 +284,12 @@ class Fleet:
         """Retire the live workers whose process has exited.
 
         Consistent hashing makes this the *only* re-sharding step needed.
-        One lock hold retires each newly dead worker, takes it off the
-        ring and calls ``orphans()`` — the front end's snapshot of the
-        requests left on retired workers, which it returns — so a death
-        counts once and a respawn (which re-rings under the same lock) is
-        never undone.  A death is one breaker failure: only a crash loop
-        trips it.
+        One lock hold retires each newly dead worker (so it leaves the
+        ring's members) and calls ``orphans()`` — the front end's snapshot
+        of the requests left on retired workers, which it returns — so a
+        death counts once and a respawn (which rejoins under the same
+        lock) is never undone.  A death is one breaker failure: only a
+        crash loop trips it.
         """
         if self.closing.is_set():
             return []
@@ -227,8 +298,7 @@ class Fleet:
                     if worker.state == "live"
                     and not worker.process.is_alive()]
             for worker in dead:
-                worker.state = "dead"
-                self.ring.remove_worker(worker.config.worker_id)
+                self._move(worker, "dead")
             orphaned = orphans()
             # a control round-trip to a retired worker is never answered.
             dead_control = [request_id for request_id, (worker_id, _)
@@ -264,7 +334,7 @@ class Fleet:
                     or worker.process.is_alive()):
                 return False
             state = "live" if worker.state == "dead" else "recycling"
-            worker.state = "spawning"
+            self._move(worker, "spawning")
             config = dataclasses.replace(
                 worker.config, incarnation=worker.config.incarnation + 1)
         self._start(worker, config, state)
@@ -414,15 +484,18 @@ class Fleet:
     def drain(self, worker_id: str, timeout: float = 30.0) -> bool:
         """Mark a worker draining, then wait until nothing is left on it.
 
-        See :meth:`~repro.serving.frontend.ClusterEngine.drain`.
+        See :meth:`~repro.serving.frontend.ClusterEngine.drain`.  A retired
+        worker is not marked (it is no member, and enters ``dead``
+        undrained anyway).
         """
         worker = self.workers.get(worker_id)
         if worker is None:
             raise ValueError(f"unknown worker {worker_id!r}")
-        self.ring.set_draining(worker_id, True)
-        self.events.emit("worker_drain", worker=worker_id)
         with self.lock:
             already_dead = worker.retired
+            if not already_dead:
+                worker.draining = True
+        self.events.emit("worker_drain", worker=worker_id)
         if already_dead:
             # nothing can be in flight inside a dead process; the reaper
             # already moved (or will move) its orphans to replicas.
@@ -446,7 +519,11 @@ class Fleet:
 
     def undrain(self, worker_id: str) -> bool:
         """Return a drained worker to normal routing; ``True`` = changed."""
-        changed = self.ring.set_draining(worker_id, False)
+        worker = self.workers.get(worker_id)
+        if worker is None:
+            return False
+        with self.lock:
+            changed, worker.draining = worker.draining, False
         if changed:
             self.events.emit("worker_undrain", worker=worker_id)
         return changed
@@ -461,7 +538,8 @@ class Fleet:
             if (self.closing.is_set() or worker is None
                     or worker.state not in ("live", "dead")):
                 return False
-            worker.state = "recycling" if worker.state == "live" else "stopped"
+            self._move(worker, "recycling" if worker.state == "live"
+                       else "stopped")
         try:
             drained = self.drain(worker_id, timeout=timeout)
             process = worker.process
@@ -476,15 +554,21 @@ class Fleet:
                     process.join(1.0)
             with self.lock:
                 # retire, so racing submits and redispatches see the swap
-                worker.state = "stopped"
+                if worker.state == "recycling":
+                    self._move(worker, "stopped")
             respawned = self.respawn(worker_id)
             self.undrain(worker_id)
             self.record("worker_recycle", worker=worker_id, drained=drained,
                         respawned=respawned)
             return respawned
         finally:
+            # the recycle ends: ``recycling`` -> ``live``, a ``stopped``
+            # worker it did not respawn -> ``dead``; a failed fork already
+            # left it ``dead``.
             with self.lock:
-                worker.state = _UNPLAN.get(worker.state, worker.state)
+                if worker.state in ("recycling", "stopped"):
+                    self._move(worker, "live" if worker.state == "recycling"
+                               else "dead")
 
     def close(self, timeout: float) -> None:
         """Stop every process (shutdown message, then terminate) and fail

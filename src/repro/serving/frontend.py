@@ -3,13 +3,13 @@
 :class:`ClusterEngine` is the in-process API (``submit`` / ``solve`` /
 ``stats``); :class:`~repro.serving.http.ServingHTTPServer` wraps it in a
 minimal stdlib HTTP/JSON surface.  The workers themselves — processes,
-queues, ring membership, respawn, drain — are the
+queues, routing state, respawn, drain — are the
 :class:`~repro.serving.fleet.Fleet`'s; this module keeps the request
 lifecycle.  One request travels::
 
         submit(A, b)
           │  fingerprint(A)                    (hash once per live object)
-          │  HashRing.route(fingerprint) ──────→ worker_id   (sticky: cache heat)
+          │  Fleet.route_replicas(fingerprint) ─→ worker_id  (sticky: cache heat)
           │  AdmissionController.admit() ──────→ may raise QuotaExceededError /
           │                                      QueueFullError (both retriable)
           │  SharedMatrixRegistry.publish(A)    (one shared segment per matrix)
@@ -33,12 +33,12 @@ Guarantees the tests pin down:
   documented rejections escapes the API;
 * **churn containment** — a dead worker takes only its own arc with it:
   its in-flight requests are redispatched to the surviving ring (or fail
-  retriably once the redispatch budget is spent), the ring drops its
+  retriably once the redispatch budget is spent), routing skips its
   virtual nodes, and every other fingerprint keeps its warm home;
 * **self-healing** — a :class:`~repro.serving.fleet.Supervisor`
   respawns dead/hung workers (warm-restoring their compiled-solver state
-  from the tiered store) and re-adds them to the ring, so the fleet
-  re-converges to full capacity after faults instead of shrinking; a
+  from the tiered store), which rejoin the ring on their old arcs, so the
+  fleet re-converges to full capacity after faults instead of shrinking; a
   per-worker :class:`~repro.serving.resilience.CircuitBreaker` sheds
   traffic for workers presumed down, and when *no* live worker can own a
   request the engine answers from its in-process classical fallback with
@@ -338,7 +338,6 @@ class ClusterEngine:
             record=self._record, depth_of=self._depth_of, vnodes=vnodes,
             breaker_failure_threshold=breaker_failure_threshold,
             breaker_reset_timeout=breaker_reset_timeout)
-        self._ring = self._fleet.ring
         self._collector = threading.Thread(target=self._collect,
                                            name="repro-cluster-rx", daemon=True)
         self._collector.start()
@@ -451,8 +450,8 @@ class ClusterEngine:
         try:
             with (nullcontext() if trace is None else
                   trace.span("route", fingerprint=fingerprint[:16])):
-                replicas = self._ring.route_replicas(fingerprint,
-                                                     self.replication_factor)
+                replicas = self._fleet.route_replicas(fingerprint,
+                                                      self.replication_factor)
         except WorkerUnavailableError:
             # every worker is gone: either answer classically (and visibly
             # degraded) or raise the retriable error to the caller, whose
@@ -464,7 +463,7 @@ class ClusterEngine:
             # prefer the ring primary, but fail over *instantly* to the next
             # live replica when the primary's breaker refuses — replicas
             # are warm, so the detour costs a cache hit, not a recompile.
-            worker_id = self._fleet.select(replicas)
+            worker_id, probe = self._fleet.select(replicas)
             if worker_id is None:
                 self._admission.note_breaker_shed()
                 if not self.degraded_fallback:
@@ -491,20 +490,25 @@ class ClusterEngine:
             self._m_submitted.inc()
             self._degrade(request_id, entry, degrade_reason)
             return future
+        worker = self._fleet.workers[worker_id]
         with self._lock:
             # admit under the lock so the depth check and the new entry are
             # atomic (two racing submits must not both squeeze under the
             # watermark).
-            self._admission.admit(worker_id, self._depth_of(worker_id),
-                                  tenant=tenant,
-                                  draining=self._ring.is_draining(worker_id))
+            try:
+                self._admission.admit(worker_id, self._depth_of(worker_id),
+                                      tenant=tenant, draining=worker.draining)
+            except AdmissionError:
+                if probe:  # the copy is never sent
+                    worker.breaker.release()
+                raise
             self._inflight[request_id] = entry
         self._m_submitted.inc()
         if trace is not None:
             trace.add_span("admit", start=entry.started,
                            duration=time.monotonic() - entry.started,
                            worker=worker_id)
-        self._send(request_id, entry, worker_id, transitions=(
+        self._send(request_id, entry, worker_id, probe=probe, transitions=(
             () if worker_id == replicas[0] else
             (("failover", {"worker_from": replicas[0], "worker_to": worker_id,
                            "reason": "breaker_open"}),)))
@@ -512,7 +516,7 @@ class ClusterEngine:
 
     def _send(self, request_id: int, entry: _Inflight, target: str, *,
               hedge: bool = False, lost_owner: str | None = None,
-              transitions: tuple = ()) -> None:
+              probe: bool = False, transitions: tuple = ()) -> None:
         """Put one copy of a solve request on ``target``'s queue.
 
         The only place a ``MSG_SOLVE`` message is built: the primary copy
@@ -524,20 +528,24 @@ class ClusterEngine:
         returns (the fleet swaps that state under the lock, so one side
         always sees the other), loses the copy: a hedge
         copy is dropped, a primary copy goes down the owner-lost ladder.
+        ``probe`` says the copy holds ``target``'s half-open breaker probe
+        (:meth:`Fleet.select <repro.serving.fleet.Fleet.select>`), which a
+        copy that is never put on the queue gives back.
         """
+        worker = self._fleet.workers[target]
         with self._lock:
-            if self._inflight.get(request_id) is not entry:
+            current = self._inflight.get(request_id) is entry and (
+                entry.state == "dispatched" if hedge else
+                entry.state != "degraded" and (
+                    lost_owner is None or entry.worker_id == lost_owner))
+            if not current:
+                if probe:
+                    worker.breaker.release()
                 return
             if hedge:
-                if entry.state != "dispatched":
-                    return
                 entry.state = "hedged"
                 entry.hedge_worker_id = target
             else:
-                if entry.state == "degraded" or (
-                        lost_owner is not None
-                        and entry.worker_id != lost_owner):
-                    return
                 if lost_owner is not None:
                     # quota was paid at admission, so a redispatch never
                     # re-runs admission (shedding an *admitted* request
@@ -545,7 +553,6 @@ class ClusterEngine:
                     entry.redispatches += 1
                 entry.worker_id = target
                 entry.future.worker_id = target
-            worker = self._fleet.workers[target]
             worker.dispatched += 1
             requests = worker.requests
         params = entry.params
@@ -692,23 +699,21 @@ class ClusterEngine:
         clears long before a gray primary's stall would.
         """
         primary = entry.worker_id
-        draining = set(self._ring.draining)
-        target = self._fleet.select(entry.replicas, draining=draining,
-                                    exclude=(primary,))
+        target, probe = self._fleet.select(entry.replicas, exclude=(primary,))
         if target is None:
             # the stored replica set can be *transiently* ineligible: a
             # fresh ring walk may surface the next live worker beyond the
             # original R-set.
             try:
-                fresh = self._ring.route_replicas(entry.fingerprint,
-                                                  max(len(self._ring), 1))
-            except (WorkerUnavailableError, ValueError):
+                fresh = self._fleet.route_replicas(entry.fingerprint,
+                                                   len(self._fleet.workers))
+            except WorkerUnavailableError:
                 return
-            target = self._fleet.select(fresh, draining=draining,
-                                        exclude=(primary,))
+            target, probe = self._fleet.select(fresh, exclude=(primary,))
             if target is None:
                 return
-        self._send(request_id, entry, target, hedge=True, transitions=(
+        self._send(request_id, entry, target, hedge=True, probe=probe,
+                   transitions=(
             ("hedge_dispatch", {"worker_primary": primary,
                                 "worker_hedge": target}),))
 
@@ -897,7 +902,6 @@ class ClusterEngine:
         Idempotent: the entry may already be settled, moved or degrading
         by a concurrent caller, in which case this is a no-op.
         """
-        draining = set(self._ring.draining)
         with self._lock:
             entry = self._inflight.get(request_id)
             if (entry is None or entry.worker_id != owner
@@ -922,12 +926,13 @@ class ClusterEngine:
         if redispatchable:
             # prefer the request's own replica set (warm by construction)
             # over a fresh ring walk; both exclude the dead owner.
-            new_owner = self._fleet.select(
-                [r for r in entry.replicas if r != owner], draining=draining)
+            new_owner, probe = self._fleet.select(entry.replicas,
+                                                  exclude=(owner,))
             via_replica = new_owner is not None
             if new_owner is None:
                 try:
-                    new_owner = self._ring.route(entry.fingerprint)
+                    new_owner = self._fleet.route_replicas(
+                        entry.fingerprint, 1)[0]
                 except WorkerUnavailableError:
                     new_owner = None
             if new_owner is not None:
@@ -937,7 +942,7 @@ class ClusterEngine:
                     if via_replica else ()) + (
                     ("redispatch", dict(moved, hop=entry.redispatches + 1)),)
                 self._send(request_id, entry, new_owner, lost_owner=owner,
-                           transitions=transitions)
+                           probe=probe, transitions=transitions)
                 return
         if self.degraded_fallback:
             # solve classically off-thread: this path runs on the collector
@@ -985,8 +990,8 @@ class ClusterEngine:
     def drain(self, worker_id: str, timeout: float = 30.0) -> bool:
         """Hand a worker's traffic to its replicas; wait for in-flight work.
 
-        Marks the worker draining on the ring (admission stops routing it
-        new primaries instantly — its arcs stay in place so
+        Marks the worker's record draining (routing and admission stop
+        giving it new primaries instantly — its arcs stay in place so
         :meth:`undrain` restores the exact pre-drain split), then runs the
         drain handshake: the worker finishes everything already enqueued
         and acks, and the front end waits until no request copy is left
@@ -1051,9 +1056,10 @@ class ClusterEngine:
                         for worker_id, worker in workers.items()}
             incarnation_dispatched = {worker_id: worker.dispatched
                                       for worker_id, worker in workers.items()}
+            members, draining = self._fleet.members(), self._fleet.draining()
         degraded = int(self._m_requests.value(outcome="degraded"))
         stats = {
-            "workers_alive": len(self._ring),
+            "workers_alive": len(members),
             "worker_deaths": self._count("worker_death"),
             "submitted": int(self._m_submitted.value()),
             "completed": (int(self._m_requests.value(outcome="completed"))
@@ -1069,7 +1075,7 @@ class ClusterEngine:
             "incarnation_dispatched": incarnation_dispatched,
             "restarts": restarts,
             "queue_depths": depths,
-            "ring": self._ring.stats(),
+            "ring": self._fleet.ring.stats(members, draining),
             "admission": self._admission.stats(),
             "breakers": {worker_id: worker.breaker.stats()
                          for worker_id, worker in workers.items()},
@@ -1116,7 +1122,7 @@ class ClusterEngine:
 
     def prometheus_metrics(self) -> str:
         """Cluster metrics in Prometheus text format 0.0.4 (``GET /metrics``)."""
-        self._g_workers_alive.set(float(len(self._ring)))
+        self._g_workers_alive.set(float(len(self._fleet.members())))
         with self._lock:
             self._g_inflight.set(float(len(self._inflight)))
         return render_prometheus(self.metrics_snapshot())
@@ -1131,9 +1137,7 @@ class ClusterEngine:
         Deliberately cheap: reads cached state only (no stats probes), so a
         wedged fleet cannot wedge its own health check.
         """
-        alive = len(self._ring)
         now = time.monotonic()
-        draining = set(self._ring.draining)
         workers = self._fleet.workers
         with self._lock:
             restarts = sum(worker.config.incarnation
@@ -1141,8 +1145,10 @@ class ClusterEngine:
             ages = {worker_id: (None if worker.metrics_seen is None
                                 else now - worker.metrics_seen)
                     for worker_id, worker in workers.items()}
-            drain_states = {worker_id: worker_id in draining
-                            for worker_id in workers}
+            alive = len(self._fleet.members())
+            draining = self._fleet.draining()
+        drain_states = {worker_id: worker_id in draining
+                        for worker_id in workers}
         events = self._obs.events.stats()
         return {"ok": alive > 0 or self.degraded_fallback,
                 "workers_alive": alive,
@@ -1166,13 +1172,13 @@ class ClusterEngine:
 
     @property
     def workers_alive(self) -> list[str]:
-        """Ids of the workers currently on the ring."""
-        return self._ring.workers
+        """Ids of the ring's current members (the non-retired workers)."""
+        return sorted(self._fleet.members())
 
     def route(self, matrix) -> str:
         """Which live worker owns this matrix's fingerprint (no dispatch)."""
         fingerprint, _ = self._prepare_matrix(matrix)
-        return self._ring.route(fingerprint)
+        return self._fleet.route_replicas(fingerprint, 1)[0]
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -1207,7 +1213,7 @@ class ClusterEngine:
         self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"ClusterEngine(workers={len(self._ring)}, "
+        return (f"ClusterEngine(workers={len(self._fleet.members())}, "
                 f"submitted={int(self._m_submitted.value())}, "
                 f"deaths={self._count('worker_death')})")
 

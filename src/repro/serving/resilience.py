@@ -79,8 +79,8 @@ class RetryPolicy:
     retry_admission:
         Retry :class:`~repro.exceptions.QuotaExceededError` /
         :class:`~repro.exceptions.QueueFullError` (honouring their
-        ``retry_after`` as a floor on the delay).  Off by default policy
-        consumers that want shedding to stay visible can disable it.
+        ``retry_after`` as a floor on the delay).  On by default; callers
+        that want shedding to stay visible can turn it off.
     retry_unavailable:
         Retry :class:`~repro.exceptions.WorkerUnavailableError` (including
         :class:`~repro.exceptions.CircuitOpenError`) — the fault the
@@ -228,21 +228,26 @@ class CircuitBreaker:
             return "half-open"
         return "open"
 
-    def allow(self) -> bool:
-        """May a request pass right now?  (Claims the half-open probe slot.)"""
+    def allow(self) -> str | None:
+        """May a request pass right now?  ``None`` when refused, else what
+        passed: ``"closed"``, or ``"probe"`` when this call claimed the
+        half-open probe slot (:meth:`release` gives an unused one back)."""
         now = float(self._clock())
-        probing = False
         with self._lock:
             state = self._state_locked(now)
             if state == "closed":
-                return True
-            if state == "half-open" and not self._probing:
-                self._probing = True
-                probing = True
-        if probing:
-            self._notify("half_open")
-            return True
-        return False
+                return "closed"
+            if state != "half-open" or self._probing:
+                return None
+            self._probing = True
+        self._notify("half_open")
+        return "probe"
+
+    def release(self) -> None:
+        """Give back the probe slot :meth:`allow` claimed for a request that
+        was never sent: it is no evidence, so the next caller probes."""
+        with self._lock:
+            self._probing = False
 
     def retry_after(self) -> float:
         """Seconds until the breaker will next admit a probe (0 = now)."""
@@ -298,8 +303,7 @@ class CircuitBreaker:
 # ---------------------------------------------------------------------- #
 # replica selection and hedging policy
 # ---------------------------------------------------------------------- #
-def select_replica(candidates, *, breakers=None, draining=None,
-                   retired=None, exclude=()):
+def select_replica(candidates, *, breakers=None, exclude=()):
     """First candidate a request may be dispatched to, or ``None``.
 
     ``candidates`` is the ring-ordered replica list from
@@ -308,20 +312,14 @@ def select_replica(candidates, *, breakers=None, draining=None,
     else the nearest live replica" — the instant-failover selection rule.
 
     A candidate is skipped when it is in ``exclude`` (e.g. the worker a
-    hedge is doubling), in ``draining`` or ``retired``, or when its gate in
-    ``breakers`` refuses ``allow()`` — a :class:`CircuitBreaker`, or a
-    fleet's worker record, whose gate also refuses a retired worker.
-    ``allow()`` is only consulted after cheaper checks and only until the
-    first eligible candidate, so at most one half-open probe slot is
+    hedge is doubling), or when its :class:`CircuitBreaker` in
+    ``breakers`` refuses ``allow()``.  ``allow()`` is consulted only until
+    the first eligible candidate, so at most one half-open probe slot is
     claimed per selection.
     """
     excluded = set(exclude)
     for worker_id in candidates:
         if worker_id in excluded:
-            continue
-        if draining is not None and worker_id in draining:
-            continue
-        if retired is not None and worker_id in retired:
             continue
         if breakers is not None:
             breaker = breakers.get(worker_id)

@@ -13,25 +13,29 @@ of all keys.
 
 :class:`HashRing` is the classic consistent-hashing construction: each
 worker is hashed onto a ring at ``vnodes`` pseudo-random points (virtual
-nodes, smoothing the arc sizes), a fingerprint routes to the first worker
-point clockwise from its own hash, and removing a worker hands exactly its
-own arcs to the clockwise successors.  Hashes are SHA-256-derived — *never*
-Python's randomised ``hash()`` — so placement agrees across interpreter
-runs, which is what lets a restarted front end route onto a warm fleet.
+nodes, smoothing the arc sizes), and a fingerprint routes to the first
+point clockwise from its own hash whose worker is *eligible*.  The ring
+itself is fixed — built once from every worker id, since a respawn keeps
+its id — and the caller passes the eligible set per walk.  Skipping an
+ineligible worker's points is exactly a walk over a ring with those points
+removed, so a worker leaving hands exactly its own arcs to the clockwise
+successors, and its return restores the exact earlier placement.  Hashes
+are SHA-256-derived — *never* Python's randomised ``hash()`` — so placement
+agrees across interpreter runs, which is what lets a restarted front end
+route onto a warm fleet.
 """
 
 from __future__ import annotations
 
 import bisect
 import hashlib
-import threading
 
 from ..exceptions import WorkerUnavailableError
 
 __all__ = ["HashRing", "DEFAULT_VNODES"]
 
 #: virtual nodes per worker; 64 keeps the max/min arc ratio within ~2x for
-#: small fleets while add/remove stay sub-millisecond.
+#: small fleets while the ring stays a few hundred points.
 DEFAULT_VNODES = 64
 
 
@@ -46,216 +50,112 @@ class HashRing:
     Parameters
     ----------
     workers:
-        Initial worker identifiers (any strings; the serving tier uses
-        ``"worker-0"``, ``"worker-1"``, ...).
+        Every worker identifier (any strings; the serving tier uses
+        ``"worker-0"``, ``"worker-1"``, ...).  Duplicates are an error.
     vnodes:
         Virtual nodes per worker.  More vnodes = smoother load split and
         finer-grained movement on removal, at ``O(W * vnodes)`` ring size.
 
-    Thread-safe; ``route`` is ``O(log(W * vnodes))``.
+    Immutable, so safe to share between threads; ``route`` is
+    ``O(log(W * vnodes))`` plus the points it skips.
 
     Examples
     --------
     >>> ring = HashRing(["worker-0", "worker-1", "worker-2"])
     >>> owner = ring.route(fingerprint)
-    >>> ring.remove_worker(owner)        # only owner's keys move
-    True
-    >>> ring.route(fingerprint) in ring.workers
+    >>> rest = set(ring.workers) - {owner}
+    >>> ring.route(fingerprint, eligible=rest) in rest   # only owner's keys move
     True
     """
 
     def __init__(self, workers=(), *, vnodes: int = DEFAULT_VNODES) -> None:
         if vnodes < 1:
             raise ValueError("vnodes must be >= 1")
+        ids = [str(worker) for worker in workers]
+        if len(set(ids)) != len(ids):
+            raise ValueError(f"duplicate worker ids in {ids!r}")
         self.vnodes = int(vnodes)
-        self._lock = threading.Lock()
+        #: every worker id, sorted.
+        self.workers = sorted(ids)
+        self._all = frozenset(ids)
         #: sorted ring positions and the worker owning each position
         #: (parallel lists so ``bisect`` works on the positions directly).
-        self._points: list[int] = []
-        self._owners: list[str] = []
-        self._workers: set[str] = set()
-        #: workers still on the ring but excluded from new placement —
-        #: the zero-downtime drain state.  Keeping the arcs in place means
-        #: ``set_draining(w, False)`` restores the exact pre-drain split.
-        self._draining: set[str] = set()
-        for worker in workers:
-            self.add_worker(worker)
+        placed = sorted((_hash(f"{worker}#{index}"), worker)
+                        for worker in ids for index in range(self.vnodes))
+        self._points = [point for point, _ in placed]
+        self._owners = [owner for _, owner in placed]
 
-    # ------------------------------------------------------------------ #
-    # membership
-    # ------------------------------------------------------------------ #
-    def add_worker(self, worker_id: str) -> None:
-        """Insert a worker's virtual nodes; duplicate ids are an error."""
-        worker_id = str(worker_id)
-        with self._lock:
-            if worker_id in self._workers:
-                raise ValueError(f"worker {worker_id!r} is already on the ring")
-            self._workers.add(worker_id)
-            for index in range(self.vnodes):
-                point = _hash(f"{worker_id}#{index}")
-                at = bisect.bisect_left(self._points, point)
-                self._points.insert(at, point)
-                self._owners.insert(at, worker_id)
+    def route(self, fingerprint: str, eligible=None) -> str:
+        """The eligible worker owning ``fingerprint`` (see
+        :meth:`route_replicas`)."""
+        return self.route_replicas(fingerprint, 1, eligible)[0]
 
-    def ensure_worker(self, worker_id: str) -> bool:
-        """Add a worker unless it is already on the ring; ``True`` = added.
+    def route_replicas(self, fingerprint: str, n: int,
+                       eligible=None) -> list[str]:
+        """The first ``n`` **distinct** eligible workers clockwise from the key.
 
-        The supervisor's re-add after a respawn: the worker keeps its id,
-        so its virtual nodes land on exactly the points it owned before —
-        the ring re-converges to the pre-death placement, and every
-        fingerprint it used to serve comes home to the warm node-local
-        store.  Idempotent so respawn races are harmless.
-        """
-        try:
-            self.add_worker(worker_id)
-        except ValueError:
-            return False
-        return True
-
-    def remove_worker(self, worker_id: str) -> bool:
-        """Drop a worker's arcs (they fall to the clockwise successors).
-
-        Returns whether the worker was on the ring — removal of an unknown
-        id is a no-op so failure-detection paths can be unconditional.
-        """
-        worker_id = str(worker_id)
-        with self._lock:
-            if worker_id not in self._workers:
-                return False
-            self._workers.discard(worker_id)
-            self._draining.discard(worker_id)
-            keep = [(point, owner) for point, owner
-                    in zip(self._points, self._owners) if owner != worker_id]
-            self._points = [point for point, _ in keep]
-            self._owners = [owner for _, owner in keep]
-            return True
-
-    # ------------------------------------------------------------------ #
-    # drain state
-    # ------------------------------------------------------------------ #
-    def set_draining(self, worker_id: str, draining: bool = True) -> bool:
-        """Mark/unmark a worker as draining; returns whether it changed.
-
-        A draining worker keeps its arcs (so un-draining restores the
-        exact pre-drain placement and its caches stay addressable for
-        replica walks by *other* arcs) but ``route``/``route_replicas``
-        skip it for new placement — its traffic hands over to the next
-        live replicas clockwise.  Unknown ids are a no-op.
-        """
-        worker_id = str(worker_id)
-        with self._lock:
-            if worker_id not in self._workers:
-                return False
-            before = worker_id in self._draining
-            if draining:
-                self._draining.add(worker_id)
-            else:
-                self._draining.discard(worker_id)
-            return before != bool(draining)
-
-    def is_draining(self, worker_id: str) -> bool:
-        with self._lock:
-            return str(worker_id) in self._draining
-
-    @property
-    def draining(self) -> list[str]:
-        """Worker ids currently marked draining, sorted."""
-        with self._lock:
-            return sorted(self._draining)
-
-    @property
-    def workers(self) -> list[str]:
-        """Live worker ids, sorted."""
-        with self._lock:
-            return sorted(self._workers)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._workers)
-
-    def __contains__(self, worker_id: str) -> bool:
-        with self._lock:
-            return str(worker_id) in self._workers
-
-    # ------------------------------------------------------------------ #
-    # placement
-    # ------------------------------------------------------------------ #
-    def route(self, fingerprint: str) -> str:
-        """The worker owning ``fingerprint`` (first ring point clockwise).
-
-        Draining workers are skipped; raises
-        :class:`~repro.exceptions.WorkerUnavailableError` when the ring is
-        empty or every worker is draining.
-        """
-        return self.route_replicas(fingerprint, 1)[0]
-
-    def route_replicas(self, fingerprint: str, n: int) -> list[str]:
-        """The first ``n`` **distinct** workers clockwise from the key.
-
+        ``eligible`` is a set of worker ids (default: every worker).
         Element 0 is the primary (identical to :meth:`route`); the rest
-        are the failover/hedge replicas in ring order.  Draining workers
-        are excluded.  When fewer than ``n`` eligible workers exist the
-        list is simply shorter — a one-worker ring yields ``[worker]``
-        for any ``n >= 1``.  Raises ``ValueError`` for ``n < 1`` and
-        :class:`~repro.exceptions.WorkerUnavailableError` when no
-        eligible worker remains.
+        are the failover/hedge replicas in ring order.  When fewer than
+        ``n`` eligible workers exist the list is simply shorter — a
+        one-worker ring yields ``[worker]`` for any ``n >= 1``.  Raises
+        ``ValueError`` for ``n < 1`` and
+        :class:`~repro.exceptions.WorkerUnavailableError` when no worker
+        on the ring is eligible.
         """
         if n < 1:
             raise ValueError("replica count must be >= 1")
-        with self._lock:
-            eligible = self._workers - self._draining
-            if not self._points or not eligible:
-                raise WorkerUnavailableError(
-                    "hash ring is empty: no live worker can own the request"
-                    if not self._points else
-                    "all workers are draining: no eligible replica")
-            replicas: list[str] = []
-            start = bisect.bisect_right(self._points, _hash(str(fingerprint)))
-            total = len(self._owners)
-            for step in range(total):
-                owner = self._owners[(start + step) % total]
-                if owner in self._draining or owner in replicas:
-                    continue
+        if eligible is None:
+            eligible = self._all
+        replicas: list[str] = []
+        start = bisect.bisect_right(self._points, _hash(str(fingerprint)))
+        total = len(self._owners)
+        for step in range(total):
+            owner = self._owners[(start + step) % total]
+            if owner in eligible and owner not in replicas:
                 replicas.append(owner)
                 if len(replicas) == n:
                     break
-            return replicas
+        if not replicas:
+            raise WorkerUnavailableError(
+                "no eligible worker on the hash ring: every worker is "
+                "retired or draining")
+        return replicas
 
-    def arc_shares(self) -> dict[str, float]:
-        """Fraction of the key space each worker owns (sums to 1.0).
+    def arc_shares(self, members=None) -> dict[str, float]:
+        """Fraction of the key space each member owns (sums to 1.0).
 
-        The exact expected load split under uniformly distributed
-        fingerprints — the telemetry hook for spotting imbalanced rings
-        (too few vnodes, pathological ids).
+        ``members`` is the set of workers whose arcs count (default:
+        every worker) — the exact expected load split under uniformly
+        distributed fingerprints, the telemetry hook for spotting
+        imbalanced rings (too few vnodes, pathological ids).
         """
-        with self._lock:
-            if not self._points:
-                return {}
-            if len(self._workers) == 1:
-                # exact by construction; skips float accumulation error
-                return {next(iter(self._workers)): 1.0}
-            shares = dict.fromkeys(self._workers, 0.0)
-            span = float(2 ** 64)
-            for index, point in enumerate(self._points):
-                previous = self._points[index - 1] if index else (
-                    self._points[-1] - 2 ** 64)
-                shares[self._owners[index]] += (point - previous) / span
-            return shares
+        members = self._all if members is None else self._all & set(members)
+        if len(members) <= 1:
+            # exact by construction; skips float accumulation error
+            return dict.fromkeys(members, 1.0)
+        points = [(point, owner) for point, owner
+                  in zip(self._points, self._owners) if owner in members]
+        shares = dict.fromkeys(members, 0.0)
+        span = float(2 ** 64)
+        for index, (point, owner) in enumerate(points):
+            previous = points[index - 1][0] if index else (
+                points[-1][0] - 2 ** 64)
+            shares[owner] += (point - previous) / span
+        return shares
 
-    def stats(self) -> dict:
-        """Snapshot: membership, vnodes, drain state and arc-share split."""
-        shares = self.arc_shares()
-        with self._lock:
-            points = len(self._points)
+    def stats(self, members=None, draining=()) -> dict:
+        """Snapshot: members, vnodes, drain state and arc-share split."""
+        shares = self.arc_shares(members)
         return {
-            "workers": self.workers,
-            "draining": self.draining,
+            "workers": sorted(shares),
+            "draining": sorted(draining),
             "vnodes": self.vnodes,
-            "points": points,
+            "points": len(shares) * self.vnodes,
             "arc_shares": shares,
             "max_arc_share": max(shares.values()) if shares else 0.0,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"HashRing(workers={len(self._workers)}, "
+        return (f"HashRing(workers={len(self.workers)}, "
                 f"vnodes={self.vnodes})")

@@ -29,6 +29,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import QSVTLinearSolver
 from repro.engine import CompiledSolverCache, SynthesisStore, TieredSynthesisStore
@@ -77,8 +78,8 @@ class TestHashRing:
         keys = _fingerprints(1000)
         before = {key: ring.route(key) for key in keys}
         victim = "worker-2"
-        assert ring.remove_worker(victim)
-        after = {key: ring.route(key) for key in keys}
+        after = {key: ring.route(key, set(ring.workers) - {victim})
+                 for key in keys}
         moved = {key for key in keys if before[key] != after[key]}
         # every moved key belonged to the victim; nobody else's keys moved
         assert moved == {key for key in keys if before[key] == victim}
@@ -97,12 +98,34 @@ class TestHashRing:
             ring.route("anything")
 
     def test_membership_bookkeeping(self):
-        ring = HashRing(["worker-0"])
         with pytest.raises(ValueError):
-            ring.add_worker("worker-0")
-        assert not ring.remove_worker("never-added")
-        assert "worker-0" in ring and len(ring) == 1
+            HashRing(["worker-0", "worker-0"])
+        ring = HashRing(["worker-0"])
+        assert ring.workers == ["worker-0"]
+        assert ring.arc_shares({"never-added"}) == {}
         assert ring.stats()["points"] == ring.vnodes
+        assert ring.stats(set())["points"] == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(ids=st.sets(st.integers(0, 40), min_size=1, max_size=6),
+           data=st.data())
+    def test_walk_over_eligible_equals_ring_of_eligible_alone(self, ids,
+                                                               data):
+        # skipping the ineligible owners' points is exactly a walk over a
+        # ring built without them: a loss moves only the lost worker's
+        # keys and a return restores the earlier placement.
+        workers = [f"worker-{i}" for i in sorted(ids)]
+        eligible = data.draw(st.sets(st.sampled_from(workers)))
+        n = data.draw(st.integers(1, len(workers) + 1))
+        ring, alone = HashRing(workers, vnodes=8), HashRing(eligible, vnodes=8)
+        assert ring.arc_shares(eligible) == alone.arc_shares()
+        for fingerprint in _fingerprints(20):
+            if not eligible:
+                with pytest.raises(WorkerUnavailableError):
+                    ring.route_replicas(fingerprint, n, eligible)
+                continue
+            assert (ring.route_replicas(fingerprint, n, eligible)
+                    == alone.route_replicas(fingerprint, n))
 
 
 # ---------------------------------------------------------------------- #

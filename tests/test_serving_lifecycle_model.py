@@ -10,7 +10,8 @@ pinned and ``now`` advanced.  No process and no thread runs, and real
 time decides nothing, so every interleaving the machine picks is replayed
 exactly.
 
-After every step it checks the lifecycle's invariants:
+A rule also makes one respawn's fork fail, as ``fork()`` does when no pid
+is free.  After every step it checks the lifecycle's invariants:
 
 * each admitted future settles exactly once (its done-callbacks are
   counted), and a future is pending exactly while its request is in the
@@ -19,9 +20,12 @@ After every step it checks the lifecycle's invariants:
   worker ``w``;
 * every lifecycle counter equals the number of its events, in
   ``stats()``, ``healthz()`` and ``/metrics`` alike;
-* placement is exact: the ring equals a ring freshly built from its
-  members (so a respawn or an undrain restores the original arcs), and it
-  holds exactly the workers that are not retired;
+* placement is exact: the fleet routes each fingerprint as a ring freshly
+  built from the eligible workers (members not draining) would, and the
+  members' arc shares are the original ones once all are members — so a
+  respawn or an undrain restores the original arcs;
+* every state write is an edge of ``_WORKER_TRANSITIONS``, and no state
+  changes except through ``Fleet._move``;
 * no future is pending after ``close()``.
 """
 
@@ -42,10 +46,14 @@ from hypothesis.stateful import (
     run_state_machine_as_test,
 )
 
-from repro.exceptions import AdmissionError
+from repro.exceptions import (
+    AdmissionError,
+    QuotaExceededError,
+    WorkerUnavailableError,
+)
 from repro.serving import ClusterEngine, HashRing
 from repro.serving import frontend
-from repro.serving.fleet import Fleet
+from repro.serving.fleet import _WORKER_TRANSITIONS, Fleet, Supervisor
 from repro.serving.worker import MSG_SOLVE, RECORD_FIELDS
 from repro.utils import matrix_fingerprint
 
@@ -77,6 +85,9 @@ class _FakeProcess:
     """A worker process that runs nothing: alive from start to terminate."""
 
     _pids = itertools.count(10_000)
+    #: how many of the next ``start()`` calls fail, as a fork with no free
+    #: pid does.
+    failing_starts = 0
 
     def __init__(self, target=None, args=(), name=None, daemon=None) -> None:
         self.name = name
@@ -85,6 +96,9 @@ class _FakeProcess:
         self._alive = False
 
     def start(self) -> None:
+        if _FakeProcess.failing_starts:
+            _FakeProcess.failing_starts -= 1
+            raise OSError(11, "Resource temporarily unavailable")
         self.pid = next(self._pids)
         self._alive = True
 
@@ -105,10 +119,16 @@ class _FakeContext:
 
 
 class _InMemoryFleet(Fleet):
-    """The real fleet mechanics over fake queues and processes."""
+    """The real fleet mechanics over fake queues and processes; every
+    state write is logged as ``(worker_id, from, to)``."""
 
     def __init__(self, configs, **kwargs) -> None:
+        self.moves: list[tuple[str, str, str]] = []
         super().__init__(configs, context=_FakeContext(), **kwargs)
+
+    def _move(self, worker, to: str) -> None:
+        self.moves.append((worker.config.worker_id, worker.state, to))
+        super()._move(worker, to)
 
 
 class _ModelEngine(ClusterEngine):
@@ -116,6 +136,11 @@ class _ModelEngine(ClusterEngine):
 
     def _collect(self) -> None:
         """The machine steps the collector's actions itself."""
+
+
+def _draining(engine) -> set[str]:
+    """The ring members the engine reports draining."""
+    return set(engine.stats(include_workers=False)["ring"]["draining"])
 
 
 def _system(seed: int):
@@ -149,7 +174,7 @@ class LifecycleModel(RuleBasedStateMachine):
             breaker_reset_timeout=3600.0,
             trace_sample_rate=1.0, event_log_path=False)
         self.fleet = self.engine._fleet
-        self.baseline = self.engine._ring.arc_shares()
+        self.baseline = self.fleet.ring.arc_shares()
         self.clock = 0.0  # seconds the hedge clock runs ahead of real time
         self.futures: dict[int, object] = {}  # request_id -> future
         self.settles: collections.Counter = collections.Counter()
@@ -250,8 +275,10 @@ class LifecycleModel(RuleBasedStateMachine):
             self.engine.drain(worker_id, timeout=0.0)
         else:
             self.engine.undrain(worker_id)
-        assert (worker_id in self.engine._ring.draining) == (
-            draining and worker_id in self.engine._ring)
+        assert (worker_id in _draining(self.engine)) == (
+            draining and not self.fleet.workers[worker_id].retired)
+        assert self.engine.healthz()["draining"][worker_id] == (
+            worker_id in _draining(self.engine))
 
     def _dead(self) -> list[str]:
         return sorted(worker_id for worker_id, worker
@@ -262,8 +289,24 @@ class LifecycleModel(RuleBasedStateMachine):
     def respawn(self, data):
         worker_id = data.draw(st.sampled_from(self._dead()))
         assert self.fleet.respawn(worker_id) is True
+        # a worker enters ``dead`` undrained, so it comes back eligible
         assert self.fleet.workers[worker_id].state == "live"
+        assert not self.fleet.workers[worker_id].draining
         assert not self._held(worker_id)  # a fresh queue
+
+    @precondition(lambda self: not self.closed and self._dead())
+    @rule(data=st.data())
+    def respawn_fork_fails(self, data):
+        worker_id = data.draw(st.sampled_from(self._dead()))
+        worker = self.fleet.workers[worker_id]
+        incarnation = worker.config.incarnation
+        _FakeProcess.failing_starts = 1
+        with pytest.raises(OSError):
+            self.fleet.respawn(worker_id)
+        # back to ``dead`` (not stuck ``spawning``), so a later respawn
+        # retries the same incarnation
+        assert worker.state == "dead"
+        assert worker.config.incarnation == incarnation
 
     @precondition(lambda self: not self.closed and len(self.futures) >= 8)
     @rule()
@@ -295,20 +338,38 @@ class LifecycleModel(RuleBasedStateMachine):
 
     @invariant()
     def placement_is_exact(self):
-        ring = self.engine._ring
-        assert set(ring.workers) == {
-            worker_id for worker_id, worker in self.fleet.workers.items()
-            if not worker.retired}
-        fresh = HashRing(ring.workers, vnodes=ring.vnodes)
-        for worker_id in ring.draining:
-            fresh.set_draining(worker_id, True)
-        assert ring.arc_shares() == fresh.arc_shares()
-        if len(ring) == NUM_WORKERS:
-            assert ring.arc_shares() == self.baseline
-        if set(ring.workers) > set(ring.draining):
-            for fingerprint in FINGERPRINTS:
-                assert (ring.route_replicas(fingerprint, REPLICATION)
-                        == fresh.route_replicas(fingerprint, REPLICATION))
+        records = self.fleet.workers.items()
+        members = {worker_id for worker_id, worker in records
+                   if worker.state in ("live", "recycling")}
+        eligible = {worker_id for worker_id in members
+                    if not self.fleet.workers[worker_id].draining}
+        stats = self.engine.stats(include_workers=False)
+        assert stats["workers_alive"] == len(members)
+        assert self.engine.healthz()["workers_alive"] == len(members)
+        assert set(stats["ring"]["workers"]) == members
+        assert set(stats["ring"]["draining"]) == members - eligible
+        shares = stats["ring"]["arc_shares"]
+        assert shares == HashRing(members).arc_shares()
+        if len(members) == NUM_WORKERS:
+            assert shares == self.baseline
+        fresh = HashRing(eligible)
+        for fingerprint in FINGERPRINTS:
+            if not eligible:
+                with pytest.raises(WorkerUnavailableError):
+                    self.fleet.route_replicas(fingerprint, REPLICATION)
+                continue
+            assert (self.fleet.route_replicas(fingerprint, REPLICATION)
+                    == fresh.route_replicas(fingerprint, REPLICATION))
+
+    @invariant()
+    def every_state_write_is_a_table_edge(self):
+        last = {}
+        for worker_id, before, after in self.fleet.moves:
+            assert after in _WORKER_TRANSITIONS[before]
+            assert last.get(worker_id, "spawning") == before
+            last[worker_id] = after
+        for worker_id, worker in self.fleet.workers.items():
+            assert worker.state == last[worker_id]
 
     @invariant()
     def nothing_pending_after_close(self):
@@ -322,3 +383,159 @@ def test_request_lifecycle_model(assert_counters_match_events):
     run_state_machine_as_test(LifecycleModel, settings=settings(
         max_examples=40, stateful_step_count=40, deadline=None,
         suppress_health_check=[HealthCheck.too_slow]))
+
+
+# ---------------------------------------------------------------------- #
+# directed checks on the same in-memory fleet
+# ---------------------------------------------------------------------- #
+def _model_engine(**options) -> _ModelEngine:
+    config = dict(num_workers=2, replication_factor=2, respawn=False,
+                  degraded_fallback=False, use_shared_memory=False,
+                  event_log_path=False)
+    config.update(options)
+    return _ModelEngine(**config)
+
+
+def _system_owned_by(engine, worker_id: str):
+    """A test system whose ring primary is ``worker_id``."""
+    for seed in range(100):
+        matrix, rhs = _system(seed)
+        if engine.route(matrix) == worker_id:
+            return matrix, rhs
+    raise AssertionError(f"no system routes to {worker_id}")
+
+
+def test_an_illegal_state_move_raises():
+    engine = _model_engine()
+    try:
+        worker = engine._fleet.workers["worker-0"]
+        with engine._lock, pytest.raises(RuntimeError, match="illegal"):
+            engine._fleet._move(worker, "stopped")   # live -> stopped
+        assert worker.state == "live"
+    finally:
+        engine.close(timeout=0.0)
+
+
+def test_drain_flag_lives_on_the_record():
+    engine = _model_engine(num_workers=3)
+    fleet = engine._fleet
+    try:
+        engine.drain("worker-0", timeout=0.0)
+        engine.drain("worker-0", timeout=0.0)        # idempotent
+        assert _draining(engine) == {"worker-0"}
+        assert engine.undrain("worker-0") is True
+        assert engine.undrain("worker-0") is False   # already undrained
+        with pytest.raises(ValueError, match="unknown worker"):
+            engine.drain("ghost", timeout=0.0)
+        assert engine.undrain("ghost") is False
+        # a death leaves the worker undrained, and a drain of a retired
+        # worker marks nothing
+        engine.drain("worker-1", timeout=0.0)
+        fleet.workers["worker-1"].process.terminate()
+        engine._reap_dead_workers()
+        assert fleet.workers["worker-1"].draining is False
+        assert engine.drain("worker-1", timeout=0.0) is True
+        assert fleet.workers["worker-1"].draining is False
+        assert fleet.respawn("worker-1") is True
+        assert engine.stats(include_workers=False)["ring"]["draining"] == []
+    finally:
+        engine.close(timeout=0.0)
+
+
+def test_a_stopped_recycle_target_leaves_the_members():
+    # while a recycle has stopped a worker it is retired: off the ring's
+    # members and out of every alive count, until its respawn is back.
+    engine = _model_engine(num_workers=3)
+    fleet = engine._fleet
+    seen = {}
+    respawn = fleet.respawn
+
+    def observing_respawn(worker_id):
+        seen["state"] = fleet.workers[worker_id].state
+        seen["stats"] = engine.stats(include_workers=False)["workers_alive"]
+        seen["healthz"] = engine.healthz()["workers_alive"]
+        seen["alive"] = engine.workers_alive
+        seen["ring"] = engine.stats(include_workers=False)["ring"]["workers"]
+        return respawn(worker_id)
+
+    fleet.respawn = observing_respawn
+    try:
+        assert engine.recycle_worker("worker-1", timeout=0.0) is True
+        assert seen == {"state": "stopped", "stats": 2, "healthz": 2,
+                        "alive": ["worker-0", "worker-2"],
+                        "ring": ["worker-0", "worker-2"]}
+        assert fleet.workers["worker-1"].state == "live"
+        assert engine.workers_alive == ["worker-0", "worker-1", "worker-2"]
+        assert _draining(engine) == set()
+    finally:
+        engine.close(timeout=0.0)
+
+
+def test_supervisor_retries_a_failed_fork_under_backoff():
+    engine = _model_engine()
+    fleet = engine._fleet
+    supervisor = Supervisor(fleet, hang_timeout=None, backoff_base=0.01,
+                            backoff_cap=0.02)
+    worker = fleet.workers["worker-0"]
+    try:
+        worker.process.terminate()
+        engine._reap_dead_workers()
+        _FakeProcess.failing_starts = 1
+        with pytest.raises(OSError):
+            supervisor.tick()
+        assert worker.state == "dead" and worker.config.incarnation == 0
+        deadline = time.monotonic() + 5.0
+        while worker.state != "live" and time.monotonic() < deadline:
+            time.sleep(0.005)
+            supervisor.tick()
+        assert worker.state == "live" and worker.config.incarnation == 1
+    finally:
+        _FakeProcess.failing_starts = 0
+        engine.close(timeout=0.0)
+
+
+def test_a_rejected_admission_gives_back_the_probe():
+    # worker-0's breaker is half-open; a tenant over its quota is rejected
+    # at worker-0 after its selection claimed the probe.  The next request
+    # for worker-0's fingerprint must still probe worker-0 (and close its
+    # breaker) rather than fail over to worker-1.
+    engine = _model_engine(tenant_rate=1e-6, tenant_burst=1,
+                           breaker_failure_threshold=1,
+                           breaker_reset_timeout=0.01)
+    fleet = engine._fleet
+    try:
+        mine, other = (_system_owned_by(engine, worker_id)
+                       for worker_id in ("worker-0", "worker-1"))
+        engine.submit(*other, tenant="noisy")    # spends the tenant's token
+        breaker = fleet.workers["worker-0"].breaker
+        breaker.record_failure()
+        time.sleep(0.02)
+        assert breaker.state == "half-open"
+        with pytest.raises(QuotaExceededError):
+            engine.submit(*mine, tenant="noisy")
+        future = engine.submit(*mine)
+        assert future.worker_id == "worker-0"
+        kind, request_id = fleet.workers["worker-0"].requests.messages[-1][:2]
+        assert kind == MSG_SOLVE
+        engine._dispatch(("worker-0", "result", request_id,
+                          ANSWERS[0], None))
+        assert breaker.state == "closed"
+    finally:
+        engine.close(timeout=0.0)
+
+
+def test_an_unsent_copy_gives_back_the_probe():
+    engine = _model_engine(breaker_failure_threshold=1,
+                           breaker_reset_timeout=0.01)
+    fleet = engine._fleet
+    try:
+        breaker = fleet.workers["worker-0"].breaker
+        breaker.record_failure()
+        time.sleep(0.02)
+        assert fleet.select(["worker-0"]) == ("worker-0", True)
+        assert fleet.select(["worker-0"]) == (None, False)  # probe taken
+        # a hedge whose request is no longer in the table is never sent
+        engine._send(-1, object(), "worker-0", hedge=True, probe=True)
+        assert fleet.select(["worker-0"]) == ("worker-0", True)
+    finally:
+        engine.close(timeout=0.0)

@@ -62,6 +62,11 @@ def _replica_order(matrix, num_workers: int = 2) -> list[str]:
     return ring.route_replicas(matrix_fingerprint(matrix), num_workers)
 
 
+def _arc_shares(cluster) -> dict:
+    """The key-space split over the cluster's current ring members."""
+    return cluster.stats(include_workers=False)["ring"]["arc_shares"]
+
+
 # ---------------------------------------------------------------------- #
 # (a) ring replica walks and draining
 # ---------------------------------------------------------------------- #
@@ -101,39 +106,36 @@ class TestRouteReplicas:
         keys = ("k1", "k2", "k3", "k4", "k5")
         before = {key: ring.route_replicas(key, 2) for key in keys}
         victim = before["k1"][0]
-        assert ring.set_draining(victim) is True
-        assert ring.is_draining(victim)
-        assert ring.draining == [victim]
+        eligible = {"a", "b", "c"} - {victim}
         for key in keys:
-            assert victim not in ring.route_replicas(key, 2)
+            assert victim not in ring.route_replicas(key, 2, eligible)
+        # a draining member keeps its arcs: the split over the members is
+        # unchanged, and the stats report it draining.
+        assert ring.arc_shares({"a", "b", "c"}) == ring.arc_shares()
+        assert ring.stats({"a", "b", "c"}, {victim})["draining"] == [victim]
         # undrain restores the exact pre-drain placement: the arcs never
         # moved, the walk just stopped skipping them.
-        assert ring.set_draining(victim, False) is True
         assert {key: ring.route_replicas(key, 2) for key in keys} == before
 
     def test_fully_draining_ring_raises_unavailable(self):
         ring = HashRing(["a", "b"])
-        ring.set_draining("a")
-        ring.set_draining("b")
         with pytest.raises(WorkerUnavailableError, match="draining"):
-            ring.route_replicas("key", 1)
+            ring.route_replicas("key", 1, eligible=set())
 
-    def test_set_draining_is_idempotent_and_ignores_unknown_ids(self):
+    def test_ids_off_the_ring_are_never_eligible(self):
         ring = HashRing(["a"])
-        assert ring.set_draining("ghost") is False
-        assert ring.set_draining("a") is True
-        assert ring.set_draining("a") is False       # already draining
-        assert ring.stats()["draining"] == ["a"]
-        ring.remove_worker("a")
-        assert ring.draining == []
+        with pytest.raises(WorkerUnavailableError):
+            ring.route_replicas("key", 1, eligible={"ghost"})
+        assert ring.route_replicas("key", 2, eligible={"a", "ghost"}) == ["a"]
+        assert ring.arc_shares({"a", "ghost"}) == {"a": 1.0}
+        assert ring.stats(set())["workers"] == []
 
     def test_replica_sets_move_minimally_on_worker_loss(self):
         ring = HashRing(["a", "b", "c", "d"])
         keys = [f"key-{i}" for i in range(64)]
         before = {key: ring.route_replicas(key, 2) for key in keys}
-        ring.remove_worker("d")
         for key in keys:
-            after = ring.route_replicas(key, 2)
+            after = ring.route_replicas(key, 2, eligible={"a", "b", "c"})
             assert "d" not in after
             # only keys that had d in their replica set may re-walk
             if "d" not in before[key]:
@@ -171,8 +173,7 @@ class TestSelectReplica:
     def test_first_eligible_candidate_wins(self):
         assert select_replica(["a", "b", "c"]) == "a"
         assert select_replica(["a", "b", "c"], exclude=("a",)) == "b"
-        assert select_replica(["a", "b"], draining={"a"}, retired={"b"}) \
-            is None
+        assert select_replica(["a", "b"], exclude=("a", "b")) is None
         assert select_replica([]) is None
 
     def test_open_breaker_diverts_to_the_next_replica(self):
@@ -358,7 +359,7 @@ class TestZeroDowntimeOps:
         with ClusterEngine(num_workers=3, supervisor_interval=0.2,
                            hedging=False) as cluster:
             victim = cluster.route(systems[0][0])
-            baseline = cluster._ring.arc_shares()
+            baseline = _arc_shares(cluster)
             assert cluster.drain(victim, timeout=10.0) is True
             assert cluster.healthz()["draining"][victim] is True
             for matrix, rhs in systems:
@@ -368,7 +369,7 @@ class TestZeroDowntimeOps:
                 assert not record.degraded
                 assert future.worker_id != victim
             assert cluster.undrain(victim) is True
-            assert cluster._ring.arc_shares() == baseline
+            assert _arc_shares(cluster) == baseline
             assert cluster.route(systems[0][0]) == victim
             events = cluster.observability.events
             assert events.events(kind="worker_drain")

@@ -79,6 +79,11 @@ def _routed_worker(matrix, num_workers=2):
     return ring.route(matrix_fingerprint(matrix))
 
 
+def _arc_shares(cluster) -> dict:
+    """The key-space split over the cluster's current ring members."""
+    return cluster.stats(include_workers=False)["ring"]["arc_shares"]
+
+
 # ---------------------------------------------------------------------- #
 # (a) retry policy
 # ---------------------------------------------------------------------- #
@@ -328,7 +333,7 @@ class TestSelfHealing:
         with ClusterEngine(num_workers=2, supervisor_interval=0.05,
                            local_store_dir=str(tmp_path / "local"),
                            shared_store_dir=str(tmp_path / "shared")) as cluster:
-            baseline_shares = cluster._ring.arc_shares()
+            baseline_shares = _arc_shares(cluster)
             victim = cluster.route(matrix)
             first = cluster.solve(matrix, rhs, epsilon_l=1e-2,
                                   backend="ideal", kappa=4.0)
@@ -344,7 +349,7 @@ class TestSelfHealing:
             assert stats["workers_alive"] == 2
             assert stats["worker_deaths"] == 1
             # same id → same vnode hashes → *exactly* the pre-death placement
-            assert cluster._ring.arc_shares() == baseline_shares
+            assert _arc_shares(cluster) == baseline_shares
             assert cluster.route(matrix) == victim
 
             again = cluster.solve(matrix, rhs, epsilon_l=1e-2,
@@ -371,7 +376,7 @@ class TestSelfHealing:
             for matrix, rhs in systems:             # pre-warm every store
                 references[id(matrix)] = cluster.solve(
                     matrix, rhs, epsilon_l=1e-2, backend="ideal", kappa=4.0)
-            baseline_shares = cluster._ring.arc_shares()
+            baseline_shares = _arc_shares(cluster)
             victim = cluster.route(systems[0][0])
 
             settled, retriable = 0, 0
@@ -392,7 +397,7 @@ class TestSelfHealing:
                             message=f"respawn {round_index + 1} never happened")
                 _wait_until(lambda: len(cluster.workers_alive) == 2,
                             message="fleet never returned to full strength")
-                assert cluster._ring.arc_shares() == baseline_shares
+                assert _arc_shares(cluster) == baseline_shares
                 # the respawned incarnation really serves: its answer also
                 # resets the breaker's failure streak (three kills with no
                 # response in between would trip it — correctly — and the
