@@ -57,7 +57,6 @@ from .resilience import (
     CircuitBreaker,
     HedgePolicy,
     RetryPolicy,
-    select_replica,
 )
 from .router import DEFAULT_VNODES, HashRing
 from .worker import WorkerConfig, worker_main
@@ -74,7 +73,6 @@ __all__ = [
     "RetryPolicy",
     "CircuitBreaker",
     "HedgePolicy",
-    "select_replica",
     "ChaosSpec",
     "ChaosPolicy",
     "Supervisor",

@@ -14,10 +14,12 @@ A worker is in one of five states:
 
 * ``live`` — serving; the reaper marks it ``dead`` once its process exits;
 * ``dead`` — retired by the reaper; the supervisor respawns it;
-* ``recycling`` — a planned recycle owns it: draining, and after its
-  respawn back in service until the recycle ends and it is ``live``;
-* ``stopped`` — the recycle has stopped its process (or found it
-  ``dead``) and is about to respawn it;
+* ``recycling`` — a planned recycle owns it and it is still a ring
+  member: draining while its drain handshake runs, and again after its
+  respawn, until the recycle finishes and it is ``live``;
+* ``stopped`` — the recycle's stop phase has sent it the shutdown message
+  (or found it ``dead``) and handed its requests off; the recycle respawns
+  it once its process has exited;
 * ``spawning`` — a respawn has claimed the next incarnation of a ``dead``
   or ``stopped`` worker and is forking it; it comes back ``live`` or
   ``recycling`` respectively, or ``dead`` when the fork fails.  The claim
@@ -28,6 +30,14 @@ one edge of :data:`_WORKER_TRANSITIONS`; any other move raises.
 ``dead``, ``stopped`` and ``spawning`` are *retired*: no request copy is
 sent there.  ``recycling`` and ``stopped`` are *planned*: the deliberate
 exit is no crash to the reaper and no respawn for the supervisor.
+
+A planned recycle is a :class:`_Recycle` on the worker's record, and
+:meth:`Fleet.step_recycle` advances it through its phases — drain, stop,
+respawn, finish — each claimed under the lock, so any caller may step it
+and none blocks: the supervisor steps it once per pass, and
+:meth:`Fleet.recycle` steps it to completion.  A death and a recycle's
+stop retire a worker through one path, :meth:`Fleet._retire`, which takes
+the orphan snapshot in the same lock hold and hands every orphan off.
 
 Each record's ``draining`` flag is the rest of its routing state.  The
 ring's *members* are the workers not retired — their arcs are the
@@ -68,8 +78,29 @@ _WORKER_TRANSITIONS = {
     "live": {"dead", "recycling"},
     "dead": {"spawning", "stopped"},
     "recycling": {"stopped", "live"},
-    "stopped": {"spawning", "dead"},
+    "stopped": {"spawning"},
 }
+
+
+@dataclasses.dataclass(eq=False)
+class _Recycle:
+    """A planned recycle in progress, kept on its worker's record.
+
+    :meth:`Fleet.step_recycle` reads and claims these fields under the
+    lock, so whichever caller steps the recycle sees where it stands.
+    """
+
+    #: how long an exiting process may take before it is terminated.
+    grace: float
+    #: monotonic end of the current wait: the drain's deadline, then (from
+    #: the stop on) the moment a process still running is terminated.
+    deadline: float
+    #: the drain handshake's control round-trip ``(request_id, future)``,
+    #: until the stop; ``None`` from then on (and for a ``dead`` worker).
+    ack: tuple | None
+    drained: bool = False
+    #: whether the worker was respawned, set once the recycle has finished.
+    outcome: bool | None = None
 
 
 @dataclasses.dataclass(eq=False)
@@ -79,8 +110,9 @@ class _Worker:
     ``config`` (which carries the incarnation number) and the fields from
     ``requests`` on belong to one incarnation and are replaced by
     :meth:`Fleet._start`.  The breaker, the supervisor's backoff
-    schedule and the metrics stamp outlive incarnations: a respawn is
-    hope, not evidence, so only a real response closes the breaker.
+    schedule, the metrics stamp and a pending recycle outlive
+    incarnations: a respawn is hope, not evidence, so only a real response
+    closes the breaker.
     """
 
     config: WorkerConfig
@@ -88,6 +120,8 @@ class _Worker:
     state: str = "spawning"
     #: excluded from new placement, arcs kept (see :meth:`Fleet.drain`).
     draining: bool = False
+    #: the planned recycle that owns this worker, if any.
+    recycle: _Recycle | None = None
     #: the supervisor's crash-loop schedule: (consecutive short-lived
     #: incarnations, monotonic time before which no respawn is tried).
     backoff: tuple = (0, 0.0)
@@ -130,12 +164,15 @@ class Fleet:
     transition (``worker_death``, ``worker_respawn``, ``worker_hang_kill``,
     ``worker_recycle``), ``events`` takes the plain events, and
     ``depth_of(worker_id)`` (called under ``lock``) counts the request
-    copies on a worker.  ``context`` is the :mod:`multiprocessing` context
-    the workers' queues and processes come from.
+    copies on a worker.  ``orphans()`` (called under ``lock``) returns
+    ``(request_id, owner)`` for every request left on a retired owner, and
+    ``owner_lost(request_id, owner)`` hands one of them off.  ``context``
+    is the :mod:`multiprocessing` context the workers' queues and
+    processes come from.
     """
 
     def __init__(self, configs, *, lock, closing, events, record, depth_of,
-                 vnodes: int = DEFAULT_VNODES,
+                 orphans, owner_lost, vnodes: int = DEFAULT_VNODES,
                  breaker_failure_threshold: int = 3,
                  breaker_reset_timeout: float = 1.0, context=None) -> None:
         if context is None:
@@ -151,6 +188,8 @@ class Fleet:
         self.events = events
         self.record = record
         self.depth_of = depth_of
+        self.orphans = orphans
+        self.owner_lost = owner_lost
         self.ring = HashRing([config.worker_id for config in configs],
                              vnodes=vnodes)
         #: request_id -> (worker_id, future) for control round-trips (stats
@@ -280,41 +319,56 @@ class Fleet:
             except (ValueError, OSError):  # pragma: no cover - torn down
                 pass
 
-    def reap(self, orphans) -> list:
-        """Retire the live workers whose process has exited.
+    def _retire(self, to: str, pick, retired=None) -> None:
+        """Move the workers ``pick()`` names to ``to`` and hand off their
+        requests: the one retirement path, for a death and for a recycle's
+        stop.
 
         Consistent hashing makes this the *only* re-sharding step needed.
-        One lock hold retires each newly dead worker (so it leaves the
-        ring's members) and calls ``orphans()`` — the front end's snapshot
-        of the requests left on retired workers, which it returns — so a
-        death counts once and a respawn (which rejoins under the same
-        lock) is never undone.  A death is one breaker failure: only a
-        crash loop trips it.
+        One lock hold runs ``pick``, moves each worker (so it leaves the
+        ring's members) and takes the orphan snapshot of every retired
+        owner, so a worker retires once and a respawn (which rejoins under
+        the same lock) never hides an orphan.  Then ``retired(worker)``
+        runs for each, the control round-trips left on retired workers
+        fail, and each orphan goes down the front end's owner-lost ladder.
         """
-        if self.closing.is_set():
-            return []
         with self.lock:
-            dead = [worker for worker in self.workers.values()
-                    if worker.state == "live"
-                    and not worker.process.is_alive()]
-            for worker in dead:
-                self._move(worker, "dead")
-            orphaned = orphans()
+            workers = pick()
+            for worker in workers:
+                self._move(worker, to)
+            orphaned = self.orphans()
             # a control round-trip to a retired worker is never answered.
             dead_control = [request_id for request_id, (worker_id, _)
                             in self._control.items()
                             if self.workers[worker_id].retired]
-        for worker in dead:
-            self.record("worker_death", worker=worker.config.worker_id,
-                        incarnation=worker.config.incarnation,
-                        pid=worker.process.pid,
-                        exitcode=worker.process.exitcode,
-                        uptime_s=time.monotonic() - worker.started_at)
-            worker.breaker.record_failure()
+        for worker in workers if retired else ():
+            retired(worker)
         for request_id in dead_control:
             self._resolve_control(request_id, error=WorkerUnavailableError(
                 "worker died before answering a control message"))
-        return orphaned
+        for request_id, owner in orphaned:
+            self.owner_lost(request_id, owner)
+
+    def reap(self) -> None:
+        """Retire the live workers whose process has exited.
+
+        Through :meth:`_retire`, every pass: a submit racing the
+        retirement may register after a one-shot orphan scan.  A death
+        counts once and is one breaker failure: only a crash loop trips it.
+        """
+        if self.closing.is_set():
+            return
+        self._retire("dead", lambda: [
+            worker for worker in self.workers.values()
+            if worker.state == "live" and not worker.process.is_alive()],
+            self._record_death)
+
+    def _record_death(self, worker: _Worker) -> None:
+        self.record("worker_death", worker=worker.config.worker_id,
+                    incarnation=worker.config.incarnation,
+                    pid=worker.process.pid, exitcode=worker.process.exitcode,
+                    uptime_s=time.monotonic() - worker.started_at)
+        worker.breaker.record_failure()
 
     def respawn(self, worker_id: str) -> bool:
         """Start the next incarnation of a ``dead`` or ``stopped`` worker.
@@ -407,6 +461,19 @@ class Fleet:
         else:
             slot[1].set_exception(error)
 
+    def _ask(self, worker: _Worker, kind: str) -> tuple[int, Future]:
+        """Send one control message to ``worker`` (caller holds ``lock``):
+        ``(request_id, future)`` of its round-trip.  A put that fails
+        leaves the future failed and no slot behind."""
+        request_id, future = next(self._control_ids), Future()
+        self._control[request_id] = (worker.config.worker_id, future)
+        try:
+            worker.requests.put((kind, request_id))
+        except (ValueError, OSError) as exc:
+            del self._control[request_id]
+            future.set_exception(exc)
+        return request_id, future
+
     def round_trip(self, kind: str, worker_ids, timeout: float) -> dict:
         """Send one control message to each worker; collect the replies.
 
@@ -416,21 +483,11 @@ class Fleet:
         workers are left out.  Every slot is released on return, so
         polling a wedged worker leaks nothing.
         """
-        pending: dict[str, tuple[int, Future]] = {}
-        for worker_id in worker_ids:
-            future: Future = Future()
-            request_id = next(self._control_ids)
-            with self.lock:
-                worker = self.workers.get(worker_id)
-                if worker is None or worker.retired:
-                    continue
-                requests = worker.requests
-                self._control[request_id] = (worker_id, future)
-            pending[worker_id] = (request_id, future)
-            try:
-                requests.put((kind, request_id))
-            except (ValueError, OSError) as exc:
-                self._resolve_control(request_id, error=exc)
+        with self.lock:
+            pending = {worker_id: self._ask(self.workers[worker_id], kind)
+                       for worker_id in worker_ids
+                       if worker_id in self.workers
+                       and not self.workers[worker_id].retired}
         deadline = time.monotonic() + timeout
         replies = {}
         try:
@@ -486,36 +543,54 @@ class Fleet:
 
         See :meth:`~repro.serving.frontend.ClusterEngine.drain`.  A retired
         worker is not marked (it is no member, and enters ``dead``
-        undrained anyway).
+        undrained anyway).  The wait is the recycle's own drain check,
+        :meth:`_quiesced`.
         """
         worker = self.workers.get(worker_id)
         if worker is None:
             raise ValueError(f"unknown worker {worker_id!r}")
         with self.lock:
-            already_dead = worker.retired
-            if not already_dead:
-                worker.draining = True
-        self.events.emit("worker_drain", worker=worker_id)
-        if already_dead:
-            # nothing can be in flight inside a dead process; the reaper
-            # already moved (or will move) its orphans to replicas.
-            self.events.emit("worker_drain_complete", worker=worker_id,
-                             dead=True)
+            ack = self._drain(worker)
+        if ack is None:
             return True
         deadline = time.monotonic() + timeout
-        reply = self.round_trip(MSG_DRAIN, [worker_id], timeout).get(worker_id)
-        if reply is None or isinstance(reply, Exception):
-            return False  # timed out, or died mid-drain
-        # the worker's pending set is empty; now wait for the front end's
-        # own accounting to settle (responses may still be in the pipe).
-        while time.monotonic() < deadline:
+        while True:
             with self.lock:
-                quiesced = self.depth_of(worker_id) == 0
-            if quiesced:
-                self.events.emit("worker_drain_complete", worker=worker_id)
-                return True
+                drained = self._quiesced(worker_id, ack)
+                if drained is not None or time.monotonic() >= deadline:
+                    self._control.pop(ack[0], None)
+                    break
             time.sleep(0.005)
-        return False
+        if drained:
+            self.events.emit("worker_drain_complete", worker=worker_id)
+        return bool(drained)
+
+    def _drain(self, worker: _Worker) -> tuple[int, Future] | None:
+        """Mark ``worker`` draining and send it the drain handshake (caller
+        holds ``lock``): the handshake's round-trip, or ``None`` for a
+        retired worker, which is not marked — nothing can be in flight
+        inside a dead process, and the reaper moves its orphans."""
+        worker_id = worker.config.worker_id
+        self.events.emit("worker_drain", worker=worker_id)
+        if worker.retired:
+            self.events.emit("worker_drain_complete", worker=worker_id,
+                             dead=True)
+            return None
+        worker.draining = True
+        return self._ask(worker, MSG_DRAIN)
+
+    def _quiesced(self, worker_id: str, ack) -> bool | None:
+        """The drain check (caller holds ``lock``): ``True`` once the
+        worker has answered the handshake ``ack`` — every copy sent before
+        it is answered — and the front end's accounting has settled (no
+        copy left on it), ``False`` when the handshake failed (the worker
+        died, or its queue closed), ``None`` while neither holds."""
+        future = ack[1]
+        if not future.done():
+            return None
+        if future.exception() is not None:
+            return False
+        return True if self.depth_of(worker_id) == 0 else None
 
     def undrain(self, worker_id: str) -> bool:
         """Return a drained worker to normal routing; ``True`` = changed."""
@@ -529,46 +604,120 @@ class Fleet:
         return changed
 
     def recycle(self, worker_id: str, timeout: float = 30.0) -> bool:
-        """Planned restart of one ``live`` (or ``dead``) worker.
+        """Run a planned restart of one worker to completion; ``True`` =
+        respawned.
 
         See :meth:`~repro.serving.frontend.ClusterEngine.recycle_worker`.
+        Begins the recycle and steps it, pausing between steps, until it
+        finishes or the fleet closes.
         """
+        recycle = self.begin_recycle(worker_id, timeout)
+        worker = self.workers.get(worker_id)
+        while recycle is not None and not self.closing.is_set():
+            self.step_recycle(worker_id)
+            if recycle.outcome is not None:
+                break
+            if worker.state == "stopped":
+                worker.process.join(0.05)   # the exit the stop asked for
+            else:
+                time.sleep(0.005)
+        return bool(recycle and recycle.outcome)
+
+    def begin_recycle(self, worker_id: str, timeout: float = 30.0,
+                      now: float | None = None) -> _Recycle | None:
+        """The drain phase: start a planned recycle of a ``live`` worker.
+
+        One lock hold moves it to ``recycling``, marks it draining, sends
+        the drain handshake and puts the :class:`_Recycle` — the
+        handshake's control future and the drain deadline, ``timeout``
+        away — on the record.  A ``dead`` worker moves to ``stopped``
+        instead, its stop already done.  ``None`` (nothing begun) when the
+        worker is unknown or in another state, or the fleet is closing;
+        also for a ``live`` worker whose process has already exited, which
+        is a death for the reaper, not a planned exit.
+        """
+        now = time.monotonic() if now is None else now
         with self.lock:
             worker = self.workers.get(worker_id)
             if (self.closing.is_set() or worker is None
-                    or worker.state not in ("live", "dead")):
-                return False
+                    or worker.state not in ("live", "dead")
+                    or worker.state == "live"
+                    and not worker.process.is_alive()):
+                return None
             self._move(worker, "recycling" if worker.state == "live"
                        else "stopped")
+            ack = self._drain(worker)
+            worker.recycle = _Recycle(
+                grace=max(1.0, timeout / 2), ack=ack, drained=ack is None,
+                deadline=now + timeout if ack else now)
+            return worker.recycle
+
+    def step_recycle(self, worker_id: str, now: float | None = None) -> None:
+        """Advance the recycle pending on ``worker_id`` by every phase due.
+
+        Never blocks, and each phase is claimed under the lock, so any
+        number of callers may step one worker: a phase that is not due, or
+        that another caller has claimed, is a no-op.
+
+        * **stop** — once the drain is answered and quiesced
+          (:meth:`_quiesced`), its deadline has passed or the process has
+          exited: the shutdown message is sent and the worker retired to
+          ``stopped`` through :meth:`_retire`, which hands every request
+          copy still on it to a replica;
+        * **respawn** — once the process has exited (it is terminated
+          first if it still runs the grace, ``max(1.0, timeout / 2)``,
+          after the stop): :meth:`respawn`, which claims, forks and
+          publishes;
+        * **finish** — the worker is back ``live`` and undrained and the
+          recycle is recorded (``worker_recycle``); a fork that failed
+          left it ``dead`` for the supervisor, and finishes it unrespawned.
+        """
+        worker = self.workers[worker_id]
+        recycle = worker.recycle
+        if recycle is None or self.closing.is_set():
+            return
+        now = time.monotonic() if now is None else now
+
+        def stop_due() -> list:
+            if (worker.recycle is not recycle or worker.state != "recycling"
+                    or recycle.ack is None):
+                return []
+            drained = self._quiesced(worker_id, recycle.ack)
+            if (drained is None and now < recycle.deadline
+                    and worker.process.is_alive()):
+                return []
+            # the handshake's slot fails with the retirement
+            recycle.ack, recycle.drained = None, bool(drained)
+            recycle.deadline = now + recycle.grace
+            if recycle.drained:
+                self.events.emit("worker_drain_complete", worker=worker_id)
+            worker.requests.put((MSG_SHUTDOWN,))   # open until the respawn
+            return [worker]
+
+        self._retire("stopped", stop_due)
+        with self.lock:
+            process = (worker.process if worker.recycle is recycle
+                       and worker.state == "stopped" else None)
         try:
-            drained = self.drain(worker_id, timeout=timeout)
-            process = worker.process
-            if process.is_alive():
-                try:
-                    worker.requests.put((MSG_SHUTDOWN,))
-                except (ValueError, OSError):  # pragma: no cover
-                    pass
-                process.join(max(1.0, timeout / 2))
-                if process.is_alive():  # pragma: no cover - wedged worker
-                    process.terminate()
-                    process.join(1.0)
-            with self.lock:
-                # retire, so racing submits and redispatches see the swap
-                if worker.state == "recycling":
-                    self._move(worker, "stopped")
-            respawned = self.respawn(worker_id)
-            self.undrain(worker_id)
-            self.record("worker_recycle", worker=worker_id, drained=drained,
-                        respawned=respawned)
-            return respawned
+            if process is not None:
+                if process.is_alive() and now >= recycle.deadline:
+                    process.terminate()   # a wedged worker
+                if not process.is_alive():
+                    self.respawn(worker_id)
         finally:
-            # the recycle ends: ``recycling`` -> ``live``, a ``stopped``
-            # worker it did not respawn -> ``dead``; a failed fork already
-            # left it ``dead``.
-            with self.lock:
-                if worker.state in ("recycling", "stopped"):
-                    self._move(worker, "live" if worker.state == "recycling"
-                               else "dead")
+            with self.lock:    # finish, once respawned (or the fork failed)
+                respawned = worker.state == "recycling"
+                finished = (worker.recycle is recycle and recycle.ack is None
+                            and (respawned or worker.state == "dead"))
+                if finished:
+                    worker.recycle = None
+                    if respawned:
+                        self._move(worker, "live")
+            if finished:
+                self.undrain(worker_id)
+                self.record("worker_recycle", worker=worker_id,
+                            drained=recycle.drained, respawned=respawned)
+                recycle.outcome = respawned
 
     def close(self, timeout: float) -> None:
         """Stop every process (shutdown message, then terminate) and fail
@@ -617,11 +766,19 @@ class Supervisor:
       collector retires and a later pass heals.  ``hang_timeout=None``
       disables hang detection.
     * **planned recycling** — distinct from crash healing: when
-      ``max_requests_per_incarnation`` is set, a worker whose current
-      incarnation has dispatched that many requests is *drained* (ring
-      hands its arcs to replicas, in-flight completes) and then respawned
-      via :meth:`Fleet.recycle`.  One worker recycles at a time, and a
-      worker mid-recycle is ignored by the death path — a planned exit
+      ``max_requests_per_incarnation`` is set, a pass that finds no worker
+      mid-recycle or mid-spawn begins a recycle of the first worker whose
+      current incarnation has dispatched that many requests
+      (:meth:`Fleet.begin_recycle`: it is drained — the ring hands its
+      arcs to replicas, in-flight work completes).  Every pass steps each
+      pending recycle by the phases now due (:meth:`Fleet.step_recycle`),
+      whoever began it, so one worker recycles at a time and the
+      supervisor runs no thread but its own loop.  Mid-recycle a worker
+      is ``recycling`` while it drains (a ring member, taking no new
+      copies), ``stopped`` from the stop — shutdown sent, its copies
+      handed to replicas — until its respawn, and ``recycling`` again
+      from the respawn until the finish puts it back ``live`` and
+      undrained.  The death path ignores both states — a planned exit
       must not be double-healed or counted as a crash.
 
     Its counts (respawns, hang kills, recycles) are the engine's registry
@@ -648,8 +805,6 @@ class Supervisor:
         self.backoff_cap = float(backoff_cap)
         self.stable_after = float(stable_after)
         self.max_requests_per_incarnation = max_requests_per_incarnation
-        #: the running recycle (only the supervisor's own pass touches it).
-        self._recycling: threading.Thread | None = None
         self._thread = threading.Thread(target=self._run,
                                         name="repro-serving-supervisor",
                                         daemon=True)
@@ -690,38 +845,17 @@ class Supervisor:
                     fleet.record("worker_hang_kill", worker=worker_id,
                                  silent_s=silent_s)
                     worker.process.terminate()  # retired, then healed
-        if self.max_requests_per_incarnation is not None:
-            self._maybe_recycle()
-
-    def _maybe_recycle(self) -> None:
-        """Start a planned recycle for one over-quota worker, if any.
-
-        Serialised: at most one recycle thread at a time, and none while
-        any worker is still mid-recycle or mid-spawn — a rolling restart
-        effect rather than a simultaneous fleet bounce.
-        """
-        workers = self._fleet.workers
-        if self._recycling is not None and self._recycling.is_alive():
-            return
-        if any(worker.state not in ("live", "dead")
-               for worker in workers.values()):
-            return  # a recycle or a respawn is under way
-        candidate = next(
-            (worker_id for worker_id in sorted(workers)
-             if workers[worker_id].dispatched
-             >= self.max_requests_per_incarnation), None)
-        if candidate is None:
-            return
-        self._recycling = threading.Thread(
-            target=self._recycle, args=(candidate,),
-            name=f"repro-recycle-{candidate}", daemon=True)
-        self._recycling.start()
-
-    def _recycle(self, worker_id: str) -> None:
-        try:
-            self._fleet.recycle(worker_id)
-        except Exception:  # noqa: BLE001 - supervision must outlive bugs
-            pass
+            elif worker.recycle is not None:
+                fleet.step_recycle(worker_id)
+        # a planned recycle begins only while no recycle or respawn is
+        # under way: a rolling restart, not a simultaneous fleet bounce.
+        quota, workers = self.max_requests_per_incarnation, fleet.workers
+        if quota is not None and all(worker.state in ("live", "dead")
+                                     for worker in workers.values()):
+            candidate = next((worker_id for worker_id in sorted(workers)
+                              if workers[worker_id].dispatched >= quota), None)
+            if candidate is not None:
+                fleet.begin_recycle(candidate)
 
     def _maybe_respawn(self, worker: _Worker, now: float) -> None:
         consecutive, not_before = worker.backoff

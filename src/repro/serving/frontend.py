@@ -335,7 +335,9 @@ class ClusterEngine:
                 event_log_path=worker_event_path)
              for index in range(num_workers)],
             lock=self._lock, closing=self._closing, events=self._obs.events,
-            record=self._record, depth_of=self._depth_of, vnodes=vnodes,
+            record=self._record, depth_of=self._depth_of,
+            orphans=self._orphans, owner_lost=self._handle_owner_lost,
+            vnodes=vnodes,
             breaker_failure_threshold=breaker_failure_threshold,
             breaker_reset_timeout=breaker_reset_timeout)
         self._collector = threading.Thread(target=self._collect,
@@ -868,17 +870,17 @@ class ClusterEngine:
         <repro.serving.fleet.Fleet.reap>`); each orphan then goes down the
         owner-lost ladder.
         """
-        for request_id, owner in self._fleet.reap(self._orphans):
-            self._handle_owner_lost(request_id, owner)
+        self._fleet.reap()
 
     def _orphans(self) -> list:
         """``(request_id, owner)`` of every request on a retired owner.
 
-        Called by the reaper under ``_lock``, every pass and for *all*
-        retired owners: a submit racing the retirement may register after
-        a one-shot scan.  A degraded entry is no orphan (its solve is
-        running), and a *hedge* copy on a retired worker is simply dropped
-        — the primary still answers.
+        Called under ``_lock`` by the fleet's one retirement path — every
+        reap pass and each recycle's stop — and for *all* retired owners:
+        a submit racing the retirement may register after a one-shot scan.
+        A degraded entry is no orphan (its solve is running), and a *hedge*
+        copy on a retired worker is simply dropped — the primary still
+        answers.
         """
         retired = self._fleet.is_retired
         orphaned = []
@@ -890,7 +892,8 @@ class ClusterEngine:
         return orphaned
 
     def _handle_owner_lost(self, request_id: int, owner: str) -> None:
-        """An in-flight request's owner died (or its queue was swapped).
+        """An in-flight request's owner died, was stopped by a recycle, or
+        its queue was swapped.
 
         Escalation ladder: **promote a live hedge copy** (the duplicate is
         already solving on a replica — zero extra dispatch) → instant
@@ -1013,7 +1016,12 @@ class ClusterEngine:
         hidden from the reaper/supervisor death paths (no ``worker_death``
         event, no breaker failure, no crash-backoff), and the fresh
         incarnation warm-restores from the tiered store before the worker
-        is undrained back into rotation.
+        is undrained back into rotation.  A copy still on the worker when
+        the drain gives up after ``timeout`` is handed to a replica as the
+        worker stops.  Runs the fleet's phased recycle
+        (:meth:`~repro.serving.fleet.Fleet.step_recycle`) to completion;
+        ``False`` when the worker is neither ``live`` nor ``dead`` (a
+        recycle or respawn is under way) or it was not respawned.
         """
         return self._fleet.recycle(worker_id, timeout)
 

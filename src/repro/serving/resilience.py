@@ -52,7 +52,7 @@ from ..exceptions import (
 from ..obs.trace import current_trace
 
 __all__ = ["RetryPolicy", "CircuitBreaker", "ChaosSpec", "ChaosPolicy",
-           "HedgePolicy", "select_replica", "CHAOS_ENV_VAR"]
+           "HedgePolicy", "CHAOS_ENV_VAR"]
 
 #: environment variable carrying a JSON :class:`ChaosSpec` for worker
 #: processes (the config field takes precedence when both are set).
@@ -301,34 +301,8 @@ class CircuitBreaker:
 
 
 # ---------------------------------------------------------------------- #
-# replica selection and hedging policy
+# hedging policy
 # ---------------------------------------------------------------------- #
-def select_replica(candidates, *, breakers=None, exclude=()):
-    """First candidate a request may be dispatched to, or ``None``.
-
-    ``candidates`` is the ring-ordered replica list from
-    :meth:`~repro.serving.router.HashRing.route_replicas` (primary first),
-    so the return value is "the primary unless something disqualifies it,
-    else the nearest live replica" — the instant-failover selection rule.
-
-    A candidate is skipped when it is in ``exclude`` (e.g. the worker a
-    hedge is doubling), or when its :class:`CircuitBreaker` in
-    ``breakers`` refuses ``allow()``.  ``allow()`` is consulted only until
-    the first eligible candidate, so at most one half-open probe slot is
-    claimed per selection.
-    """
-    excluded = set(exclude)
-    for worker_id in candidates:
-        if worker_id in excluded:
-            continue
-        if breakers is not None:
-            breaker = breakers.get(worker_id)
-            if breaker is not None and not breaker.allow():
-                continue
-        return worker_id
-    return None
-
-
 class HedgePolicy:
     """When to speculatively double a request onto a replica.
 

@@ -1,23 +1,35 @@
 """Model-based test of the ``ClusterEngine`` request lifecycle.
 
 A hypothesis ``RuleBasedStateMachine`` drives submit, worker answers (ok and
-error), kills, hedge ticks, drain/undrain, respawns and close against a
-``ClusterEngine`` whose fleet forks nothing: every worker's queue and
-process is an in-memory fake, and the engine's collector does nothing, so
-the machine itself steps the collector's three actions — ``_dispatch`` of
-a response, the reap, and ``_scan_hedges(now)`` with ``hedge_after``
-pinned and ``now`` advanced.  No process and no thread runs, and real
-time decides nothing, so every interleaving the machine picks is replayed
-exactly.
+error), kills, hedge ticks, drain/undrain, respawns, planned recycles and
+close against a ``ClusterEngine`` whose fleet forks nothing: every worker's
+queue and process is an in-memory fake, and the engine's collector does
+nothing, so the machine itself steps the collector's three actions —
+``_dispatch`` of a response, the reap, and ``_scan_hedges(now)`` with
+``hedge_after`` pinned and ``now`` advanced.  No process and no thread runs,
+and real time decides nothing, so every interleaving the machine picks is
+replayed exactly.
 
-A rule also makes one respawn's fork fail, as ``fork()`` does when no pid
-is free.  After every step it checks the lifecycle's invariants:
+A worker reads its queue only when a rule says so: it answers the solves
+queued before a drain or shutdown marker, then the drain handshake, or
+sends its farewell and exits.  A recycle is begun, stepped one due phase
+set at a time (``Fleet.step_recycle`` on the machine's clock, or a
+supervisor ``tick()``), or run to completion by ``rolling_restart``.  A
+rule also makes one respawn's fork fail, as ``fork()`` does when no pid is
+free.
+
+Two callers interleave through the engine's lock: a rule may let a second
+caller — a recycle step (one clock period later), a reap, a respawn or a
+supervisor tick — take the lock just before the n-th lock hold of the call
+under way, as another thread could between two of its holds.
+
+After every step it checks the lifecycle's invariants:
 
 * each admitted future settles exactly once (its done-callbacks are
   counted), and a future is pending exactly while its request is in the
   request table;
 * ``_depth_of(w)`` equals the live request copies the fake fleet holds on
-  worker ``w``;
+  worker ``w`` (a ring member whose process runs);
 * every lifecycle counter equals the number of its events, in
   ``stats()``, ``healthz()`` and ``/metrics`` alike;
 * placement is exact: the fleet routes each fingerprint as a ring freshly
@@ -26,13 +38,18 @@ is free.  After every step it checks the lifecycle's invariants:
   respawn or an undrain restores the original arcs;
 * every state write is an edge of ``_WORKER_TRANSITIONS``, and no state
   changes except through ``Fleet._move``;
-* no future is pending after ``close()``.
+* each kill counts one death, at most one process per worker id is
+  alive, and the respawn counter (``cluster_restarts_total``) equals the
+  sum of the incarnations;
+* no future is pending, no process alive and no control round-trip left
+  after ``close()``.
 """
 
 from __future__ import annotations
 
 import collections
 import itertools
+import threading
 import time
 
 import numpy as np
@@ -54,7 +71,12 @@ from repro.exceptions import (
 from repro.serving import ClusterEngine, HashRing
 from repro.serving import frontend
 from repro.serving.fleet import _WORKER_TRANSITIONS, Fleet, Supervisor
-from repro.serving.worker import MSG_SOLVE, RECORD_FIELDS
+from repro.serving.worker import (
+    MSG_DRAIN,
+    MSG_SHUTDOWN,
+    MSG_SOLVE,
+    RECORD_FIELDS,
+)
 from repro.utils import matrix_fingerprint
 
 #: the pinned hedge deadline; the machine's clock moves in whole multiples
@@ -63,6 +85,11 @@ from repro.utils import matrix_fingerprint
 HEDGE_AFTER = 10.0
 NUM_WORKERS = 3
 REPLICATION = 2
+#: the machine's recycles drain for two clock periods and give a stopped
+#: process one period (``max(1.0, timeout / 2)``) before terminating it.
+RECYCLE_TIMEOUT = 2 * HEDGE_AFTER
+#: the supervisor's recycle quota: only the tick rule reaches it.
+QUOTA = 10_000
 
 
 class _FakeQueue:
@@ -82,7 +109,8 @@ class _FakeQueue:
 
 
 class _FakeProcess:
-    """A worker process that runs nothing: alive from start to terminate."""
+    """A worker process that runs nothing: alive from start until it is
+    terminated, or exits on a shutdown message it reads."""
 
     _pids = itertools.count(10_000)
     #: how many of the next ``start()`` calls fail, as a fork with no free
@@ -91,6 +119,7 @@ class _FakeProcess:
 
     def __init__(self, target=None, args=(), name=None, daemon=None) -> None:
         self.name = name
+        self.requests = args[1]
         self.pid = None
         self.exitcode = None
         self._alive = False
@@ -110,12 +139,25 @@ class _FakeProcess:
             self._alive, self.exitcode = False, -15
 
     def join(self, timeout=None) -> None:
-        pass
+        """Waiting for the process lets it read its queue: a shutdown
+        message on it ends the process, as the worker's loop does."""
+        if self._alive and any(message[0] == MSG_SHUTDOWN
+                               for message in self.requests.messages):
+            self._alive, self.exitcode = False, 0
 
 
 class _FakeContext:
+    """In-memory queues and processes; ``started`` keeps every process."""
+
     Queue = _FakeQueue
-    Process = _FakeProcess
+
+    def __init__(self) -> None:
+        self.started: list[_FakeProcess] = []
+
+    def Process(self, **kwargs) -> _FakeProcess:
+        process = _FakeProcess(**kwargs)
+        self.started.append(process)
+        return process
 
 
 class _InMemoryFleet(Fleet):
@@ -131,8 +173,46 @@ class _InMemoryFleet(Fleet):
         super()._move(worker, to)
 
 
+class _RacingLock:
+    """The front end's lock, able to let a second caller in.
+
+    :meth:`race` arms ``action`` to run once, just before the lock's
+    ``holds``-th acquire from now — where another thread could take the
+    lock between two lock holds of the call under way (or before its
+    first); :meth:`settle` runs it if the call made fewer holds.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._armed: list | None = None
+
+    def race(self, holds: int, action) -> None:
+        self._armed = [holds, action]
+
+    def settle(self) -> None:
+        armed, self._armed = self._armed, None
+        if armed is not None:
+            armed[1]()
+
+    def __enter__(self):
+        armed = self._armed
+        if armed is not None:
+            if armed[0] == 0:
+                self.settle()
+            else:
+                armed[0] -= 1
+        return self._lock.__enter__()
+
+    def __exit__(self, *exc) -> None:
+        self._lock.__exit__(*exc)
+
+
 class _ModelEngine(ClusterEngine):
     _fleet_class = _InMemoryFleet
+
+    def __init__(self, **options) -> None:
+        super().__init__(**options)
+        self._lock = self._fleet.lock = _RacingLock()
 
     def _collect(self) -> None:
         """The machine steps the collector's actions itself."""
@@ -174,8 +254,14 @@ class LifecycleModel(RuleBasedStateMachine):
             breaker_reset_timeout=3600.0,
             trace_sample_rate=1.0, event_log_path=False)
         self.fleet = self.engine._fleet
+        # the supervisor's pass, driven by the machine: hang detection off
+        # and no backoff, so real time decides nothing here either.
+        self.supervisor = Supervisor(self.fleet, hang_timeout=None,
+                                     backoff_base=0.0,
+                                     max_requests_per_incarnation=QUOTA)
         self.baseline = self.fleet.ring.arc_shares()
         self.clock = 0.0  # seconds the hedge clock runs ahead of real time
+        self.kills = 0
         self.futures: dict[int, object] = {}  # request_id -> future
         self.settles: collections.Counter = collections.Counter()
         self.closed = False
@@ -191,9 +277,10 @@ class LifecycleModel(RuleBasedStateMachine):
                       if worker.process.is_alive())
 
     def _held(self, worker_id: str) -> list:
-        """Solve copies queued on a worker whose process still runs."""
+        """Solve copies queued on a ring member whose process still runs
+        (a retired worker's copies were handed off when it retired)."""
         worker = self.fleet.workers[worker_id]
-        if not worker.process.is_alive():
+        if worker.retired or not worker.process.is_alive():
             return []
         return [message for message in worker.requests.messages
                 if message[0] == MSG_SOLVE]
@@ -202,11 +289,53 @@ class LifecycleModel(RuleBasedStateMachine):
         return {request_id for request_id, future in self.futures.items()
                 if not future.done()}
 
+    def _now(self) -> float:
+        return time.monotonic() + self.clock
+
+    def _recycling(self) -> list[str]:
+        return sorted(worker_id for worker_id, worker
+                      in self.fleet.workers.items()
+                      if worker.recycle is not None)
+
+    def _racing(self, data, call, worker_id: str | None = None,
+                seconds=(None, "step", "reap", "respawn", "tick"),
+                holds=range(5)):
+        """Run ``call`` while one of ``seconds`` (``None``: nobody) takes
+        the lock just before its n-th lock hold, n drawn from ``holds``
+        (see :class:`_RacingLock`)."""
+        second = data.draw(st.sampled_from(seconds))
+        if second is not None:
+            worker_id = worker_id or data.draw(
+                st.sampled_from(sorted(self.fleet.workers)))
+            action = {
+                # a step by a thread that resumes a clock period later
+                "step": lambda: self.fleet.step_recycle(
+                    worker_id, now=self._now() + HEDGE_AFTER),
+                "reap": self.engine._reap_dead_workers,
+                "respawn": lambda: self.fleet.respawn(worker_id),
+                "tick": self.supervisor.tick,
+            }[second]
+
+            def second_caller():
+                try:
+                    action()
+                except OSError:
+                    pass  # its own failed fork, raised on its own thread
+
+            self.engine._lock.race(data.draw(st.sampled_from(holds)),
+                                   second_caller)
+        try:
+            return call()
+        finally:
+            self.engine._lock.settle()
+
     def _owners(self) -> list[str]:
-        """``live`` workers holding at least one solve copy."""
+        """``live`` workers holding a copy of a pending request."""
+        pending = self._pending()
         return [worker_id for worker_id in self._alive()
                 if self.fleet.workers[worker_id].state == "live"
-                and self._held(worker_id)]
+                and any(message[1] in pending
+                        for message in self._held(worker_id))]
 
     # ------------------------------------------------------------------ #
     @rule(systems=st.lists(st.integers(0, len(SYSTEMS) - 1),
@@ -255,7 +384,50 @@ class LifecycleModel(RuleBasedStateMachine):
     def kill_owner(self, data):
         worker_id = data.draw(st.sampled_from(self._owners()))
         self.fleet.workers[worker_id].process.terminate()
-        self.engine._reap_dead_workers()
+        self.kills += 1
+        # a respawn (or a supervisor pass) may land just after the reap
+        # retires the worker, or a second reaper just before
+        self._racing(data, self.engine._reap_dead_workers, worker_id,
+                     seconds=("respawn", "tick", "reap"), holds=(1, 0))
+
+    def _readers(self) -> list[str]:
+        """Running workers with a drain or shutdown marker queued."""
+        return [worker_id for worker_id in self._alive()
+                if any(message[0] in (MSG_DRAIN, MSG_SHUTDOWN) for message
+                       in self.fleet.workers[worker_id].requests.messages)]
+
+    @precondition(lambda self: not self.closed)
+    @rule(data=st.data(), system=st.integers(0, len(SYSTEMS) - 1))
+    def submit_then_kill_owner(self, data, system):
+        """A worker dies with a request just sent to it in flight (a
+        pending copy is otherwise rarely on a ``live`` worker when
+        ``kill_owner`` is drawn)."""
+        self.submit([system])
+        if self._owners():
+            self.kill_owner(data)
+
+    @precondition(lambda self: not self.closed and self._readers())
+    @rule(data=st.data())
+    def worker_reads_to_a_marker(self, data):
+        """A worker answers the solves queued before its first drain or
+        shutdown marker, then the drain handshake — or its farewell, and
+        its process exits — as the worker's loop does."""
+        worker_id = data.draw(st.sampled_from(self._readers()))
+        worker = self.fleet.workers[worker_id]
+        messages = worker.requests.messages
+        marker = next(index for index, message in enumerate(messages)
+                      if message[0] in (MSG_DRAIN, MSG_SHUTDOWN))
+        read, messages[:marker + 1] = messages[:marker + 1], []
+        for message in read[:-1]:
+            if message[0] == MSG_SOLVE:
+                system = FINGERPRINTS.index(matrix_fingerprint(message[2]))
+                self.engine._dispatch((worker_id, "result", message[1],
+                                       ANSWERS[system], None))
+        if read[-1][0] == MSG_DRAIN:
+            self.engine._dispatch((worker_id, "drained", read[-1][1], {}))
+        else:
+            self.engine._dispatch((worker_id, "shutdown", None, {}))
+            worker.process._alive, worker.process.exitcode = False, 0
 
     @precondition(lambda self: not self.closed)
     @rule(periods=st.integers(0, 2))
@@ -271,7 +443,8 @@ class LifecycleModel(RuleBasedStateMachine):
     def drain_or_undrain(self, worker, draining):
         worker_id = f"worker-{worker}"
         if draining:
-            # a zero timeout returns at once: the fake worker never acks
+            # a zero timeout returns at once, before the worker can read
+            # the handshake
             self.engine.drain(worker_id, timeout=0.0)
         else:
             self.engine.undrain(worker_id)
@@ -288,7 +461,13 @@ class LifecycleModel(RuleBasedStateMachine):
     @rule(data=st.data())
     def respawn(self, data):
         worker_id = data.draw(st.sampled_from(self._dead()))
-        assert self.fleet.respawn(worker_id) is True
+        incarnation = self.fleet.workers[worker_id].config.incarnation
+        # of two racing respawns (the second may be a supervisor pass
+        # healing the same worker) exactly one forks
+        self._racing(data, lambda: self.fleet.respawn(worker_id), worker_id,
+                     seconds=("respawn", "tick"), holds=(1, 0))
+        assert self.fleet.workers[worker_id].config.incarnation == (
+            incarnation + 1)
         # a worker enters ``dead`` undrained, so it comes back eligible
         assert self.fleet.workers[worker_id].state == "live"
         assert not self.fleet.workers[worker_id].draining
@@ -307,6 +486,91 @@ class LifecycleModel(RuleBasedStateMachine):
         # retries the same incarnation
         assert worker.state == "dead"
         assert worker.config.incarnation == incarnation
+
+    @precondition(lambda self: not self.closed)
+    @rule(worker=st.integers(0, NUM_WORKERS - 1))
+    def begin_recycle(self, worker):
+        worker_id = f"worker-{worker}"
+        record = self.fleet.workers[worker_id]
+        state = record.state
+        recycle = self.fleet.begin_recycle(worker_id, RECYCLE_TIMEOUT,
+                                           now=self._now())
+        assert (recycle is not None) == (state in ("live", "dead"))
+        if recycle is not None:
+            assert record.recycle is recycle
+            assert record.state == ("recycling" if state == "live"
+                                    else "stopped")
+            assert record.draining == (state == "live")
+
+    @precondition(lambda self: not self.closed and self._recycling())
+    @rule(data=st.data(), periods=st.integers(0, 1),
+          caller=st.sampled_from(["fleet", "supervisor"]),
+          fork_fails=st.booleans())
+    def step_recycle(self, data, periods, caller, fork_fails):
+        """One caller steps a pending recycle — the fleet on the machine's
+        clock, or a supervisor pass — while a second may race it."""
+        worker_id = data.draw(st.sampled_from(self._recycling()))
+        worker = self.fleet.workers[worker_id]
+        incarnation = worker.config.incarnation
+        events = self.engine.observability.events
+        recorded = len(events.events(kind="worker_recycle"))
+        self.clock += periods * HEDGE_AFTER
+        step = (self.supervisor.tick if caller == "supervisor" else
+                lambda: self.fleet.step_recycle(worker_id, now=self._now()))
+        _FakeProcess.failing_starts = int(fork_fails)
+        try:
+            self._racing(data, step, worker_id)
+        except OSError:
+            # a fork failed: its worker waits ``dead`` for the supervisor's
+            # backoff (never stuck ``spawning``), and a recycle it was
+            # respawning for finished, unrespawned
+            assert all(record.state != "spawning"
+                       for record in self.fleet.workers.values())
+            if worker.state == "dead":
+                assert worker.recycle is None
+                assert worker.config.incarnation == incarnation
+                since = events.events(kind="worker_recycle")[recorded:]
+                [finished] = [event for event in since
+                              if event["worker"] == worker_id]
+                assert finished["respawned"] is False
+        finally:
+            _FakeProcess.failing_starts = 0
+        if worker.recycle is None and worker.state == "live":
+            assert not worker.draining
+
+    @precondition(lambda self: not self.closed)
+    @rule(data=st.data(),
+          over_quota=st.sampled_from([None, *range(NUM_WORKERS)]))
+    def supervisor_tick(self, data, over_quota):
+        if over_quota is not None:
+            self.fleet.workers[f"worker-{over_quota}"].dispatched = QUOTA
+        settled = all(worker.state in ("live", "dead")
+                      for worker in self.fleet.workers.values())
+        due = sorted(worker_id for worker_id, worker
+                     in self.fleet.workers.items()
+                     if worker.dispatched >= QUOTA)
+        self._racing(data, self.supervisor.tick,
+                     seconds=(None, "step", "reap", "tick"))
+        # dead workers are healed, and an over-quota worker starts a
+        # recycle once no recycle or respawn is under way
+        assert not self._dead()
+        if settled and due:
+            assert self.fleet.workers[due[0]].recycle is not None or (
+                self.fleet.workers[due[0]].dispatched == 0)
+
+    @precondition(lambda self: not self.closed)
+    @rule()
+    def rolling_restart(self):
+        before = {worker_id: (worker.state, worker.config.incarnation)
+                  for worker_id, worker in self.fleet.workers.items()}
+        outcomes = self.engine.rolling_restart(timeout=0.0)
+        assert list(outcomes) == sorted(before)
+        for worker_id, (state, incarnation) in before.items():
+            worker = self.fleet.workers[worker_id]
+            assert outcomes[worker_id] == (state in ("live", "dead"))
+            if outcomes[worker_id]:
+                assert worker.state == "live" and not worker.draining
+                assert worker.config.incarnation == incarnation + 1
 
     @precondition(lambda self: not self.closed and len(self.futures) >= 8)
     @rule()
@@ -372,10 +636,30 @@ class LifecycleModel(RuleBasedStateMachine):
             assert worker.state == last[worker_id]
 
     @invariant()
+    def one_alive_process_per_worker(self):
+        alive = collections.Counter(process.name for process
+                                    in self.fleet._context.started
+                                    if process.is_alive())
+        assert all(count == 1 for count in alive.values()), alive
+
+    @invariant()
+    def each_death_counts_once(self):
+        # every kill is reaped at once, and a planned exit is no death
+        assert self.engine._count("worker_death") == self.kills
+
+    @invariant()
+    def restarts_are_the_incarnations(self):
+        assert self.engine._count("worker_respawn") == sum(
+            worker.config.incarnation
+            for worker in self.fleet.workers.values())
+
+    @invariant()
     def nothing_pending_after_close(self):
         if self.closed:
             assert not self._pending()
             assert self.engine.stats(include_workers=False)["inflight"] == 0
+            assert not self._alive()
+            assert not self.fleet._control
 
 
 def test_request_lifecycle_model(assert_counters_match_events):
@@ -469,6 +753,74 @@ def test_a_stopped_recycle_target_leaves_the_members():
         assert _draining(engine) == set()
     finally:
         engine.close(timeout=0.0)
+
+
+def test_a_recycle_whose_drain_times_out_hands_its_copy_to_a_replica():
+    # the copy still queued on the worker when the drain gives up is handed
+    # off as the worker stops, not lost behind the respawn's fresh queues.
+    engine = _model_engine(num_workers=3)
+    fleet = engine._fleet
+    try:
+        future = engine.submit(*_system_owned_by(engine, "worker-1"))
+        assert future.worker_id == "worker-1"
+        assert engine.recycle_worker("worker-1", timeout=0.0) is True
+        for _ in range(3):
+            engine._reap_dead_workers()
+        replica = future.worker_id
+        assert replica != "worker-1"
+        [copy] = [message for message
+                  in fleet.workers[replica].requests.messages
+                  if message[0] == MSG_SOLVE]
+        engine._dispatch((replica, "result", copy[1], ANSWERS[0], None))
+        assert future.result(timeout=0).degraded is False
+        stats = engine.stats(include_workers=False)
+        assert stats["inflight"] == 0
+        assert stats["queue_depths"]["worker-1"] == 0
+        events = engine.observability.events
+        assert events.events(kind="worker_death") == []
+        [recycle] = events.events(kind="worker_recycle")
+        assert recycle["drained"] is False and recycle["respawned"] is True
+    finally:
+        engine.close(timeout=0.0)
+
+
+def test_a_crash_before_its_reap_is_no_planned_recycle():
+    # a recycle must not adopt a crash the reaper has not retired yet: the
+    # crash stays a death, and its copy goes to a replica at the reap.
+    engine = _model_engine(num_workers=3)
+    fleet = engine._fleet
+    try:
+        future = engine.submit(*_system_owned_by(engine, "worker-1"))
+        fleet.workers["worker-1"].process.terminate()
+        assert engine.recycle_worker("worker-1", timeout=0.0) is False
+        engine._reap_dead_workers()
+        assert fleet.workers["worker-1"].state == "dead"
+        assert engine.stats(include_workers=False)["worker_deaths"] == 1
+        assert future.worker_id != "worker-1"
+    finally:
+        engine.close(timeout=0.0)
+
+
+@pytest.mark.parametrize("phase", ["drain", "stop", "respawn"])
+def test_close_during_a_pending_recycle_leaves_nothing_behind(phase):
+    engine = _model_engine(num_workers=3)
+    fleet = engine._fleet
+    worker = fleet.workers["worker-1"]
+    future = engine.submit(*_system_owned_by(engine, "worker-1"))
+    now = time.monotonic()
+    fleet.begin_recycle("worker-1", timeout=10.0, now=now)
+    if phase != "drain":       # the drain gives up: shutdown sent
+        fleet.step_recycle("worker-1", now=now + 10.0)
+        assert worker.state == "stopped"
+    if phase == "respawn":     # the worker exits; a second caller respawns
+        worker.process.join()
+        assert fleet.respawn("worker-1") is True
+        assert worker.state == "recycling" and worker.recycle is not None
+    engine.close(timeout=0.0)
+    assert not [process for process in fleet._context.started
+                if process.is_alive()]
+    assert future.done()
+    assert not fleet._control
 
 
 def test_supervisor_retries_a_failed_fork_under_backoff():

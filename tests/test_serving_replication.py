@@ -18,6 +18,7 @@ Covers the robustness layer end to end:
 
 from __future__ import annotations
 
+import contextlib
 import sys
 import threading
 import time
@@ -30,13 +31,12 @@ from repro.linalg import random_matrix_with_condition_number, random_rhs
 from repro.serving import (
     AdmissionController,
     ChaosSpec,
-    CircuitBreaker,
     ClusterEngine,
     HashRing,
     HedgePolicy,
-    select_replica,
 )
 from repro.utils import matrix_fingerprint
+from test_serving_lifecycle_model import _model_engine
 
 
 # ---------------------------------------------------------------------- #
@@ -169,35 +169,48 @@ class TestHedgePolicy:
             HedgePolicy(p99_multiplier=0.0)
 
 
+@contextlib.contextmanager
+def _in_memory_fleet(**options):
+    """The real :class:`~repro.serving.fleet.Fleet` of three workers over
+    in-memory queues and processes (no fork)."""
+    engine = _model_engine(num_workers=3, **options)
+    try:
+        yield engine._fleet
+    finally:
+        engine.close(timeout=0.0)
+
+
 class TestSelectReplica:
     def test_first_eligible_candidate_wins(self):
-        assert select_replica(["a", "b", "c"]) == "a"
-        assert select_replica(["a", "b", "c"], exclude=("a",)) == "b"
-        assert select_replica(["a", "b"], exclude=("a", "b")) is None
-        assert select_replica([]) is None
+        ids = ["worker-0", "worker-1", "worker-2"]
+        with _in_memory_fleet() as fleet:
+            assert fleet.select(ids) == ("worker-0", False)
+            assert fleet.select(ids, exclude=("worker-0",)) == \
+                ("worker-1", False)
+            assert fleet.select(ids[:2], exclude=ids[:2]) == (None, False)
+            assert fleet.select([]) == (None, False)
 
     def test_open_breaker_diverts_to_the_next_replica(self):
-        breaker = CircuitBreaker(failure_threshold=1, reset_timeout=60.0)
-        breaker.record_failure()
-        assert select_replica(["a", "b"], breakers={"a": breaker}) == "b"
-        # a closed breaker (or no breaker at all) keeps the primary
-        assert select_replica(["a", "b"], breakers={"b": breaker}) == "a"
+        with _in_memory_fleet(breaker_failure_threshold=1,
+                              breaker_reset_timeout=60.0) as fleet:
+            fleet.workers["worker-0"].breaker.record_failure()
+            assert fleet.select(["worker-0", "worker-1"]) == \
+                ("worker-1", False)
+            # a closed breaker keeps the primary
+            assert fleet.select(["worker-1", "worker-0"]) == \
+                ("worker-1", False)
 
     def test_half_open_probe_slot_is_claimed_lazily(self):
-        class FakeClock:
-            now = 100.0
-
-            def __call__(self):
-                return self.now
-
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=1, reset_timeout=1.0,
-                                 clock=clock)
-        breaker.record_failure()
-        clock.now += 2.0                             # half-open now
-        assert select_replica(["a", "b"], breakers={"a": breaker}) == "a"
-        # the probe slot is spent: the next selection fails over
-        assert select_replica(["a", "b"], breakers={"a": breaker}) == "b"
+        with _in_memory_fleet(breaker_failure_threshold=1,
+                              breaker_reset_timeout=0.01) as fleet:
+            breaker = fleet.workers["worker-0"].breaker
+            breaker.record_failure()
+            time.sleep(0.02)                         # half-open now
+            assert fleet.select(["worker-0", "worker-1"]) == \
+                ("worker-0", True)
+            # the probe slot is spent: the next selection fails over
+            assert fleet.select(["worker-0", "worker-1"]) == \
+                ("worker-1", False)
 
 
 # ---------------------------------------------------------------------- #
