@@ -15,20 +15,27 @@ hundreds.
 
 Format and failure model
 ------------------------
-* one ``<sha256(key)>.npz`` file per entry, containing the payload arrays
-  plus a JSON ``__meta__`` record with a **format version** — entries written
-  by an incompatible version of the code are treated as misses, never as
-  errors;
-* writes are **atomic**: the archive is serialised to a temporary file in the
+* one ``<sha256(key)>`` :data:`ENTRY_SUFFIX` file per entry, read with one
+  ``read_bytes``: a magic tag, the header length, a SHA-256 of everything
+  after it, a JSON header (**format version**, key fingerprint, payload
+  meta, and each array's name, dtype, shape, offset and length), then the
+  raw array bytes at 64-byte-aligned offsets, restored as read-only
+  ``np.frombuffer`` views.  Only numeric dtypes are written or read, so an
+  entry never carries a pickle.  Entries written by an incompatible
+  version of the code (including the ``.npz`` archives of format 2, which
+  are never opened) are treated as misses, never as errors;
+* writes are **atomic**: the entry is serialised to a temporary file in the
   store directory and ``os.replace``-d into place, so readers (including
   concurrent worker processes) only ever observe complete entries;
-* loads are **corruption-safe**: any failure to read, parse or restore an
-  entry (truncated file, garbage bytes, fingerprint mismatch) **quarantines**
-  the bad entry — it is renamed to ``<entry>.corrupt`` (kept for forensics,
-  invisible to later lookups), counted in :meth:`stats` under
-  ``corrupt_quarantined``, and the caller falls back to recompilation, whose
-  result overwrites the slot with a fresh entry.  A poisoned store can cost
-  time, never correctness — and never costs that time *twice* for one entry.
+* loads are **corruption-safe**: any failure to read, parse, verify or
+  restore an entry (foreign tag, truncated file, flipped bit, garbage
+  header, an array outside the buffer, fingerprint mismatch)
+  **quarantines** the bad entry — it is renamed to ``<entry>.corrupt``
+  (kept for forensics, invisible to later lookups), counted in
+  :meth:`stats` under ``corrupt_quarantined``, and the caller falls back
+  to recompilation, whose result overwrites the slot with a fresh entry.
+  A poisoned store can cost time, never correctness — and never costs
+  that time *twice* for one entry.
 
 The default location is ``~/.cache/repro/synthesis`` (respecting
 ``XDG_CACHE_HOME``); set the ``REPRO_SYNTHESIS_STORE`` environment variable
@@ -37,9 +44,11 @@ to relocate it without touching code.
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import hashlib
-import io
 import json
+import math
 import os
 import pathlib
 import threading
@@ -51,15 +60,82 @@ from ..obs.trace import current_trace
 from ..utils import atomic_write
 
 __all__ = ["SynthesisStore", "TieredSynthesisStore", "default_store_path",
-           "FORMAT_VERSION"]
+           "FORMAT_VERSION", "ENTRY_SUFFIX"]
 
 #: bump when the payload layout changes; mismatched entries are plain misses.
 #: (2: compiled QSVT programs record whether their ``-θ`` run is
-#: conjugate-derived.)
-FORMAT_VERSION = 2
+#: conjugate-derived.  3: one header and one raw buffer replace the
+#: ``.npz`` archive.)
+FORMAT_VERSION = 3
+
+#: file suffix of a store entry; format 2's ``.npz`` entries are never read.
+ENTRY_SUFFIX = ".synth"
 
 #: environment variable overriding the default on-disk location.
 STORE_ENV_VAR = "REPRO_SYNTHESIS_STORE"
+
+#: an entry's fixed prefix: this tag, the header length (8 bytes, little
+#: endian) and the SHA-256 of everything after the prefix.
+_MAGIC = b"REPROSYN"
+_PREFIX = len(_MAGIC) + 8 + 32
+#: the data section and every array in it start at a multiple of this.
+_ALIGN = 64
+#: the only array dtype kinds an entry holds: bool, int, uint, float, complex.
+_NUMERIC = "biufc"
+
+
+def _pack(head: bytes, data: bytes) -> bytes:
+    """One entry: the prefix, the header (padded so the data section starts
+    aligned) and the data section."""
+    head += b" " * (-(_PREFIX + len(head)) % _ALIGN)
+    body = head + data
+    return (_MAGIC + len(head).to_bytes(8, "little")
+            + hashlib.sha256(body).digest() + body)
+
+
+def _unpack(raw: bytes) -> tuple[dict, int]:
+    """The header of a verified entry and where its data section starts;
+    ``ValueError`` on a foreign tag, a short file or a digest mismatch."""
+    if len(raw) < _PREFIX or raw[:len(_MAGIC)] != _MAGIC:
+        raise ValueError("not a synthesis-store entry")
+    start = _PREFIX + int.from_bytes(raw[len(_MAGIC):_PREFIX - 32], "little")
+    if (start > len(raw) or hashlib.sha256(memoryview(raw)[_PREFIX:]).digest()
+            != raw[_PREFIX - 32:_PREFIX]):
+        raise ValueError("entry is truncated or corrupt")
+    return json.loads(raw[_PREFIX:start]), start
+
+
+def _encode(header: dict, arrays: dict) -> bytes:
+    """Entry bytes for ``header`` plus the numeric ``arrays``."""
+    specs, data = [], bytearray()
+    for name, array in arrays.items():
+        array = np.asarray(array)
+        if array.dtype.kind not in _NUMERIC:
+            raise TypeError(f"array {name!r} is not numeric ({array.dtype})")
+        fortran = array.flags.f_contiguous and not array.flags.c_contiguous
+        data += bytes(-len(data) % _ALIGN)
+        specs.append({"name": name, "dtype": array.dtype.str,
+                      "shape": list(array.shape), "fortran": fortran,
+                      "offset": len(data), "length": array.nbytes})
+        data += array.tobytes(order="F" if fortran else "C")
+    return _pack(json.dumps({**header, "arrays": specs}).encode(), bytes(data))
+
+
+def _arrays(raw: bytes, start: int, specs: list) -> dict:
+    """Read-only views of the arrays ``specs`` place in ``raw``'s data
+    section (at ``start``); ``ValueError`` on a non-numeric dtype or an
+    array outside the buffer."""
+    arrays = {}
+    for spec in specs:
+        dtype, shape = np.dtype(spec["dtype"]), tuple(spec["shape"])
+        count, offset = math.prod(shape), start + spec["offset"]
+        if (dtype.kind not in _NUMERIC or min(shape, default=0) < 0
+                or offset < start or spec["length"] != count * dtype.itemsize
+                or offset + spec["length"] > len(raw)):
+            raise ValueError(f"array {spec['name']!r} is malformed")
+        arrays[spec["name"]] = np.frombuffer(raw, dtype, count, offset).reshape(
+            shape, order="F" if spec["fortran"] else "C")
+    return arrays
 
 
 def default_store_path() -> pathlib.Path:
@@ -72,7 +148,23 @@ def default_store_path() -> pathlib.Path:
     return root / "repro" / "synthesis"
 
 
-class SynthesisStore:
+class _Tally:
+    """Named event counters behind one lock."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._counts = collections.Counter()
+
+    def _count(self, *names: str) -> None:
+        with self._lock:
+            self._counts.update(names)
+
+    def _snapshot(self, names) -> dict:
+        with self._lock:
+            return {name: self._counts[name] for name in names}
+
+
+class SynthesisStore(_Tally):
     """On-disk cache of compiled :class:`~repro.core.qsvt_solver.QSVTLinearSolver` payloads.
 
     Parameters
@@ -106,13 +198,7 @@ class SynthesisStore:
         #: optional :class:`repro.obs.events.EventLog`: quarantines are
         #: exactly the store incident a post-hoc timeline needs to explain.
         self.events = events
-        self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        self._stores = 0
-        self._corrupt = 0
-        self._corrupt_quarantined = 0
-        self._errors = 0
+        super().__init__()
         self._readonly = False
 
     # ------------------------------------------------------------------ #
@@ -138,81 +224,76 @@ class SynthesisStore:
             matrix, epsilon_l, backend, kappa, backend_options))
 
     def _entry_path(self, entry_key: str) -> pathlib.Path:
-        return self.path / f"{entry_key}.npz"
+        return self.path / f"{entry_key}{ENTRY_SUFFIX}"
+
+    def _entries(self, suffixes=(ENTRY_SUFFIX,)) -> list[pathlib.Path]:
+        """The files in the store directory ending in one of ``suffixes``
+        (none while the directory does not exist)."""
+        return [entry for suffix in suffixes
+                for entry in self.path.glob(f"*{suffix}")]
 
     # ------------------------------------------------------------------ #
     # load / save
     # ------------------------------------------------------------------ #
-    def load(self, cache_key: tuple, **backend_options) -> QSVTLinearSolver | None:
+    def load(self, cache_key: tuple, _entry: list | None = None,
+             **backend_options) -> QSVTLinearSolver | None:
         """Restore the solver stored under ``cache_key``; ``None`` on a miss.
 
-        ``backend_options`` are forwarded to the restored backend's
-        constructor (they are part of the key, so a stored entry always
-        matches the options it was compiled with).  Failure handling is
+        ``_entry``, when given, receives the verified bytes of a hit (the
+        tiered store promotes them as they are).  ``backend_options`` are
+        forwarded to the restored backend's constructor (they are part of
+        the key, so a stored entry always matches the options it was
+        compiled with).  Failure handling is
         split by what the failure means for the entry: transient I/O errors
         (permissions, descriptor exhaustion, interrupted reads) are plain
         misses that *leave the entry alone*; only content that cannot be
-        parsed — or whose recorded key fingerprint disagrees with the
-        requested key — is deleted and counted as corrupt.  A format-version
-        mismatch is a miss that leaves the entry in place (another
-        interpreter may still read it).
+        parsed or verified — or whose recorded key fingerprint disagrees
+        with the requested key — is quarantined and counted as corrupt.  A
+        format-version mismatch is a miss that leaves the entry in place
+        (another interpreter may still read it).
         """
         entry_key = self.entry_key(cache_key)
         path = self._entry_path(entry_key)
         try:
             raw = path.read_bytes()
         except FileNotFoundError:
-            with self._lock:
-                self._misses += 1
+            self._count("misses")
             return None
         except OSError:
             # transient filesystem trouble is not evidence against the entry
-            with self._lock:
-                self._errors += 1
-                self._misses += 1
+            self._count("errors", "misses")
             return None
         try:
-            with np.load(io.BytesIO(raw), allow_pickle=False) as npz:
-                header = json.loads(str(npz["__meta__"][()]))
-                if header.get("format_version") != FORMAT_VERSION:
-                    with self._lock:
-                        self._misses += 1
-                    return None
-                # the key fingerprint was recorded at save time: it guards
-                # against digest collisions and tampered/renamed entries.
-                # (It intentionally is the *caller's* matrix fingerprint —
-                # for non-float64 inputs this differs from the restored
-                # solver's own float64 fingerprint, exactly as it does on
-                # the compile path.)
-                if header.get("key_fingerprint") != cache_key[0]:
-                    raise ValueError("stored entry belongs to a different key")
-                payload = {
-                    "meta": header["payload"],
-                    "arrays": {name: npz[name] for name in npz.files
-                               if name != "__meta__"},
-                }
+            header, start = _unpack(raw)
+            if header.get("format_version") != FORMAT_VERSION:
+                self._count("misses")
+                return None
+            # the key fingerprint was recorded at save time: it guards
+            # against digest collisions and tampered/renamed entries.
+            # (It intentionally is the *caller's* matrix fingerprint —
+            # for non-float64 inputs this differs from the restored
+            # solver's own float64 fingerprint, exactly as it does on
+            # the compile path.)
+            if header.get("key_fingerprint") != cache_key[0]:
+                raise ValueError("stored entry belongs to a different key")
+            payload = {"meta": header["payload"],
+                       "arrays": _arrays(raw, start, header["arrays"])}
             solver = QSVTLinearSolver.from_payload(payload, **backend_options)
         except Exception:
-            # truncated archive, garbage bytes, missing arrays, key
-            # mismatch, ... — the bytes themselves are bad: quarantine the
-            # entry (rename, don't delete: the evidence survives for
-            # forensics while every later lookup is a plain miss instead of
-            # a repeated parse-and-fail) and recompile.
-            with self._lock:
-                self._corrupt += 1
-                self._misses += 1
-            quarantined = False
+            # foreign tag, truncated file, flipped bit, garbage header,
+            # missing arrays, key mismatch, ... — the bytes themselves are
+            # bad: quarantine the entry (rename, don't delete: the evidence
+            # survives for forensics while every later lookup is a plain
+            # miss instead of a repeated parse-and-fail) and recompile.
+            self._count("corrupt", "misses")
             try:
                 path.replace(path.with_name(path.name + ".corrupt"))
                 quarantined = True
+                self._count("corrupt_quarantined")
             except OSError:
-                try:
+                quarantined = False
+                with contextlib.suppress(OSError):
                     path.unlink()
-                except OSError:
-                    pass
-            if quarantined:
-                with self._lock:
-                    self._corrupt_quarantined += 1
             if self.events is not None:
                 trace = current_trace()
                 self.events.emit(
@@ -221,8 +302,9 @@ class SynthesisStore:
                     entry=entry_key, path=str(path),
                     quarantined=quarantined)
             return None
-        with self._lock:
-            self._hits += 1
+        self._count("hits")
+        if _entry is not None:
+            _entry.append(raw)
         return solver
 
     def save(self, cache_key: tuple, solver: QSVTLinearSolver) -> bool:
@@ -242,59 +324,54 @@ class SynthesisStore:
             payload = solver.export_payload()
         except NotImplementedError:
             return False
-        entry_key = self.entry_key(cache_key)
+        return self._write(cache_key, lambda: _encode(
+            {"format_version": FORMAT_VERSION, "key_fingerprint": cache_key[0],
+             "payload": payload["meta"]}, payload["arrays"]))
+
+    def _write(self, cache_key: tuple, entry) -> bool:
+        """Atomically write the bytes ``entry()`` returns (through the chaos
+        hook) under ``cache_key``; the failure handling of :meth:`save`."""
+        if self._readonly:
+            return False
         try:
-            buffer = io.BytesIO()
-            np.savez(buffer,
-                     __meta__=json.dumps({"format_version": FORMAT_VERSION,
-                                          "key_fingerprint": cache_key[0],
-                                          "payload": payload["meta"]}),
-                     **payload["arrays"])
-            data = buffer.getvalue()
+            data = entry()
             if self.chaos is not None:
                 corrupted = self.chaos.corrupt_payload(data)
                 if corrupted is not None:
                     data = corrupted
-            atomic_write(self._entry_path(entry_key), data)
+            atomic_write(self._entry_path(self.entry_key(cache_key)), data)
         except PermissionError:
-            with self._lock:
-                self._errors += 1
-                self._readonly = True
+            self._readonly = True
+            self._count("errors")
             return False
         except Exception:
-            with self._lock:
-                self._errors += 1
+            self._count("errors")
             return False
-        with self._lock:
-            self._stores += 1
+        self._count("stores")
         return True
 
     # ------------------------------------------------------------------ #
     # maintenance
     # ------------------------------------------------------------------ #
     def clear(self) -> int:
-        """Delete every entry; returns the number removed (counters kept)."""
+        """Delete every entry, format 2's ``.npz`` ones included; returns
+        the number removed (counters kept)."""
         removed = 0
-        if self.path.is_dir():
-            for entry in self.path.glob("*.npz"):
-                try:
-                    entry.unlink()
-                    removed += 1
-                except OSError:
-                    pass
+        for entry in self._entries((ENTRY_SUFFIX, ".npz")):
+            try:
+                entry.unlink()
+                removed += 1
+            except OSError:
+                pass
         return removed
 
     def __len__(self) -> int:
-        if not self.path.is_dir():
-            return 0
-        return sum(1 for _ in self.path.glob("*.npz"))
+        return len(self._entries())
 
     def disk_bytes(self) -> int:
         """Summed size of the stored entries on disk."""
-        if not self.path.is_dir():
-            return 0
         total = 0
-        for entry in self.path.glob("*.npz"):
+        for entry in self._entries():
             try:
                 total += entry.stat().st_size
             except OSError:
@@ -308,24 +385,18 @@ class SynthesisStore:
         worker telemetry snapshots), so it must not touch the filesystem —
         use :meth:`__len__` / :meth:`disk_bytes` for on-disk size queries.
         """
-        with self._lock:
-            return {
-                "path": str(self.path),
-                "hits": self._hits,
-                "misses": self._misses,
-                "stores": self._stores,
-                "corrupt": self._corrupt,
-                "corrupt_quarantined": self._corrupt_quarantined,
-                "errors": self._errors,
-                "readonly": self._readonly,
-            }
+        return {"path": str(self.path),
+                **self._snapshot(("hits", "misses", "stores", "corrupt",
+                                  "corrupt_quarantined", "errors")),
+                "readonly": self._readonly}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"SynthesisStore(path={str(self.path)!r}, hits={self._hits}, "
-                f"misses={self._misses}, stores={self._stores})")
+        counts = self._snapshot(("hits", "misses", "stores"))
+        return (f"SynthesisStore(path={str(self.path)!r}, hits={counts['hits']}, "
+                f"misses={counts['misses']}, stores={counts['stores']})")
 
 
-class TieredSynthesisStore:
+class TieredSynthesisStore(_Tally):
     """Two-level persistence: a node-local store backed by a shared directory.
 
     The serving tier's cache hierarchy is per-worker LRU → **node-local**
@@ -358,11 +429,7 @@ class TieredSynthesisStore:
             self.local.events = events
             if self.shared is not None:
                 self.shared.events = events
-        self._lock = threading.Lock()
-        self._local_hits = 0
-        self._shared_hits = 0
-        self._promotions = 0
-        self._shared_denied = 0
+        super().__init__()
 
     #: the cache hands ``str(store.path)`` to process workers; the local
     #: level is the per-node location that makes sense to inherit.
@@ -375,27 +442,26 @@ class TieredSynthesisStore:
         """Tiered lookup: local store, then shared store (with promotion)."""
         solver = self.local.load(cache_key, **backend_options)
         if solver is not None:
-            with self._lock:
-                self._local_hits += 1
+            self._count("local_hits")
             return solver
         if self.shared is None:
             return None
+        entry: list = []
         try:
-            solver = self.shared.load(cache_key, **backend_options)
+            solver = self.shared.load(cache_key, _entry=entry,
+                                      **backend_options)
         except PermissionError:
             # an unreadable shared directory must degrade to a local-only
             # store, never take the worker down (SynthesisStore.load already
             # absorbs most OSErrors; this guards pathological mounts).
-            with self._lock:
-                self._shared_denied += 1
+            self._count("shared_denied")
             return None
         if solver is None:
             return None
-        with self._lock:
-            self._shared_hits += 1
-        if self.local.save(cache_key, solver):
-            with self._lock:
-                self._promotions += 1
+        self._count("shared_hits")
+        # promote the verified bytes as they are: no re-export, no re-encode
+        if self.local._write(cache_key, lambda: entry[0]):
+            self._count("promotions")
         return solver
 
     def save(self, cache_key: tuple, solver: QSVTLinearSolver) -> bool:
@@ -405,8 +471,7 @@ class TieredSynthesisStore:
             try:
                 self.shared.save(cache_key, solver)
             except PermissionError:  # pragma: no cover - save() already absorbs
-                with self._lock:
-                    self._shared_denied += 1
+                self._count("shared_denied")
         return saved
 
     # ------------------------------------------------------------------ #
@@ -419,13 +484,8 @@ class TieredSynthesisStore:
 
     def stats(self) -> dict:
         """Tier counters plus both levels' own snapshots."""
-        with self._lock:
-            tiered = {
-                "local_hits": self._local_hits,
-                "shared_hits": self._shared_hits,
-                "promotions": self._promotions,
-                "shared_denied": self._shared_denied,
-            }
+        tiered = self._snapshot(("local_hits", "shared_hits", "promotions",
+                                 "shared_denied"))
         tiered["local"] = self.local.stats()
         tiered["shared"] = None if self.shared is None else self.shared.stats()
         return tiered

@@ -1072,7 +1072,7 @@ def operator_state_payload(operator: StructuredOperator,
     """Versioned (JSON-able meta, named-array dict) form of an operator.
 
     This is the persistence format: the arrays carry unique names so they
-    can ride inside an ``npz`` payload next to a backend's own arrays (the
+    can ride inside one payload next to a backend's own arrays (the
     :class:`~repro.engine.store.SynthesisStore` entry), and the meta embeds
     :data:`OPERATOR_STATE_VERSION` so a layout change turns old entries
     into clean store misses instead of wrong restores.  The version lives

@@ -265,6 +265,23 @@ class Fleet:
                     return worker_id, passed == "probe"
         return None, False
 
+    def place(self, fingerprint: str, replicas, *,
+              exclude=()) -> tuple[str | None, bool, bool]:
+        """:meth:`select` over a request's ``replicas``, then over the rest
+        of a whole-ring walk from ``fingerprint``: the target a hedge or a
+        redispatched copy may go to, whether it holds the probe, and
+        whether it came from the replicas.  ``(None, False, False)`` when
+        no worker admits the copy."""
+        target, probe = self.select(replicas, exclude=exclude)
+        if target is not None:
+            return target, probe, True
+        try:
+            walk = self.route_replicas(fingerprint, len(self.workers))
+        except WorkerUnavailableError:
+            return None, False, False
+        target, probe = self.select(walk, exclude=(*exclude, *replicas))
+        return target, probe, False
+
     # ------------------------------------------------------------------ #
     # spawn, reap, respawn
     # ------------------------------------------------------------------ #

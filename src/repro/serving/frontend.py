@@ -701,19 +701,13 @@ class ClusterEngine:
         clears long before a gray primary's stall would.
         """
         primary = entry.worker_id
-        target, probe = self._fleet.select(entry.replicas, exclude=(primary,))
+        # the stored replica set can be *transiently* ineligible: the walk
+        # goes on round the ring to the next worker that admits the copy.
+        target, probe, _ = self._fleet.place(entry.fingerprint,
+                                             entry.replicas,
+                                             exclude=(primary,))
         if target is None:
-            # the stored replica set can be *transiently* ineligible: a
-            # fresh ring walk may surface the next live worker beyond the
-            # original R-set.
-            try:
-                fresh = self._fleet.route_replicas(entry.fingerprint,
-                                                   len(self._fleet.workers))
-            except WorkerUnavailableError:
-                return
-            target, probe = self._fleet.select(fresh, exclude=(primary,))
-            if target is None:
-                return
+            return
         self._send(request_id, entry, target, hedge=True, probe=probe,
                    transitions=(
             ("hedge_dispatch", {"worker_primary": primary,
@@ -928,16 +922,10 @@ class ClusterEngine:
             return
         if redispatchable:
             # prefer the request's own replica set (warm by construction)
-            # over a fresh ring walk; both exclude the dead owner.
-            new_owner, probe = self._fleet.select(entry.replicas,
-                                                  exclude=(owner,))
-            via_replica = new_owner is not None
-            if new_owner is None:
-                try:
-                    new_owner = self._fleet.route_replicas(
-                        entry.fingerprint, 1)[0]
-                except WorkerUnavailableError:
-                    new_owner = None
+            # over the rest of the ring; both exclude the dead owner, and
+            # a copy no worker admits takes the degraded or failure branch.
+            new_owner, probe, via_replica = self._fleet.place(
+                entry.fingerprint, entry.replicas, exclude=(owner,))
             if new_owner is not None:
                 moved = {"worker_from": owner, "worker_to": new_owner}
                 transitions = (

@@ -507,7 +507,7 @@ class ChaosPolicy:
     def corrupt_payload(self, data: bytes) -> bytes | None:
         """Corrupted replacement for a store payload, or ``None`` = intact.
 
-        Corruption truncates the archive and appends garbage — exactly the
+        Corruption truncates the entry and appends garbage — exactly the
         torn-write / bad-sector shape the store's quarantine path handles.
         """
         if self.spec.corrupt_store_rate <= 0.0:

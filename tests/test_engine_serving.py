@@ -38,6 +38,7 @@ from repro.engine import (
     SharedMatrixRegistry,
     SolveJob,
     SynthesisStore,
+    TieredSynthesisStore,
     attach_matrix,
     build_scenario,
     detach_all,
@@ -303,7 +304,7 @@ def test_store_corruption_falls_back_to_recompilation(tmp_path):
     matrix = random_matrix_with_condition_number(8, 4.0, rng=9)
     store = SynthesisStore(tmp_path)
     CompiledSolverCache(store=store).solver(matrix, epsilon_l=5e-2, backend="ideal")
-    entry = next(pathlib.Path(tmp_path).glob("*.npz"))
+    entry = next(pathlib.Path(tmp_path).glob(f"*{store_module.ENTRY_SUFFIX}"))
     entry.write_bytes(b"this is not an npz archive")
 
     cache = CompiledSolverCache(store=store)
@@ -376,6 +377,103 @@ def test_store_env_override(tmp_path, monkeypatch):
     assert SynthesisStore().path == tmp_path / "override"
     monkeypatch.delenv(store_module.STORE_ENV_VAR)
     assert default_store_path().name == "synthesis"
+
+
+@pytest.mark.parametrize("case", sorted(_payload_cases()))
+def test_store_entry_restores_every_payload_exactly(tmp_path, case):
+    # every backend, dense and structured: the restored payload is the
+    # exported one bit for bit, and so is the restored solver's answer.
+    matrix, backend = _payload_cases()[case]
+    solver = QSVTLinearSolver(matrix, epsilon_l=5e-2, backend=backend)
+    store = SynthesisStore(tmp_path)
+    key = (solver.fingerprint, case)
+    assert store.save(key, solver)
+    restored = store.load(key)
+    assert store.stats()["hits"] == 1 and store.stats()["corrupt"] == 0
+    exported, again = solver.export_payload(), restored.export_payload()
+    assert json.dumps(again["meta"], sort_keys=True) == json.dumps(
+        exported["meta"], sort_keys=True)
+    assert sorted(again["arrays"]) == sorted(exported["arrays"])
+    for name, array in exported["arrays"].items():
+        assert again["arrays"][name].dtype == np.asarray(array).dtype
+        assert np.array_equal(again["arrays"][name], array)
+    rhs = random_rhs(matrix.shape[0], rng=3)
+    assert np.array_equal(restored.solve(rhs).x, solver.solve(rhs).x)
+
+
+def test_store_entry_arrays_restore_exactly_and_read_only():
+    rng = np.random.default_rng(5)
+    arrays = {
+        "plan0_op0_matrix": rng.normal(size=(4, 4))
+        + 1j * rng.normal(size=(4, 4)),
+        "empty": np.zeros((0, 3)),
+        "scalar": np.array(7, dtype=np.int32),
+        "fortran": np.asfortranarray(rng.normal(size=(3, 5))),
+        "mask": np.array([True, False, True]),
+        "big_endian": np.arange(3, dtype=">i8"),
+        "tail_empty": np.zeros(0, dtype=np.complex64),
+    }
+    raw = store_module._encode({"format_version": 3}, arrays)
+    header, start = store_module._unpack(raw)
+    assert start % 64 == 0
+    assert all(spec["offset"] % 64 == 0 for spec in header["arrays"])
+    restored = store_module._arrays(raw, start, header["arrays"])
+    assert list(restored) == list(arrays)
+    for name, array in arrays.items():
+        assert restored[name].dtype == array.dtype
+        assert restored[name].shape == array.shape
+        assert np.array_equal(restored[name], array)
+        assert not restored[name].flags.writeable
+    assert restored["fortran"].flags.f_contiguous
+
+
+def test_store_save_refuses_non_numeric_arrays(tmp_path, monkeypatch):
+    with pytest.raises(TypeError, match="not numeric"):
+        store_module._encode({}, {"blob": np.array([{}], dtype=object)})
+    matrix = random_matrix_with_condition_number(4, 3.0, rng=15)
+    solver = QSVTLinearSolver(matrix, epsilon_l=5e-2, backend="ideal")
+    payload = solver.export_payload()
+    payload["arrays"]["blob"] = np.array(["text"])
+    monkeypatch.setattr(solver, "export_payload", lambda: payload)
+    store = SynthesisStore(tmp_path)
+    assert store.save(("key",), solver) is False
+    assert store.stats()["errors"] == 1 and len(store) == 0
+
+
+def test_tiered_promotion_copies_the_shared_entry_bytes(tmp_path,
+                                                        monkeypatch):
+    matrix = random_matrix_with_condition_number(8, 4.0, rng=16)
+    solver = QSVTLinearSolver(matrix, epsilon_l=5e-2, backend="circuit")
+    shared = SynthesisStore(tmp_path / "shared")
+    key = (solver.fingerprint, "promoted")
+    assert shared.save(key, solver)
+
+    def no_export(self):
+        raise AssertionError("a promotion must not re-export the solver")
+
+    monkeypatch.setattr(QSVTLinearSolver, "export_payload", no_export)
+    tiered = TieredSynthesisStore(tmp_path / "local", shared)
+    assert tiered.load(key) is not None
+    [promoted] = tiered.local._entries()
+    [source] = shared._entries()
+    assert promoted.name == source.name
+    assert promoted.read_bytes() == source.read_bytes()
+    assert tiered.load(key) is not None            # now a local hit
+    stats = tiered.stats()
+    assert stats["promotions"] == 1 and stats["shared_hits"] == 1
+    assert stats["local_hits"] == 1 and stats["local"]["stores"] == 1
+
+
+def test_store_clear_also_removes_legacy_entries(tmp_path):
+    matrix = random_matrix_with_condition_number(4, 3.0, rng=17)
+    store = SynthesisStore(tmp_path)
+    CompiledSolverCache(store=store).solver(matrix, epsilon_l=5e-2,
+                                            backend="ideal")
+    (tmp_path / "0123abcd.npz").write_bytes(b"format 2 archive")
+    [entry] = store._entries()
+    assert len(store) == 1 and store.disk_bytes() == entry.stat().st_size
+    assert store.clear() == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_runner_store_skips_synthesis_in_fresh_workers(tmp_path):

@@ -891,3 +891,55 @@ def test_an_unsent_copy_gives_back_the_probe():
         assert fleet.select(["worker-0"]) == ("worker-0", True)
     finally:
         engine.close(timeout=0.0)
+
+
+def test_a_redispatch_skips_a_replica_whose_breaker_is_open():
+    # worker-1 dies holding a request whose other replica, worker-0, has an
+    # open breaker: the copy goes on round the ring to worker-2, which
+    # admits it, never to the refusing worker-0.
+    engine = _model_engine(num_workers=3, breaker_failure_threshold=1,
+                           breaker_reset_timeout=3600.0)
+    fleet = engine._fleet
+    try:
+        matrix, rhs = next(
+            system for system in map(_system, range(100))
+            if fleet.route_replicas(matrix_fingerprint(system[0]), 2)
+            == ["worker-1", "worker-0"])
+        future = engine.submit(matrix, rhs)
+        assert future.worker_id == "worker-1"
+        fleet.workers["worker-0"].breaker.record_failure()
+        assert fleet.workers["worker-0"].breaker.state == "open"
+        fleet.workers["worker-1"].process.terminate()
+        engine._reap_dead_workers()
+        assert future.worker_id == "worker-2"
+        [copy] = [message for message
+                  in fleet.workers["worker-2"].requests.messages
+                  if message[0] == MSG_SOLVE]
+        assert not [message for message
+                    in fleet.workers["worker-0"].requests.messages
+                    if message[0] == MSG_SOLVE]
+        engine._dispatch(("worker-2", "result", copy[1], ANSWERS[0], None))
+        assert future.result(timeout=0).degraded is False
+    finally:
+        engine.close(timeout=0.0)
+
+
+def test_a_redispatch_no_worker_admits_takes_the_failure_branch():
+    # with every surviving breaker open the copy is sent nowhere: the
+    # request fails with the typed retriable error (degrading is off).
+    engine = _model_engine(num_workers=3, breaker_failure_threshold=1,
+                           breaker_reset_timeout=3600.0)
+    fleet = engine._fleet
+    try:
+        future = engine.submit(*_system_owned_by(engine, "worker-1"))
+        for worker_id in ("worker-0", "worker-2"):
+            fleet.workers[worker_id].breaker.record_failure()
+        fleet.workers["worker-1"].process.terminate()
+        engine._reap_dead_workers()
+        with pytest.raises(WorkerUnavailableError):
+            future.result(timeout=0)
+        assert not [message for worker_id in ("worker-0", "worker-2")
+                    for message in fleet.workers[worker_id].requests.messages
+                    if message[0] == MSG_SOLVE]
+    finally:
+        engine.close(timeout=0.0)

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import pickle
 import sys
 import threading
 import time
@@ -39,6 +40,7 @@ import numpy as np
 import pytest
 
 from repro.engine import CompiledSolverCache, SynthesisStore
+from repro.engine import store as store_module
 from repro.exceptions import (
     CircuitOpenError,
     QueueFullError,
@@ -278,7 +280,7 @@ class TestStoreQuarantine:
         store = SynthesisStore(directory)
         CompiledSolverCache(store=store).solver(matrix, epsilon_l=5e-2,
                                                 backend="ideal")
-        entries = list(store.path.glob("*.npz"))
+        entries = list(store.path.glob(f"*{store_module.ENTRY_SUFFIX}"))
         assert len(entries) == 1
         return store, entries[0]
 
@@ -297,7 +299,7 @@ class TestStoreQuarantine:
         assert [c.name for c in corpses] == [entry.name + ".corrupt"]
         assert corpses[0].read_bytes() == b"\x00not an archive\xff"
         assert len(store) == 1                      # the recompile re-saved a
-        # clean entry; the corpse is invisible to the *.npz scan
+        # clean entry; the corpse is invisible to the entry scan
 
         # the quarantined name never re-parses: a fresh reader misses clean
         rewarmed = SynthesisStore(tmp_path)
@@ -321,7 +323,71 @@ class TestStoreQuarantine:
         assert solver is not None
         assert cache.stats()["compiles"] == 1
         assert clean.stats()["corrupt_quarantined"] == 1
-        assert list(tmp_path.glob("*.npz.corrupt"))
+        assert list(tmp_path.glob(f"*{store_module.ENTRY_SUFFIX}.corrupt"))
+
+    @pytest.mark.parametrize("corruption", [
+        "flipped_bit", "truncated", "object_dtype", "offset_past_end",
+        "garbage_header"])
+    def test_a_damaged_entry_is_quarantined_never_unpickled(
+            self, tmp_path, monkeypatch, corruption):
+        matrix = random_matrix_with_condition_number(8, 4.0, rng=44)
+        store, entry = self._warm_entry(tmp_path, matrix)
+        raw = entry.read_bytes()
+        header, start = store_module._unpack(raw)
+        data = raw[start:]
+        # the forged headers carry a valid digest, so the dtype and bounds
+        # checks must catch them on their own
+        [spec] = [spec for spec in header["arrays"]
+                  if spec["name"] == "poly_coefficients"]
+        if corruption == "flipped_bit":
+            damaged = bytearray(raw)
+            damaged[start + len(data) // 2] ^= 0x10
+            damaged = bytes(damaged)
+        elif corruption == "truncated":
+            damaged = raw[:-1]
+        elif corruption == "object_dtype":
+            spec["dtype"] = "|O"            # the itemsize of ``<f8``
+            damaged = store_module._pack(json.dumps(header).encode(), data)
+        elif corruption == "offset_past_end":
+            spec["offset"] = len(data) + 64
+            damaged = store_module._pack(json.dumps(header).encode(), data)
+        else:
+            damaged = store_module._pack(b"\x00\xff{not json", data)
+        entry.write_bytes(damaged)
+        unpickled = []
+        for name in ("load", "loads"):
+            monkeypatch.setattr(pickle, name,
+                                lambda *args, **kwargs: unpickled.append(args))
+
+        cache = CompiledSolverCache(store=store)
+        assert cache.solver(matrix, epsilon_l=5e-2, backend="ideal")
+        assert cache.stats()["compiles"] == 1
+        stats = store.stats()
+        assert stats["corrupt"] == 1 and stats["corrupt_quarantined"] == 1
+        assert entry.with_name(entry.name + ".corrupt").read_bytes() == damaged
+        assert not unpickled
+        # the recompile wrote a clean entry over the slot
+        rewarmed = SynthesisStore(tmp_path)
+        CompiledSolverCache(store=rewarmed).solver(matrix, epsilon_l=5e-2,
+                                                   backend="ideal")
+        assert rewarmed.stats()["hits"] == 1
+
+    def test_a_legacy_npz_entry_is_a_plain_miss(self, tmp_path):
+        # format 2 wrote ``<key>.npz``; it is never opened, so it is neither
+        # corrupt nor renamed, and the recompile writes the current entry.
+        matrix = random_matrix_with_condition_number(8, 4.0, rng=45)
+        store, entry = self._warm_entry(tmp_path, matrix)
+        legacy = entry.with_suffix(".npz")
+        np.savez(legacy, matrix=matrix)
+        entry.unlink()
+
+        cache = CompiledSolverCache(store=store)
+        assert cache.solver(matrix, epsilon_l=5e-2, backend="ideal")
+        assert cache.stats()["compiles"] == 1
+        stats = store.stats()
+        assert stats["corrupt"] == 0 and stats["corrupt_quarantined"] == 0
+        assert legacy.is_file() and not list(tmp_path.glob("*.corrupt"))
+        assert entry.is_file()
 
 
 # ---------------------------------------------------------------------- #
